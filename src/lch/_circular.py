@@ -1,12 +1,23 @@
-"""Interval arithmetic on a circle of angles.
+"""The arrangement kernel shared by the 3-D and 2-D builds.
 
-Both the 3-D ball-polytope build and the 2-D arc-polygon build reduce to
-the same combinatorial step: a candidate boundary circle is cut by every
-other constraint into one forbidden open arc, and the surviving boundary
-is the complement of the union of those arcs.
+``ball_polytope3.build`` (pairwise intersection circles of balls) and
+``arc_polygon2.build2`` (chart circles of lambda-disks) run the same three
+steps, each implemented once here:
+
+* ``feasible_arcs``: every other constraint forbids one open arc of a
+  candidate boundary circle; the surviving boundary is the complement of
+  the union of those arcs;
+* ``cluster_points``: arc endpoints closer than a tolerance merge into
+  one vertex;
+* ``chain_loops``: directed arcs chain into closed boundary loops by
+  matching their end vertex to the next arc's start vertex.
 """
 
 import math
+
+import numpy as np
+
+from .errors import TopologyError
 
 TWO_PI = 2.0 * math.pi
 
@@ -92,3 +103,68 @@ def single_constraint_interval(a, b, d, eps=1e-14):
     phi0 = math.atan2(b, a)
     psi = math.acos(ratio)
     return "cut", phi0, psi
+
+
+def feasible_arcs(constraints):
+    """Feasible arcs of a circle under constraints ``a cos(phi) + b sin(phi) <= d``.
+
+    ``constraints`` yields ``(a, b, d, label)``; it is consumed lazily and
+    abandoned as soon as one constraint empties the circle, in which case
+    the result is None.  Otherwise returns ``complement_of_forbidden`` of
+    the forbidden arcs, which carry the constraint labels.
+    """
+    forbidden = []
+    for a, b, d, label in constraints:
+        kind, phi0, psi = single_constraint_interval(a, b, d)
+        if kind == "empty":
+            return None
+        if kind == "cut":
+            forbidden.append((phi0, psi, label))
+    return complement_of_forbidden(forbidden)
+
+
+def cluster_points(points, tol):
+    """Greedy clustering: each point joins the first representative within tol.
+
+    Returns ``(representatives, index)``: the points that opened a
+    cluster, in order, and each input point's cluster number.
+    """
+    reps, index = [], []
+    for p in points:
+        hit = None
+        for k, q in enumerate(reps):
+            if np.linalg.norm(p - q) <= tol:
+                hit = k
+                break
+        if hit is None:
+            hit = len(reps)
+            reps.append(p)
+        index.append(hit)
+    return reps, index
+
+
+def chain_loops(ends):
+    """Chain directed arcs, given as ``(start_vertex, end_vertex)``, into loops.
+
+    Each loop starts at the lowest unused arc and follows, at every vertex,
+    the lowest unused arc leaving it.  Returns a list of loops, each a list
+    of arc indices; raises ``TopologyError`` when a chain does not close.
+    """
+    unused = set(range(len(ends)))
+    by_start = {}
+    for idx, (start, _) in enumerate(ends):
+        by_start.setdefault(start, []).append(idx)
+    loops = []
+    while unused:
+        first = min(unused)
+        loop = []
+        cur = first
+        while cur is not None:
+            unused.discard(cur)
+            loop.append(cur)
+            end_v = ends[cur][1]
+            cur = next((k for k in by_start.get(end_v, ()) if k in unused), None)
+        if end_v != ends[first][0]:
+            raise TopologyError(f"open boundary loop: no arc continues from vertex {end_v}")
+        loops.append(loop)
+    return loops

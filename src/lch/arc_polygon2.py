@@ -25,7 +25,13 @@ from scipy.optimize import brentq, minimize
 
 from . import model_space as ms
 from . import _gl
-from ._circular import TWO_PI, complement_of_forbidden, single_constraint_interval
+from ._circular import (
+    TWO_PI,
+    chain_loops,
+    cluster_points,
+    complement_of_forbidden,
+    feasible_arcs,
+)
 from .errors import (
     EmptyBodyError,
     InvalidParameterError,
@@ -390,63 +396,34 @@ def build2(space, lam, disks):
 
     raw = []
     for i, ci in enumerate(circles):
-        forbidden = []
-        dead = False
-        for j, cj in enumerate(circles):
-            if j == i:
-                continue
-            dv = ci.center - cj.center
-            a_coef = 2.0 * ci.radius * float(dv[0])
-            b_coef = 2.0 * ci.radius * float(dv[1])
-            const = float(dv @ dv) + ci.radius ** 2 - cj.radius ** 2
-            # side=+1 wants |z - c_j|^2 <= r_j^2, side=-1 the reverse.
-            kind, phi0, psi = single_constraint_interval(
-                cj.side * a_coef, cj.side * b_coef, -cj.side * const)
-            if kind == "empty":
-                dead = True
-                break
-            if kind == "cut":
-                forbidden.append((phi0, psi, j))
-        if dead:
+        # side=+1 wants |z - c_j|^2 <= r_j^2, side=-1 the reverse.
+        offsets = ((ci.center - cj.center, cj, j) for j, cj in enumerate(circles) if j != i)
+        feasible = feasible_arcs(
+            (cj.side * (2.0 * ci.radius * float(dv[0])),
+             cj.side * (2.0 * ci.radius * float(dv[1])),
+             -cj.side * (float(dv @ dv) + ci.radius ** 2 - cj.radius ** 2), j)
+            for dv, cj, j in offsets)
+        if feasible is None:
             continue
-        arcs, full = complement_of_forbidden(forbidden)
+        arcs, full = feasible
         if full:
-            raw.append((i, 0.0, TWO_PI, True, None, None))
+            raw.append((i, 0.0, TWO_PI, True))
         else:
-            for (s, e, lab_s, lab_e) in arcs:
-                raw.append((i, s, e, False, lab_s, lab_e))
+            raw.extend((i, s, e, False) for s, e, _, _ in arcs)
 
     if not raw:
         raise EmptyBodyError("the disks have empty intersection")
 
-    # Vertices from arc endpoints.
-    positions = []
-    endpoint_vertex = {}
-    tol = _VERTEX_TOL * scale
-    for arc_id, (i, s, e, full, lab_s, lab_e) in enumerate(raw):
-        if full:
-            continue
-        ci = circles[i]
-        for which, phi in (("s", s), ("e", e)):
-            p = ci.center + ci.radius * np.array([math.cos(phi), math.sin(phi)])
-            hit = None
-            for vid, q in enumerate(positions):
-                if np.linalg.norm(p - q) <= tol:
-                    hit = vid
-                    break
-            if hit is None:
-                hit = len(positions)
-                positions.append(p)
-            endpoint_vertex[(arc_id, which)] = hit
-
-    arcs = []
-    for arc_id, (i, s, e, full, lab_s, lab_e) in enumerate(raw):
-        ci = circles[i]
-        arcs.append(Arc2(disk_index=i, circle=ci, phi_start=s, phi_end=e,
-                         full_circle=full,
-                         start_vertex=endpoint_vertex.get((arc_id, "s")),
-                         end_vertex=endpoint_vertex.get((arc_id, "e")),
-                         length=_arc_length(space, ci, s, e)))
+    ends = [circles[i].center + circles[i].radius * np.array([math.cos(phi), math.sin(phi)])
+            for i, s, e, full in raw if not full for phi in (s, e)]
+    positions, index = cluster_points(ends, _VERTEX_TOL * scale)
+    index = iter(index)  # two entries, start then end, per open arc
+    arcs = [Arc2(disk_index=i, circle=circles[i], phi_start=s, phi_end=e,
+                 full_circle=full,
+                 start_vertex=None if full else next(index),
+                 end_vertex=None if full else next(index),
+                 length=_arc_length(space, circles[i], s, e))
+            for i, s, e, full in raw]
 
     # Chain into a single counterclockwise boundary loop.
     if len(arcs) == 1 and arcs[0].full_circle:
@@ -455,28 +432,12 @@ def build2(space, lam, disks):
     if any(a.full_circle for a in arcs):
         raise TopologyError("mixed full-circle and open arcs on the boundary")
 
-    start_of = {}
-    for k, a in enumerate(arcs):
-        entry_phi, _ = a.travel_endpoints()
-        sv = a.start_vertex if a.circle.side == +1 else a.end_vertex
-        ev = a.end_vertex if a.circle.side == +1 else a.start_vertex
-        start_of.setdefault(sv, []).append(k)
-    ordered = []
-    used = set()
-    cur = 0
-    for _ in range(len(arcs)):
-        ordered.append(cur)
-        used.add(cur)
-        a = arcs[cur]
-        ev = a.end_vertex if a.circle.side == +1 else a.start_vertex
-        nxt = [k for k in start_of.get(ev, ()) if k not in used]
-        if not nxt:
-            break
-        cur = nxt[0]
-    if len(ordered) != len(arcs):
+    loops = chain_loops([(a.start_vertex, a.end_vertex) if a.circle.side == +1
+                         else (a.end_vertex, a.start_vertex) for a in arcs])
+    if len(loops) != 1:
         raise TopologyError("boundary arcs do not close into a single loop")
 
-    loop = [arcs[k] for k in ordered]
+    loop = [arcs[k] for k in loops[0]]
     vertices = []
     turning = []
     for k, a in enumerate(loop):
@@ -728,10 +689,6 @@ def _nudge_left(g1, g2):
     left = np.array([-chord[1], chord[0]])
     left /= np.linalg.norm(left)
     return 0.5 * (g1 + g2) + 1e-5 * left
-
-
-def _depth(poly, z):
-    return float(_compile_depth(poly)(np.atleast_2d(z))[0])
 
 
 def inradius2(poly, n_starts=64, seed=0):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._circular import TWO_PI, complement_of_forbidden, single_constraint_interval
+from ._circular import TWO_PI, chain_loops, cluster_points, feasible_arcs
 from .errors import (
     DegenerateBodyError,
     EmptyBodyError,
@@ -120,7 +120,8 @@ class BallPolytope3:
                 tuple(sorted(f.ball_index for f in self.facets)))
 
 
-def _orthonormal_frame(axis):
+def orthonormal_frame(axis):
+    """Unit vectors (e1, e2) with e1 x e2 = axis, for a unit axis."""
     k = int(np.argmin(np.abs(axis)))
     e = np.zeros(3)
     e[k] = 1.0
@@ -128,16 +129,6 @@ def _orthonormal_frame(axis):
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(axis, e1)
     return e1, e2
-
-
-def _dedupe_centers(pts, tol):
-    keep, dropped = [], []
-    for idx, p in enumerate(pts):
-        if any(np.linalg.norm(p - pts[k]) <= tol for k in keep):
-            dropped.append(idx)
-        else:
-            keep.append(idx)
-    return keep, dropped
 
 
 def _pair_edges(pts, radius):
@@ -159,25 +150,15 @@ def _pair_edges(pts, radius):
             axis = dv / d
             z = 0.5 * (pts[i] + pts[j])
             rho = math.sqrt(max(0.0, radius * radius - 0.25 * d * d))
-            e1, e2 = _orthonormal_frame(axis)
-            forbidden = []
-            dead = False
-            for k in range(m):
-                if k == i or k == j:
-                    continue
-                v = z - pts[k]
-                a = 2.0 * rho * float(e1 @ v)
-                b = 2.0 * rho * float(e2 @ v)
-                dlim = radius * radius - float(v @ v) - rho * rho
-                kind, phi0, psi = single_constraint_interval(a, b, dlim)
-                if kind == "empty":
-                    dead = True
-                    break
-                if kind == "cut":
-                    forbidden.append((phi0, psi, k))
-            if dead:
+            e1, e2 = orthonormal_frame(axis)
+            # Ball k keeps |z + rho (cos phi e1 + sin phi e2) - o_k| <= radius.
+            offsets = ((z - pts[k], k) for k in range(m) if k != i and k != j)
+            feasible = feasible_arcs(
+                (2.0 * rho * float(e1 @ v), 2.0 * rho * float(e2 @ v),
+                 radius * radius - float(v @ v) - rho * rho, k) for v, k in offsets)
+            if feasible is None:
                 continue
-            arcs, full = complement_of_forbidden(forbidden)
+            arcs, full = feasible
             if full:
                 raw.append((i, j, z, axis, rho, (e1, e2), 0.0, TWO_PI, True, None, None))
             else:
@@ -188,26 +169,17 @@ def _pair_edges(pts, radius):
 
 def _collect_vertices(raw, radius):
     """Cluster arc endpoints into vertices; returns (vertices, endpoint map)."""
-    tol = VERTEX_TOL * radius
-    positions, incidents = [], []
+    ends = [(arc_id, which, (i, j, lab),
+             z + rho * (math.cos(phi) * e1 + math.sin(phi) * e2))
+            for arc_id, (i, j, z, _, rho, (e1, e2), s, e, full, lab_s, lab_e) in enumerate(raw)
+            if not full
+            for which, phi, lab in (("s", s, lab_s), ("e", e, lab_e))]
+    positions, index = cluster_points([p for *_, p in ends], VERTEX_TOL * radius)
+    incidents = [set() for _ in positions]
     endpoint_vertex = {}
-    for arc_id, arc in enumerate(raw):
-        i, j, z, axis, rho, (e1, e2), s, e, full, lab_s, lab_e = arc
-        if full:
-            continue
-        for which, phi, lab in (("s", s, lab_s), ("e", e, lab_e)):
-            p = z + rho * (math.cos(phi) * e1 + math.sin(phi) * e2)
-            hit = None
-            for vid, q in enumerate(positions):
-                if np.linalg.norm(p - q) <= tol:
-                    hit = vid
-                    break
-            if hit is None:
-                hit = len(positions)
-                positions.append(p)
-                incidents.append(set())
-            incidents[hit].update((i, j, lab))
-            endpoint_vertex[(arc_id, which)] = hit
+    for (arc_id, which, spheres, _), vid in zip(ends, index):
+        incidents[vid].update(spheres)
+        endpoint_vertex[(arc_id, which)] = vid
     for vid, inc in enumerate(incidents):
         if len(inc) > 3:
             raise DegenerateBodyError(
@@ -217,38 +189,6 @@ def _collect_vertices(raw, radius):
     vertices = tuple(Vertex(position=p, incident=frozenset(inc))
                      for p, inc in zip(positions, incidents))
     return vertices, endpoint_vertex
-
-
-def _chain_loops(directed, start_of):
-    """Chain directed arcs into closed loops by matching vertices."""
-    unused = set(range(len(directed)))
-    by_start = {}
-    for idx in unused:
-        by_start.setdefault(start_of[idx][0], []).append(idx)
-    loops = []
-    while unused:
-        first = min(unused)
-        loop = []
-        cur = first
-        while True:
-            unused.discard(cur)
-            loop.append(directed[cur])
-            end_v = start_of[cur][1]
-            nxt = None
-            for cand in by_start.get(end_v, ()):
-                if cand in unused:
-                    nxt = cand
-                    break
-            if nxt is None:
-                start_v = start_of[first][0]
-                if end_v == start_v:
-                    break
-                raise TopologyError(
-                    f"open boundary loop: no arc continues from vertex {end_v}"
-                )
-            cur = nxt
-        loops.append(tuple(loop))
-    return loops
 
 
 def _facet_geometry(ball_index, loops, edges, vertices, center, radius, lam):
@@ -304,7 +244,9 @@ def build(lam, centers):
         raise InvalidParameterError("centers must be finite")
     radius = 1.0 / lam
 
-    keep, duplicates = _dedupe_centers(pts, 1e-12 * radius)
+    reps, cluster = cluster_points(pts, 1e-12 * radius)
+    keep = [cluster.index(c) for c in range(len(reps))]
+    duplicates = [n for n, c in enumerate(cluster) if keep[c] != n]
     work = pts[keep]
 
     from .inradius import minimal_enclosing_ball  # deferred: avoids an import cycle
@@ -365,13 +307,10 @@ def _build_retained(lam, work, radius):
                 for eidx in range(len(edges)) if i in edges[eidx].pair]
         closed = [((eidx, fwd),) for eidx, fwd in mine if edges[eidx].full_circle]
         open_arcs = [(eidx, fwd) for eidx, fwd in mine if not edges[eidx].full_circle]
-        start_of = {}
-        for didx, (eidx, fwd) in enumerate(open_arcs):
-            edge = edges[eidx]
-            sv = edge.start_vertex if fwd else edge.end_vertex
-            ev = edge.end_vertex if fwd else edge.start_vertex
-            start_of[didx] = (sv, ev)
-        loops = tuple(closed) + tuple(_chain_loops(open_arcs, start_of))
+        ends = [(edges[k].start_vertex, edges[k].end_vertex) if fwd
+                else (edges[k].end_vertex, edges[k].start_vertex) for k, fwd in open_arcs]
+        loops = tuple(closed) + tuple(tuple(open_arcs[k] for k in loop)
+                                      for loop in chain_loops(ends))
         area, vec = _facet_geometry(i, loops, edges, vertices, work[i], radius, lam)
         facets.append(Facet(ball_index=i, boundary_loops=loops, area=area,
                             vector_area=vec))

@@ -17,10 +17,14 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import ball_polytope3 as bp3
-from .errors import EmptyBodyError, InvalidParameterError
+from .errors import DegenerateBodyError, EmptyBodyError, InvalidParameterError
 from .inradius import inscribed_ball
 
 _EVENT_BISECT_TOL = 1e-10
+# Profile samples flanking an event, relative to the inradius: far enough
+# out that the four spheres meeting at a vanishing facet stay distinct
+# vertices (a probe within ~1e-9 of the event merges them).
+_EVENT_FLANK = 1e-7
 _REFINE_REL = 0.01
 # Samples stop shy of the inradius: all triple points collapse linearly onto
 # the inscribed center there, and within ~1e-9 of it they merge inside the
@@ -56,9 +60,15 @@ def _signature_at(polytope, t):
 
 
 def _bisect_event(polytope, lo, hi, sig_lo):
+    """Bisect to the signature change; a probe that lands on the degenerate
+    event configuration itself (four spheres through one vertex) is the event."""
     while hi - lo > _EVENT_BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        if _signature_at(polytope, mid) == sig_lo:
+        try:
+            sig_mid = _signature_at(polytope, mid)
+        except DegenerateBodyError:
+            return mid
+        if sig_mid == sig_lo:
             lo = mid
         else:
             hi = mid
@@ -82,7 +92,8 @@ def profile(polytope, n_samples=64):
 
     The grid is refined until adjacent samples differ by less than 1%
     relative (with a floor on the step so the vanishing tail near the
-    inradius stays finite), and event times are inserted explicitly.
+    inradius stays finite), and samples just either side of every event are
+    inserted explicitly.
     """
     if n_samples < 2:
         raise InvalidParameterError(f"n_samples must be >= 2, got {n_samples}")
@@ -90,7 +101,7 @@ def profile(polytope, n_samples=64):
     events = detect_events(polytope)
     ts = set(np.linspace(0.0, r * (1.0 - _END_MARGIN), n_samples))
     for ev in events:
-        for t in (ev - 1e-9 * r, ev, ev + 1e-9 * r):
+        for t in (ev - _EVENT_FLANK * r, ev + _EVENT_FLANK * r):
             if 0.0 <= t < r:
                 ts.add(t)
     ts = sorted(ts)

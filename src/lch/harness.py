@@ -11,9 +11,7 @@ of the requested radius, which pins the inradius exactly.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,13 +51,17 @@ class GenSpec:
             raise InvalidParameterError("3-D bodies are Euclidean only")
         if self.lam <= 0.0:
             raise InvalidParameterError(f"lam must be positive, got {self.lam}")
-        if self.dim == 3 or self.curvature == 0.0:
-            if not 0.0 < self.inradius < 1.0 / self.lam:
-                raise InvalidParameterError(
-                    f"inradius must lie in (0, 1/lam), got {self.inradius}"
-                )
-        elif self.inradius <= 0.0:
-            raise InvalidParameterError(f"inradius must be positive, got {self.inradius}")
+        space = ms.ModelSpace(self.dim, self.curvature)
+        if self.dim == 2:
+            space.require_metric_layer()
+        # The supporting disk's radius, or characteristic distance; None for horodisks.
+        size = ms.classify_umbilical(space, self.lam).size
+        upper = math.inf if size is None else size
+        if not 0.0 < self.inradius < upper:
+            raise InvalidParameterError(
+                f"inradius must lie in (0, {upper:.6g}) for lam={self.lam} and "
+                f"curvature {self.curvature}, got {self.inradius}"
+            )
 
 
 def _unit_directions(rng, m, dim):
@@ -232,31 +234,14 @@ def _sweep_trial(seed, trial, m_max, lam):
                        inradius_margin=inr.margin, gb_defect=defect)
 
 
-def max_threads():
-    """Worker cap for sweeps, from the LCH_THREADS environment variable."""
-    raw = os.environ.get("LCH_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return max(1, n) if n > 0 else 1
-
-
 def sweep(trials, m_max=12, seed=0, lam=1.0, tol=1e-9):
     """Reverse-isoperimetric / reverse-inradius / Gauss-Bonnet battery.
 
-    Each trial derives its own Philox stream from (seed, trial), so records
-    are reproducible and independent of the worker count; results merge in
-    trial order.
+    Trials run in order, each from its own Philox stream derived from
+    (seed, trial), so records are reproducible.
     """
     t0 = time.perf_counter()
-    workers = max_threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda k: _sweep_trial(seed, k, m_max, lam),
-                                    range(trials)))
-    else:
-        records = [_sweep_trial(seed, k, m_max, lam) for k in range(trials)]
+    records = [_sweep_trial(seed, k, m_max, lam) for k in range(trials)]
     violations = []
     for rec in records:
         for name in rec.violations(tol):

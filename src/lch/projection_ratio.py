@@ -93,19 +93,9 @@ def radial_project(chart, q):
     return chart.center + chart.inradius * d / norm
 
 
-def _chart_frame(axis):
-    k = int(np.argmin(np.abs(axis)))
-    e = np.zeros(3)
-    e[k] = 1.0
-    e1 = e - float(e @ axis) * axis
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(axis, e1)
-    return e1, e2
-
-
 def _facet_membership(polytope, chart, ts, thetas):
     """Ray-cast: does the supporting-sphere hit at (t, theta) lie on the facet?"""
-    e1, e2 = _chart_frame(chart.axis)
+    e1, e2 = bp3.orthonormal_frame(chart.axis)
     ts = np.asarray(ts)
     thetas = np.asarray(thetas)
     omega = (np.cos(ts)[:, None] * chart.axis
@@ -140,7 +130,7 @@ def _radial_extents(polytope, chart, thetas, iters=48):
 
 def _break_azimuths(polytope, chart):
     """Azimuths where t_max(theta) can kink: projected boundary vertices."""
-    e1, e2 = _chart_frame(chart.axis)
+    e1, e2 = bp3.orthonormal_frame(chart.axis)
     breaks = {0.0, 2.0 * math.pi}
     facet = polytope.facets[chart.facet_index]
     for loop in facet.boundary_loops:

@@ -1,10 +1,20 @@
-"""The circular-interval workhorse against a brute-force membership oracle."""
+"""The arrangement kernel: circular intervals against a brute-force
+membership oracle, endpoint clustering and loop chaining."""
 
 import math
 
 import numpy as np
+import pytest
 
-from lch._circular import TWO_PI, complement_of_forbidden, single_constraint_interval
+from lch._circular import (
+    TWO_PI,
+    chain_loops,
+    cluster_points,
+    complement_of_forbidden,
+    feasible_arcs,
+    single_constraint_interval,
+)
+from lch.errors import TopologyError
 
 
 def brute_force_feasible(forbidden, phi):
@@ -37,12 +47,16 @@ def test_whole_circle_forbidden():
     assert not full and arcs == []
 
 
+def random_forbidden(rng):
+    k = rng.integers(1, 6)
+    return [(float(rng.uniform(0, TWO_PI)), float(rng.uniform(0.05, 1.2)), i)
+            for i in range(k)]
+
+
 def test_random_unions_match_membership_oracle():
     rng = np.random.default_rng(11)
     for _ in range(300):
-        k = rng.integers(1, 6)
-        forbidden = [(float(rng.uniform(0, TWO_PI)),
-                      float(rng.uniform(0.05, 1.2)), i) for i in range(k)]
+        forbidden = random_forbidden(rng)
         arcs, full = complement_of_forbidden(forbidden)
         assert not full
         total = sum(e - s for s, e, _, _ in arcs)
@@ -66,3 +80,67 @@ def test_single_constraint_interval_cases():
     assert kind == "cut"
     assert math.isclose(phi0, 0.0, abs_tol=1e-15)
     assert math.isclose(psi, math.pi / 2.0, rel_tol=1e-12)
+
+
+def test_feasible_arcs_empty_constraint_kills_the_circle():
+    # cos(phi) <= -2 holds nowhere; the second constraint is never read
+    def constraints():
+        yield 1.0, 0.0, -2.0, "dead"
+        raise AssertionError("constraints after an emptying one are not consumed")
+
+    assert feasible_arcs(constraints()) is None
+
+
+def test_feasible_arcs_without_constraints_is_full_circle():
+    assert feasible_arcs([]) == ([], True)
+    assert feasible_arcs([(0.0, 0.0, 1.0, "slack"), (1.0, 0.0, 2.0, "far")]) == ([], True)
+
+
+def test_feasible_arcs_match_complement_of_forbidden():
+    # a cos(phi) + b sin(phi) <= hypot(a, b) cos(psi) forbids (phi0 - psi, phi0 + psi)
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        forbidden = random_forbidden(rng)
+        constraints = []
+        for center, half, label in forbidden:
+            scale = float(rng.uniform(0.5, 2.0))
+            constraints.append((scale * math.cos(center), scale * math.sin(center),
+                                scale * math.cos(half), label))
+        result = feasible_arcs(constraints)
+        assert result == complement_of_forbidden(
+            [single_constraint_interval(a, b, d)[1:] + (label,)
+             for a, b, d, label in constraints])
+        got, full = result
+        ref, _ = complement_of_forbidden(forbidden)
+        assert not full and len(got) == len(ref)
+        for (s, e, ls, le), (rs, re, rls, rle) in zip(got, ref):
+            assert (ls, le) == (rls, rle)
+            assert math.isclose(s, rs, abs_tol=1e-9) and math.isclose(e, re, abs_tol=1e-9)
+
+
+def test_cluster_points_joins_at_exactly_tol():
+    pts = [np.array([0.0, 0.0]), np.array([0.5, 0.0]), np.array([2.0, 0.0])]
+    reps, index = cluster_points(pts, 0.5)
+    assert index == [0, 0, 1]
+    assert len(reps) == 2 and reps[1] is pts[2]
+
+
+def test_cluster_points_prefers_the_first_representative():
+    # the last point lies within tol of both representatives
+    pts = [np.array([0.0, 0.0]), np.array([1.5, 0.0]), np.array([0.75, 0.0])]
+    reps, index = cluster_points(pts, 1.0)
+    assert index == [0, 1, 0]
+    assert [r.tolist() for r in reps] == [[0.0, 0.0], [1.5, 0.0]]
+
+
+def test_chain_loops_returns_loops_in_first_index_order():
+    # arcs 1 -> 3 -> 4 form a triangle on vertices 10, 11, 12; arcs 0 -> 2 a digon
+    ends = [(20, 21), (10, 11), (21, 20), (11, 12), (12, 10)]
+    assert chain_loops(ends) == [[0, 2], [1, 3, 4]]
+
+
+def test_chain_loops_open_chain_raises():
+    with pytest.raises(TopologyError):
+        chain_loops([(0, 1), (1, 2)])
+    with pytest.raises(TopologyError):
+        chain_loops([(0, 1), (1, 0), (2, 3)])

@@ -135,6 +135,22 @@ class TestCoareaVolume:
         v2 = bp3.volume(body)
         assert abs(v1 - v2) <= 1e-6 * v2
 
+    def test_vanishing_triangle_events(self):
+        # Triangular facets shrink to points here, so four spheres meet at
+        # each event and a rebuild exactly there is degenerate.
+        rng = np.random.default_rng(5)
+        m = rng.integers(3, 7)
+        u = rng.normal(size=(m, 3))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        body = bp3.build(1.0, u * rng.uniform(0.3, 0.65, size=(m, 1)))
+        r = inscribed_ball(body).radius
+        prof = erosion.profile(body, n_samples=64)
+        assert prof.events
+        assert all(0.0 < ev < r for ev in prof.events)
+        assert np.all(np.diff(prof.areas) < 0.0)
+        v = bp3.volume(body)
+        assert abs(erosion.volume_via_profile(body) - v) <= 1e-6 * v
+
 
 class TestInitialDerivative:
     def test_ball(self):

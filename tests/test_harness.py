@@ -1,7 +1,6 @@
 """Generators, Monte Carlo oracles, and sweep determinism."""
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -56,6 +55,19 @@ class TestGenerator:
             harness.GenSpec(seed=0, m=4, inradius=1.5).validate()
         with pytest.raises(InvalidParameterError):
             harness.GenSpec(seed=0, m=4, inradius=0.3, dim=3, curvature=-1.0).validate()
+        # Curved 2-D specs that supporting_disk would reject on every draw.
+        for curvature, lam, r0, named in [
+            (-1.0, 2.0, 0.6, "0.549306"),  # geodesic disks of radius atanh(1/2)
+            (-1.0, 0.5, 0.6, "0.549306"),  # equidistants at their characteristic distance
+            (1.0, 1.0, 0.8, "0.785398"),   # spherical disks of radius pi/4
+            (0.5, 1.0, 0.3, "curvature in"),  # no metric layer
+        ]:
+            spec = harness.GenSpec(seed=1, m=5, inradius=r0, lam=lam, dim=2,
+                                   curvature=curvature)
+            with pytest.raises(InvalidParameterError, match=named):
+                spec.validate()
+        # Horodisks support an inscribed disk of any radius.
+        harness.GenSpec(seed=1, m=5, inradius=5.0, lam=1.0, dim=2, curvature=-1.0).validate()
 
 
 class TestMonteCarlo:
@@ -120,10 +132,8 @@ class TestSweep:
             assert math.isclose(bp3.surface_area(body), rec.surface_area,
                                 rel_tol=1e-12)
 
-    def test_thread_count_invariance(self, monkeypatch):
-        monkeypatch.setenv("LCH_THREADS", "1")
+    def test_sweep_is_deterministic(self):
         a = harness.sweep(trials=6, m_max=6, seed=11)
-        monkeypatch.setenv("LCH_THREADS", "4")
         b = harness.sweep(trials=6, m_max=6, seed=11)
         assert a.records == b.records
 

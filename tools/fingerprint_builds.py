@@ -1,0 +1,122 @@
+"""Fingerprint 3-D builds and 2-D polygons on a fixed list of 1270 bodies.
+
+    PYTHONPATH=<checkout>/src python tools/fingerprint_builds.py > out.json
+
+Run it on two checkouts and compare the outputs: every float is written
+with float.hex, so equal files mean bit-identical builds.  The list holds
+520 3-D bodies (touching-construction and random-center bodies with
+m = 2..24, and bodies with duplicate, near-duplicate and redundant
+centers) and 150 polygons of each of the five lambda-disk kinds.
+"""
+import json
+import math
+import sys
+
+import numpy as np
+
+from lch import arc_polygon2 as ap
+from lch import ball_polytope3 as bp3
+from lch import harness
+from lch import model_space as ms
+
+
+def h(x):
+    return float(x).hex()
+
+
+def fp3(lam, centers):
+    try:
+        b = bp3.build(lam, centers)
+    except Exception as exc:  # record failures too
+        return ["error", type(exc).__name__, str(exc)]
+    r = b.build_report
+    return {
+        "sig": repr(b.combinatorial_signature()),
+        "loops": [repr(f.boundary_loops) for f in b.facets],
+        "facet_areas": [h(f.area) for f in b.facets],
+        "area": h(bp3.surface_area(b)),
+        "volume": h(bp3.volume(b)),
+        "report": [list(r.redundant_indices), list(r.duplicate_indices),
+                   [h(v) for v in np.ravel(r.source_centers)]],
+        "vertices": [[h(v) for v in x.position] + sorted(x.incident) for x in b.vertices],
+        "edges": [[e.pair, h(e.phi_start), h(e.phi_end), e.start_vertex, e.end_vertex]
+                  for e in b.edges],
+    }
+
+
+def fp2(space, lam, disks):
+    try:
+        p = ap.build2(space, lam, disks)
+    except Exception as exc:
+        return ["error", type(exc).__name__, str(exc)]
+    return {
+        "perimeter": h(ap.perimeter2(p)),
+        "area": h(ap.area2(p)),
+        "turning": [h(t) for t in p.turning_angles],
+        "order": [a.disk_index for a in p.boundary],
+        "vertices": [[h(v) for v in x] for x in p.vertices],
+    }
+
+
+def bodies3():
+    rng = np.random.default_rng(2024)
+    out = []
+    for k in range(240):  # touching construction, m = 2..24
+        m = 2 + k % 23
+        spec = harness.GenSpec(seed=1000 + k, m=m, inradius=float(rng.uniform(0.15, 0.85)))
+        out.append((1.0, harness.random_polytope(spec).centers))
+    for k in range(240):  # random centers inside a ball of radius < 1
+        m = 2 + k % 23
+        u = rng.normal(size=(m, 3))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        lam = float(rng.choice([0.5, 1.0, 2.0]))
+        out.append((lam, u * rng.uniform(0.05, 0.95, size=(m, 1)) / lam))
+    for k in range(40):  # duplicate, near-duplicate and redundant (hull) centers
+        m = 3 + k % 8
+        c = harness.random_polytope(harness.GenSpec(seed=5000 + k, m=m, inradius=0.4)).centers
+        w = rng.dirichlet(np.ones(m))
+        extra = [c[k % m], c[(k + 1) % m] + 1e-13, w @ c]
+        rows = list(c) + extra
+        order = rng.permutation(len(rows))
+        out.append((1.0, np.asarray(rows)[order]))
+    return out
+
+
+KINDS = (  # (curvature, lam): euclidean, spherical, hyperbolic disk, horodisk, equidistant
+    (0.0, 1.0), (1.0, 1.0), (-1.0, 2.0), (-1.0, 1.0), (-1.0, 0.5),
+)
+
+
+def bodies2():
+    rng = np.random.default_rng(77)
+    out = []
+    for c, lam in KINDS:
+        space = ms.ModelSpace(2, c)
+        cls = ms.classify_umbilical(space, lam)
+        size = cls.size if cls.size is not None else 1.0
+        for k in range(150):
+            m = 2 + k % 7
+            r0 = float(rng.uniform(0.1, 0.9)) * min(size, 1.0 / lam if c == 0 else size)
+            ang = np.sort(rng.uniform(0, 2 * math.pi, size=m)) if k % 3 else \
+                np.linspace(0, 2 * math.pi, m, endpoint=False) + rng.uniform(0, 1)
+            dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+            try:
+                disks = [ap.supporting_disk(space, lam, r0, u) for u in dirs]
+            except Exception as exc:
+                out.append((space, lam, None, repr(exc)))
+                continue
+            out.append((space, lam, disks, None))
+    return out
+
+
+def main():
+    rows = []
+    for lam, centers in bodies3():
+        rows.append(fp3(lam, centers))
+    for space, lam, disks, err in bodies2():
+        rows.append(fp2(space, lam, disks) if disks is not None else ["gen", err])
+    json.dump(rows, sys.stdout)
+
+
+if __name__ == "__main__":
+    main()
