@@ -354,27 +354,18 @@ def _arc_length(space, circle, phi0, phi1):
     c = space.curvature
     if c == 0.0:
         return circle.radius * (phi1 - phi0)
-    nodes = 48
-    prev = None
-    while True:
-        xs, ws = _gl.nodes(nodes)
-        phi = 0.5 * (phi1 - phi0) * xs + 0.5 * (phi0 + phi1)
+
+    def length_element(phi):
         z = circle.center[None, :] + circle.radius * np.stack(
             [np.cos(phi), np.sin(phi)], axis=1)
         s = np.sum(z * z, axis=1)
         if c == -1.0:
-            factor = 2.0 / (1.0 - s)
             if np.any(s >= 1.0):
                 raise InvalidParameterError("arc leaves the unit-disk chart")
-        else:
-            factor = 2.0 / (1.0 + s)
-        val = 0.5 * (phi1 - phi0) * circle.radius * float(np.sum(ws * factor))
-        if prev is not None and abs(val - prev) <= 1e-13 * max(1.0, abs(val)):
-            return val
-        if nodes >= 768:
-            return val
-        prev = val
-        nodes *= 2
+            return circle.radius * 2.0 / (1.0 - s)
+        return circle.radius * 2.0 / (1.0 + s)
+
+    return _gl.integrate(length_element, phi0, phi1, 48, 1e-13, 768)
 
 
 def build2(space, lam, disks):

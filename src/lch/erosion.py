@@ -43,20 +43,26 @@ def inner_parallel(polytope, t):
     """The inner parallel body at distance t (same centers, smaller radius)."""
     if t < 0.0:
         raise InvalidParameterError(f"erosion distance must be nonnegative, got {t}")
+    if t > 0.0:
+        r = inscribed_ball(polytope).radius
+        if t >= r:
+            raise EmptyBodyError(f"erosion distance {t} reaches the inradius {r}")
+    return _eroded(polytope, t)
+
+
+def _eroded(polytope, t):
+    """``inner_parallel`` for a t already known to lie in [0, r(K))."""
     if t == 0.0:
         return polytope
-    r = inscribed_ball(polytope).radius
-    if t >= r:
-        raise EmptyBodyError(f"erosion distance {t} reaches the inradius {r}")
     return bp3.build(1.0 / (polytope.radius - t), polytope.centers)
 
 
 def _area_at(polytope, t):
-    return bp3.surface_area(inner_parallel(polytope, t))
+    return bp3.surface_area(_eroded(polytope, t))
 
 
 def _signature_at(polytope, t):
-    return inner_parallel(polytope, t).combinatorial_signature()
+    return _eroded(polytope, t).combinatorial_signature()
 
 
 def _bisect_event(polytope, lo, hi, sig_lo):
@@ -209,7 +215,8 @@ def expansion_check(polytope, t=1e-2):
     """
     lam = polytope.lam
     unit = bp3.build(1.0, np.asarray(polytope.centers) * lam)
-    if _signature_at(unit, t) != unit.combinatorial_signature():
+    # the checked path (EmptyBodyError for t >= r); later samples are below t
+    if inner_parallel(unit, t).combinatorial_signature() != unit.combinatorial_signature():
         raise InvalidParameterError(f"a combinatorial event occurs before t = {t}")
     beta_sum = bp3.surface_area(unit)
     edge_term = sum(e.length * math.tan(0.5 * e.dihedral) for e in unit.edges)

@@ -4,8 +4,10 @@ Every touching facet lies on a supporting sphere whose center sits on the
 ray from the inscribed center ``o`` through the touch point.  Projecting
 the facet radially onto the inscribed sphere is a star-shaped map in polar
 coordinates ``(t, theta)`` about the touch axis, so projected areas reduce
-to one-dimensional integrals of the radial extent ``t_max(theta)``, found
-by bisection on exact sphere-ray membership tests.
+to one-dimensional integrals of the radial extent ``t_max(theta)``.  That
+extent is exact: each meridian half-plane cuts the supporting sphere in a
+great semicircle, and every other ball forbids one arc of it, so the facet
+ends where the first forbidden arc opens.
 
 The area-element pullback of the projection restricted to the supporting
 sphere is ``g(t) = rho(t)^2 / (r^2 cos beta)`` with ``rho`` the ray length
@@ -24,11 +26,11 @@ from scipy.integrate import quad
 
 from . import _gl
 from . import ball_polytope3 as bp3
+from ._circular import TWO_PI, single_constraint_interval
 from .errors import InvalidParameterError
 from .inradius import inscribed_ball
 
 FOUR_PI = 4.0 * math.pi
-_TOUCH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -47,32 +49,26 @@ class RadialChart:
     def center_offset(self):
         return self.ball_radius - self.inradius  # |o - o_i|
 
-    def ray_length(self, t):
-        """Distance from o to the supporting sphere along polar angle t."""
-        e = self.center_offset
-        c = np.cos(t)
-        return -e * c + np.sqrt(e * e * c * c + self.ball_radius ** 2 - e * e)
-
     def density(self, t):
         """Jacobian g(t) of the radial projection, per unit inscribed-sphere area."""
         e = self.center_offset
         c = np.cos(t)
-        rho = self.ray_length(t)
-        cos_beta = np.sqrt(e * e * c * c + self.ball_radius ** 2 - e * e) / self.ball_radius
-        return rho * rho / (self.inradius ** 2 * cos_beta)
+        root = np.sqrt(e * e * c * c + self.ball_radius ** 2 - e * e)
+        rho = -e * c + root  # distance from o to the supporting sphere
+        return rho * rho / (self.inradius ** 2 * (root / self.ball_radius))
 
 
 def chart_for_facet(polytope, facet_index, ball=None):
     """Radial chart of a facet; the facet must touch the inscribed ball."""
     if ball is None:
         ball = inscribed_ball(polytope)
-    radius = polytope.radius
-    o_i = polytope.centers[facet_index]
-    offset = np.linalg.norm(ball.center - o_i)
-    if abs(radius - offset - ball.radius) >= _TOUCH_TOL * radius:
+    if facet_index not in ball.touching:
         raise InvalidParameterError(
             f"facet {facet_index} does not touch the inscribed ball"
         )
+    radius = polytope.radius
+    o_i = polytope.centers[facet_index]
+    offset = np.linalg.norm(ball.center - o_i)
     if offset < 1e-14:
         axis = np.array([0.0, 0.0, 1.0])  # single-ball body: any axis works
     else:
@@ -93,39 +89,33 @@ def radial_project(chart, q):
     return chart.center + chart.inradius * d / norm
 
 
-def _facet_membership(polytope, chart, ts, thetas):
-    """Ray-cast: does the supporting-sphere hit at (t, theta) lie on the facet?"""
-    e1, e2 = bp3.orthonormal_frame(chart.axis)
-    ts = np.asarray(ts)
-    thetas = np.asarray(thetas)
-    omega = (np.cos(ts)[:, None] * chart.axis
-             + (np.sin(ts) * np.cos(thetas))[:, None] * e1
-             + (np.sin(ts) * np.sin(thetas))[:, None] * e2)
-    x = chart.center + chart.ray_length(ts)[:, None] * omega
-    ok = np.ones(len(ts), dtype=bool)
-    for k, c in enumerate(polytope.centers):
-        if k == chart.facet_index:
-            continue
-        ok &= np.linalg.norm(x - c, axis=1) <= polytope.radius
-    return ok
+def _radial_extents(polytope, chart, thetas):
+    """t_max(theta) for a batch of azimuths, in closed form.
 
-
-def _radial_extents(polytope, chart, thetas, iters=48):
-    """t_max(theta) for a batch of azimuths, by vectorized bisection.
-
-    Membership is monotone along each meridian (facets are geodesically
-    convex around the touch point), so bisection between the feasible
-    touch direction and the antipode is exact.
+    The meridian half-plane at azimuth theta holds o_i, so it cuts the
+    supporting sphere in the semicircle ``o_i + R (cos(phi) a + sin(phi) w)``,
+    phi in [0, pi] from the touch point (a the touch axis, w the azimuth
+    direction).  Ball k forbids one arc of it, where
+    ``-2R (v.a) cos(phi) - 2R (v.w) sin(phi) > -|v|^2`` with ``v = o_k - o_i``;
+    the facet ends where the first such arc opens, at phi_max, which lies at
+    polar angle ``atan2(R sin(phi_max), R cos(phi_max) - e)`` about o.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    lo = np.zeros_like(thetas)
-    hi = np.full_like(thetas, math.pi)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        good = _facet_membership(polytope, chart, mid, thetas)
-        lo[good] = mid[good]
-        hi[~good] = mid[~good]
-    return 0.5 * (lo + hi)
+    big_r = chart.ball_radius
+    e1, e2 = bp3.orthonormal_frame(chart.axis)
+    v = np.delete(polytope.centers, chart.facet_index, axis=0) - chart.sphere_center
+    cos_coef = (-2.0 * big_r * (v @ chart.axis)).tolist()
+    e1_coef, e2_coef = -2.0 * big_r * (v @ e1), -2.0 * big_r * (v @ e2)
+    bound = (-np.sum(v * v, axis=1)).tolist()
+    phi_max = []
+    for theta in thetas:
+        sin_coef = (math.cos(theta) * e1_coef + math.sin(theta) * e2_coef).tolist()
+        phi = math.pi
+        for a, b, d in zip(cos_coef, sin_coef, bound):
+            kind, center, half_width = single_constraint_interval(a, b, d)
+            if kind == "cut":
+                phi = min(phi, (center - half_width) % TWO_PI)
+        phi_max.append(phi)
+    return np.arctan2(big_r * np.sin(phi_max), big_r * np.cos(phi_max) - chart.center_offset)
 
 
 def _break_azimuths(polytope, chart):
@@ -148,36 +138,26 @@ def _break_azimuths(polytope, chart):
 def projected_facet_area(polytope, chart, facet=None, rel_tol=1e-9):
     """Area of the facet's radial projection on the inscribed sphere.
 
-    Ray-casting quadrature in polar coordinates: the azimuth circle is
-    split at projected-vertex directions (the only kinks of the radial
-    extent), and each smooth piece is integrated by Gauss-Legendre with
-    node doubling until the relative change drops below ``rel_tol``.
+    Polar quadrature: the azimuth circle is split at projected-vertex
+    directions (the only kinks of the radial extent), and each smooth piece
+    is integrated by Gauss-Legendre, doubling from 16 nodes until the
+    relative change drops below ``rel_tol`` (``NumericError`` past 256).
     """
     if facet is None:
         facet = polytope.facets[chart.facet_index]
     if not facet.boundary_loops:
         return FOUR_PI * chart.inradius ** 2  # single ball: the whole sphere
-    r2 = chart.inradius ** 2
+
+    def one_minus_cos_tmax(thetas):
+        return 1.0 - np.cos(_radial_extents(polytope, chart, thetas))
+
     total = 0.0
     breaks = _break_azimuths(polytope, chart)
     for a, b in zip(breaks, breaks[1:]):
         if b - a < 1e-13:
             continue
-        prev = None
-        nodes = 16
-        while True:
-            xs, ws = _gl.nodes(nodes)
-            thetas = 0.5 * (b - a) * xs + 0.5 * (a + b)
-            tmax = _radial_extents(polytope, chart, thetas)
-            piece = 0.5 * (b - a) * float(np.sum(ws * (1.0 - np.cos(tmax))))
-            if prev is not None and abs(piece - prev) <= rel_tol * max(1.0, abs(piece)):
-                break
-            if nodes >= 256:
-                break
-            prev = piece
-            nodes *= 2
-        total += piece
-    return r2 * total
+        total += _gl.integrate(one_minus_cos_tmax, a, b, 16, rel_tol, 256)
+    return chart.inradius ** 2 * total
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import pytest
 from conftest import make_body
 from lch import ball_polytope3 as bp3
 from lch import projection_ratio as pr
-from lch.errors import InvalidParameterError
+from lch.errors import InvalidParameterError, NumericError
 from lch.inradius import inscribed_ball, reduce_to_touching
 
 FOUR_PI = 4.0 * math.pi
@@ -58,18 +58,57 @@ class TestProjectedAreas:
     def test_projection_against_polygon_excess(self):
         # edges of touching facets project to great circles, so the
         # projected region is a geodesic polygon measured by excess
+        for seed, m, r0 in [(10, 5, 0.45), (2, 2, 0.3), (3, 3, 0.5), (4, 4, 0.35),
+                            (6, 6, 0.45), (7, 7, 0.25), (8, 8, 0.55), (9, 9, 0.4),
+                            (11, 10, 0.45), (13, 12, 0.3)]:
+            body = make_body(seed=seed, m=m, r0=r0)
+            ball = inscribed_ball(body)
+            for f in body.facets:
+                chart = pr.chart_for_facet(body, f.ball_index, ball)
+                quad_area = pr.projected_facet_area(body, chart, f)
+                excess_area = _geodesic_polygon_area(body, chart, f)
+                assert abs(quad_area - excess_area) <= 1e-7 * excess_area
+
+    def test_unreachable_tolerance_raises(self):
         body = make_body(seed=10, m=5, r0=0.45)
-        ball = inscribed_ball(body)
-        for f in body.facets:
-            chart = pr.chart_for_facet(body, f.ball_index, ball)
-            quad_area = pr.projected_facet_area(body, chart, f)
-            excess_area = _geodesic_polygon_area(body, chart, f)
-            assert abs(quad_area - excess_area) <= 1e-7 * excess_area
+        chart = pr.chart_for_facet(body, 0)
+        with pytest.raises(NumericError):
+            pr.projected_facet_area(body, chart, rel_tol=0.0)
 
     def test_non_touching_facet_rejected(self):
         body = bp3.build(1.0, LENS + [[0.3, 0.0, 0.0]])
         with pytest.raises(InvalidParameterError):
             pr.chart_for_facet(body, 2)
+
+
+class TestRadialExtent:
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_extent_brackets_the_facet_boundary(self, m):
+        # just inside t_max the supporting-sphere point is in every other
+        # ball; just outside it leaves at least one
+        body = reduce_to_touching(make_body(seed=40 + m, m=m, r0=0.4))
+        ball = inscribed_ball(body)
+        thetas = (np.arange(24) + 0.37) * (2.0 * math.pi / 24)
+        for i in range(len(body.centers)):
+            chart = pr.chart_for_facet(body, i, ball)
+            e1, e2 = bp3.orthonormal_frame(chart.axis)
+            others = np.delete(body.centers, i, axis=0)
+            tmax = pr._radial_extents(body, chart, thetas)
+            assert np.all((tmax > 0.0) & (tmax < math.pi))
+            for t0, theta in zip(tmax, thetas):
+                inside, outside = (_sphere_point(chart, e1, e2, t0 + dt, theta)
+                                   for dt in (-1e-9, 1e-9))
+                assert np.all(np.linalg.norm(others - inside, axis=1) <= body.radius)
+                assert np.any(np.linalg.norm(others - outside, axis=1) > body.radius)
+
+
+def _sphere_point(chart, e1, e2, t, theta):
+    """Where the ray from o at polar angle t, azimuth theta meets the sphere."""
+    e, big_r = chart.center_offset, chart.ball_radius
+    c = math.cos(t)
+    rho = -e * c + math.sqrt(e * e * c * c + big_r * big_r - e * e)
+    omega = c * chart.axis + math.sin(t) * (math.cos(theta) * e1 + math.sin(theta) * e2)
+    return chart.center + rho * omega
 
 
 def _geodesic_polygon_area(body, chart, facet):
