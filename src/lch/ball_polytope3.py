@@ -70,8 +70,7 @@ class EdgeArc:
         return self.circle_center + self.circle_radius * (math.cos(phi) * e1 + math.sin(phi) * e2)
 
     def tangent_at(self, phi, forward):
-        w = math.cos(phi) * self.frame[0] + math.sin(phi) * self.frame[1]
-        t = np.cross(self.circle_axis, w)
+        t = np.array(_cross(self.circle_axis.tolist(), _circle_point(self, phi)))
         return t if forward else -t
 
 
@@ -120,15 +119,27 @@ class BallPolytope3:
                 tuple(sorted(f.ball_index for f in self.facets)))
 
 
+def _dot(a, b):
+    """a . b for two 3-sequences of floats."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a, b):
+    """a x b for two 3-sequences of floats, as a tuple (np.cross's rounding)."""
+    ax, ay, az = a
+    bx, by, bz = b
+    return (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
+
+
 def orthonormal_frame(axis):
     """Unit vectors (e1, e2) with e1 x e2 = axis, for a unit axis."""
-    k = int(np.argmin(np.abs(axis)))
-    e = np.zeros(3)
-    e[k] = 1.0
-    e1 = e - float(e @ axis) * axis
+    a = np.asarray(axis, dtype=float).tolist()
+    k = min(range(3), key=lambda n: abs(a[n]))
+    e1 = np.array([(n == k) - a[k] * x for n, x in enumerate(a)])
+    # Normalized by BLAS's fused dot, not a scalar sum: the frame fixes the
+    # bits of every arc angle and vertex of the build.
     e1 /= np.linalg.norm(e1)
-    e2 = np.cross(axis, e1)
-    return e1, e2
+    return e1, np.array(_cross(a, e1.tolist()))
 
 
 def _pair_edges(pts, radius):
@@ -191,12 +202,26 @@ def _collect_vertices(raw, radius):
     return vertices, endpoint_vertex
 
 
-def _facet_geometry(ball_index, loops, edges, vertices, center, radius, lam):
+def _circle_point(edge, phi):
+    """Unit direction cos(phi) e1 + sin(phi) e2 of an edge's circle, as a list."""
+    c, s = math.cos(phi), math.sin(phi)
+    return [c * p + s * q for p, q in zip(edge.frame[0].tolist(), edge.frame[1].tolist())]
+
+
+def _unit_tangent(edge, phi, forward):
+    """Unit tangent of an edge at phi, in the direction of travel, as a list."""
+    t = _cross(edge.circle_axis.tolist(), _circle_point(edge, phi))
+    norm = math.sqrt(_dot(t, t))
+    return [x / (norm if forward else -norm) for x in t]
+
+
+def _facet_geometry(loops, edges, vertices, center, radius, lam):
     """Area (intrinsic Gauss-Bonnet) and vector area (Stokes) of one facet."""
     n_loops = len(loops)
     kg_total = 0.0
     turn_total = 0.0
-    vec = np.zeros(3)
+    vec = [0.0, 0.0, 0.0]
+    center = center.tolist()
     for loop in loops:
         k = len(loop)
         for idx, (eidx, forward) in enumerate(loop):
@@ -205,27 +230,27 @@ def _facet_geometry(ball_index, loops, edges, vertices, center, radius, lam):
             kg_total += edge.arc_angle * cos_psi
             phi_from, phi_to = ((edge.phi_start, edge.phi_end) if forward
                                 else (edge.phi_end, edge.phi_start))
-            w_from = math.cos(phi_from) * edge.frame[0] + math.sin(phi_from) * edge.frame[1]
-            w_to = math.cos(phi_to) * edge.frame[0] + math.sin(phi_to) * edge.frame[1]
+            chord = [p - q for p, q in zip(_circle_point(edge, phi_to),
+                                           _circle_point(edge, phi_from))]
             rho = edge.circle_radius
-            vec += 0.5 * (rho * np.cross(edge.circle_center, w_to - w_from)
-                          + rho * rho * (phi_to - phi_from) * edge.circle_axis)
+            sweep = rho * rho * (phi_to - phi_from)
+            vec = [v + 0.5 * (rho * c + sweep * a) for v, c, a in
+                   zip(vec, _cross(edge.circle_center.tolist(), chord),
+                       edge.circle_axis.tolist())]
             if not edge.full_circle:
                 nxt_eidx, nxt_forward = loop[(idx + 1) % k]
                 nxt = edges[nxt_eidx]
                 vid = edge.end_vertex if forward else edge.start_vertex
-                v = vertices[vid].position
-                t_in = edge.tangent_at(phi_to, forward)
-                t_out = nxt.tangent_at(nxt.phi_start if nxt_forward else nxt.phi_end,
-                                       nxt_forward)
-                t_in /= np.linalg.norm(t_in)
-                t_out /= np.linalg.norm(t_out)
-                normal = (v - center) / radius
-                turn_total += math.atan2(float(np.cross(t_in, t_out) @ normal),
-                                         float(t_in @ t_out))
+                t_in = _unit_tangent(edge, phi_to, forward)
+                t_out = _unit_tangent(nxt, nxt.phi_start if nxt_forward else nxt.phi_end,
+                                      nxt_forward)
+                normal = [(p - c) / radius
+                          for p, c in zip(vertices[vid].position.tolist(), center)]
+                turn_total += math.atan2(_dot(_cross(t_in, t_out), normal),
+                                         _dot(t_in, t_out))
     chi = 2 - n_loops
     area = radius * radius * (TWO_PI * chi - kg_total - turn_total)
-    return area, vec
+    return area, np.array(vec)
 
 
 def build(lam, centers):
@@ -247,19 +272,30 @@ def build(lam, centers):
     reps, cluster = cluster_points(pts, 1e-12 * radius)
     keep = [cluster.index(c) for c in range(len(reps))]
     duplicates = [n for n, c in enumerate(cluster) if keep[c] != n]
-    work = pts[keep]
 
     from .inradius import minimal_enclosing_ball  # deferred: avoids an import cycle
 
-    meb = minimal_enclosing_ball(work)
-    if meb.radius > radius * (1.0 + 1e-12):
+    _require_interior(minimal_enclosing_ball(pts[keep]).radius, radius)
+    return _assemble(lam, pts, keep, duplicates)
+
+
+def _require_interior(meb_radius, radius):
+    """Reject balls of ``radius`` whose centers have enclosing radius ``meb_radius``:
+    ``EmptyBodyError`` when they miss a common point, ``DegenerateBodyError``
+    when they only touch."""
+    if meb_radius > radius * (1.0 + 1e-12):
         raise EmptyBodyError(
-            f"enclosing radius {meb.radius:.12g} of the centers exceeds the ball radius {radius:.12g}"
+            f"enclosing radius {meb_radius:.12g} of the centers exceeds the ball radius {radius:.12g}"
         )
-    if meb.radius >= radius * (1.0 - 1e-12):
+    if meb_radius >= radius * (1.0 - 1e-12):
         raise DegenerateBodyError("the intersection has empty interior (touching balls)")
 
-    retained_local, poly = _build_retained(lam, work, radius)
+
+def _assemble(lam, pts, keep, duplicates):
+    """The body of the balls ``pts[keep]``, which ``_require_interior`` has
+    passed; ``duplicates`` are the dropped indices of repeated centers."""
+    work = pts[keep]
+    retained_local, poly = _build_retained(lam, work, 1.0 / lam)
     redundant_local = [k for k in range(len(work)) if k not in retained_local]
     redundant_orig = tuple(sorted([keep[k] for k in redundant_local] + list(duplicates)))
     report = BuildReport(redundant_indices=redundant_orig,
@@ -311,7 +347,7 @@ def _build_retained(lam, work, radius):
                 else (edges[k].end_vertex, edges[k].start_vertex) for k, fwd in open_arcs]
         loops = tuple(closed) + tuple(tuple(open_arcs[k] for k in loop)
                                       for loop in chain_loops(ends))
-        area, vec = _facet_geometry(i, loops, edges, vertices, work[i], radius, lam)
+        area, vec = _facet_geometry(loops, edges, vertices, work[i], radius, lam)
         facets.append(Facet(ball_index=i, boundary_loops=loops, area=area,
                             vector_area=vec))
     return retained, {"centers": work, "facets": tuple(facets),

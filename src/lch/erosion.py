@@ -18,7 +18,7 @@ from scipy.integrate import quad
 
 from . import ball_polytope3 as bp3
 from .errors import DegenerateBodyError, EmptyBodyError, InvalidParameterError
-from .inradius import inscribed_ball
+from .inradius import inscribed_ball, minimal_enclosing_ball
 
 _EVENT_BISECT_TOL = 1e-10
 # Profile samples flanking an event, relative to the inradius: far enough
@@ -43,35 +43,52 @@ def inner_parallel(polytope, t):
     """The inner parallel body at distance t (same centers, smaller radius)."""
     if t < 0.0:
         raise InvalidParameterError(f"erosion distance must be nonnegative, got {t}")
-    if t > 0.0:
-        r = inscribed_ball(polytope).radius
-        if t >= r:
-            raise EmptyBodyError(f"erosion distance {t} reaches the inradius {r}")
-    return _eroded(polytope, t)
-
-
-def _eroded(polytope, t):
-    """``inner_parallel`` for a t already known to lie in [0, r(K))."""
     if t == 0.0:
         return polytope
+    r = inscribed_ball(polytope).radius
+    if t >= r:
+        raise EmptyBodyError(f"erosion distance {t} reaches the inradius {r}")
     return bp3.build(1.0 / (polytope.radius - t), polytope.centers)
 
 
-def _area_at(polytope, t):
-    return bp3.surface_area(_eroded(polytope, t))
+class _Erosion:
+    """The bodies K_t of one body K for t in [0, r(K)).
+
+    K_t keeps the centers, so every rebuild shares one minimal enclosing
+    ball: r(K) = R - rho, and each rebuild runs ``bp3.build``'s emptiness
+    test on rho and its assembly, without recomputing the ball.
+    """
+
+    def __init__(self, polytope):
+        self.polytope = polytope
+        self.meb_radius = minimal_enclosing_ball(polytope.centers).radius
+        self.inradius = polytope.radius - self.meb_radius
+
+    def body(self, t):
+        if t == 0.0:
+            return self.polytope
+        lam = 1.0 / (self.polytope.radius - t)
+        # the radius as build derives it from lam; R - t can differ in the last bit
+        bp3._require_interior(self.meb_radius, 1.0 / lam)
+        # build's duplicate merge would find nothing: the retained centers
+        # are over 1e-12 R apart, and the eroded tolerance is smaller
+        centers = self.polytope.centers
+        return bp3._assemble(lam, centers, list(range(len(centers))), ())
+
+    def area(self, t):
+        return bp3.surface_area(self.body(t))
+
+    def signature(self, t):
+        return self.body(t).combinatorial_signature()
 
 
-def _signature_at(polytope, t):
-    return _eroded(polytope, t).combinatorial_signature()
-
-
-def _bisect_event(polytope, lo, hi, sig_lo):
+def _bisect_event(er, lo, hi, sig_lo):
     """Bisect to the signature change; a probe that lands on the degenerate
     event configuration itself (four spheres through one vertex) is the event."""
     while hi - lo > _EVENT_BISECT_TOL:
         mid = 0.5 * (lo + hi)
         try:
-            sig_mid = _signature_at(polytope, mid)
+            sig_mid = er.signature(mid)
         except DegenerateBodyError:
             return mid
         if sig_mid == sig_lo:
@@ -81,52 +98,58 @@ def _bisect_event(polytope, lo, hi, sig_lo):
     return 0.5 * (lo + hi)
 
 
-def detect_events(polytope, n_scan=64):
-    """Times in (0, r(K)) where the boundary combinatorics changes."""
-    r = inscribed_ball(polytope).radius
-    ts = np.linspace(0.0, r * (1.0 - _END_MARGIN), n_scan)
-    sigs = [_signature_at(polytope, t) for t in ts]
+def _events(er, n_scan=64):
+    ts = np.linspace(0.0, er.inradius * (1.0 - _END_MARGIN), n_scan)
+    sigs = [er.signature(t) for t in ts]
     events = []
     for k in range(len(ts) - 1):
         if sigs[k] != sigs[k + 1]:
-            events.append(_bisect_event(polytope, ts[k], ts[k + 1], sigs[k]))
+            events.append(_bisect_event(er, ts[k], ts[k + 1], sigs[k]))
     return tuple(events)
+
+
+def detect_events(polytope, n_scan=64):
+    """Times in (0, r(K)) where the boundary combinatorics changes."""
+    return _events(_Erosion(polytope), n_scan)
 
 
 def profile(polytope, n_samples=64):
     """Sampled erosion profile with event refinement.
 
-    The grid is refined until adjacent samples differ by less than 1%
-    relative (with a floor on the step so the vanishing tail near the
-    inradius stays finite), and samples just either side of every event are
-    inserted explicitly.
+    Starts from ``n_samples`` equally spaced times in [0, r(K)) plus a
+    sample just either side of every event, then bisects, in one pass from
+    left to right, every interval whose end areas differ by more than 1%
+    relative and that is longer than 1e-4 r(K) (the floor keeps the
+    vanishing tail near the inradius finite).  Each interval is split
+    until both halves pass, so the splits are made in the order of always
+    splitting the leftmost failing interval; they stop once 2048 samples
+    are reached.
     """
     if n_samples < 2:
         raise InvalidParameterError(f"n_samples must be >= 2, got {n_samples}")
-    r = inscribed_ball(polytope).radius
-    events = detect_events(polytope)
+    er = _Erosion(polytope)
+    r = er.inradius
+    events = _events(er)
     ts = set(np.linspace(0.0, r * (1.0 - _END_MARGIN), n_samples))
     for ev in events:
         for t in (ev - _EVENT_FLANK * r, ev + _EVENT_FLANK * r):
             if 0.0 <= t < r:
                 ts.add(t)
     ts = sorted(ts)
-    areas = {t: _area_at(polytope, t) for t in ts}
-    min_dt = 1e-4 * r  # keeps the vanishing tail near the inradius finite
-    pending = True
-    while pending and len(ts) < 2048:
-        pending = False
-        for k in range(len(ts) - 1):
-            t0, t1 = ts[k], ts[k + 1]
-            a0, a1 = areas[t0], areas[t1]
-            if t1 - t0 > min_dt and abs(a0 - a1) > _REFINE_REL * max(a0, a1):
-                mid = 0.5 * (t0 + t1)
-                areas[mid] = _area_at(polytope, mid)
-                ts.insert(k + 1, mid)
-                pending = True
-                break
-    ts = np.asarray(ts)
-    return ErosionProfile(ts=ts, areas=np.asarray([areas[t] for t in ts]),
+    areas = {t: er.area(t) for t in ts}
+    min_dt = 1e-4 * r
+    done, todo = ts[:1], ts[:0:-1]  # passed samples; the rest, next one last
+    while todo:
+        t0, t1 = done[-1], todo[-1]
+        a0, a1 = areas[t0], areas[t1]
+        if (len(done) + len(todo) < 2048 and t1 - t0 > min_dt
+                and abs(a0 - a1) > _REFINE_REL * max(a0, a1)):
+            mid = 0.5 * (t0 + t1)
+            areas[mid] = er.area(mid)
+            todo.append(mid)
+        else:
+            done.append(todo.pop())
+    return ErosionProfile(ts=np.asarray(done), areas=np.asarray([areas[t] for t in done]),
                           events=events)
 
 
@@ -138,14 +161,15 @@ def volume_via_profile(polytope):
     replaced by the inscribed-sphere floor ``4 pi (r - t)^2``, whose
     integral error is far below the 1e-6 relative target.
     """
-    r = inscribed_ball(polytope).radius
-    events = [ev for ev in detect_events(polytope) if 0.0 < ev < r]
+    er = _Erosion(polytope)
+    r = er.inradius
+    events = [ev for ev in _events(er) if 0.0 < ev < r]
     tail = 1e-7 * r
 
     def integrand(t):
         if r - t <= tail:
             return 4.0 * math.pi * (r - t) ** 2
-        return _area_at(polytope, t)
+        return er.area(t)
 
     value, _ = quad(integrand, 0.0, r, points=sorted(events), limit=200,
                     epsabs=1e-12, epsrel=1e-10)
@@ -186,11 +210,11 @@ def compare_profiles(polytope, lens_polytope, n_samples=48, tol=1e-9):
         raise InvalidParameterError(
             f"surface areas differ: {a_body!r} vs {a_lens!r}"
         )
-    r_body = inscribed_ball(polytope).radius
-    r_lens = inscribed_ball(lens_polytope).radius
+    body, lens = _Erosion(polytope), _Erosion(lens_polytope)
+    r_body, r_lens = body.inradius, lens.inradius
     upper = min(r_body, r_lens) * (1.0 - _END_MARGIN)
     ts = np.linspace(0.0, upper, n_samples)
-    gaps = np.array([_area_at(polytope, t) - _area_at(lens_polytope, t) for t in ts])
+    gaps = np.array([body.area(t) - lens.area(t) for t in ts])
     min_gap = float(np.min(gaps))
     return ProfileComparison(ts=ts, min_gap=min_gap, r_body=r_body,
                              r_reference=r_lens,
@@ -221,8 +245,9 @@ def expansion_check(polytope, t=1e-2):
     beta_sum = bp3.surface_area(unit)
     edge_term = sum(e.length * math.tan(0.5 * e.dihedral) for e in unit.edges)
     ts = (t, 0.5 * t, 0.25 * t)
+    er = _Erosion(unit)
     remainders = tuple(
-        _area_at(unit, tk) - ((1.0 - tk) ** 2 * beta_sum - 2.0 * tk * edge_term)
+        er.area(tk) - ((1.0 - tk) ** 2 * beta_sum - 2.0 * tk * edge_term)
         for tk in ts
     )
     coefficients = tuple(rem / tk ** 2 for rem, tk in zip(remainders, ts))

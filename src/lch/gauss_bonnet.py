@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ball_polytope3 import _cross, _dot
 from .errors import DegenerateBodyError, InvalidParameterError
 
 FOUR_PI = 4.0 * math.pi
@@ -46,6 +47,11 @@ def edge_spherical_image(edge, lam):
     return 2.0 * (lam * edge.length) * math.tan(0.5 * edge.dihedral)
 
 
+def _unit(a):
+    norm = math.sqrt(_dot(a, a))
+    return [x / norm for x in a]
+
+
 def vertex_normals(polytope, vertex):
     """Outward facet normals at a vertex, ordered cyclically.
 
@@ -55,28 +61,28 @@ def vertex_normals(polytope, vertex):
     """
     r = polytope.radius
     idx = {f.ball_index: k for k, f in enumerate(polytope.facets)}
+    position = vertex.position.tolist()
     normals = []
     for i in sorted(vertex.incident):
         if i not in idx:
             raise InvalidParameterError(f"vertex references missing facet {i}")
-        n = (vertex.position - polytope.centers[i]) / r
-        normals.append(n / np.linalg.norm(n))
-    normals = np.asarray(normals)
-    centroid = normals.sum(axis=0)
-    nc = np.linalg.norm(centroid)
-    if nc < 1e-12:
+        normals.append(_unit([(p - c) / r for p, c in
+                              zip(position, polytope.centers[i].tolist())]))
+    total = [sum(n[c] for n in normals) for c in range(3)]
+    if math.sqrt(_dot(total, total)) < 1e-12:
         raise DegenerateBodyError("vertex normals have no well-defined centroid")
-    centroid /= nc
-    e1 = normals[0] - float(normals[0] @ centroid) * centroid
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(centroid, e1)
-    ang = np.arctan2(normals @ e2, normals @ e1)
-    return normals[np.argsort(ang)]
+    centroid = _unit(total)
+    n0 = normals[0]
+    along = _dot(n0, centroid)
+    e1 = _unit([a - along * c for a, c in zip(n0, centroid)])
+    e2 = _cross(centroid, e1)
+    ang = [math.atan2(_dot(n, e2), _dot(n, e1)) for n in normals]
+    return np.array([normals[k] for k in sorted(range(len(normals)), key=ang.__getitem__)])
 
 
 def vertex_spherical_image(polytope, vertex):
     """Area of the normal-cone polygon at a vertex (spherical excess)."""
-    normals = vertex_normals(polytope, vertex)
+    normals = vertex_normals(polytope, vertex).tolist()
     k = len(normals)
     if k < 3:
         raise InvalidParameterError(f"vertex needs >= 3 incident facets, got {k}")
@@ -85,13 +91,13 @@ def vertex_spherical_image(polytope, vertex):
         prev_n = normals[(a - 1) % k]
         this_n = normals[a]
         next_n = normals[(a + 1) % k]
-        u = prev_n - float(prev_n @ this_n) * this_n
-        w = next_n - float(next_n @ this_n) * this_n
-        nu, nw = np.linalg.norm(u), np.linalg.norm(w)
+        pp, pn = _dot(prev_n, this_n), _dot(next_n, this_n)
+        u = [p - pp * t for p, t in zip(prev_n, this_n)]
+        w = [q - pn * t for q, t in zip(next_n, this_n)]
+        nu, nw = math.sqrt(_dot(u, u)), math.sqrt(_dot(w, w))
         if nu < 1e-14 or nw < 1e-14:
             raise DegenerateBodyError("coincident normals at a vertex")
-        interior = math.acos(min(1.0, max(-1.0, float(u @ w) / (nu * nw))))
-        angle_sum += interior
+        angle_sum += math.acos(min(1.0, max(-1.0, _dot(u, w) / (nu * nw))))
     excess = angle_sum - (k - 2) * math.pi
     if excess <= 0.0:
         raise DegenerateBodyError("vertex normals are not in convex position")

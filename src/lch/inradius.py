@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import EmptyBodyError, InvalidParameterError
+from .errors import EmptyBodyError, InvalidParameterError, NumericError
 from . import ball_polytope3 as bp3
 
 TOUCH_TOL = 1e-9  # relative to the ball radius
@@ -70,7 +70,9 @@ def _contains(center, radius, p, slack):
 
 
 def _ball_of_boundary(pts, slack):
-    """Smallest ball containing <= d+2 points, by brute force over subsets."""
+    """Smallest ball containing <= d+2 points, by brute force over subsets.
+
+    ``NumericError`` when no subset's circumball contains every point."""
     from itertools import combinations
 
     n = len(pts)
@@ -84,9 +86,9 @@ def _ball_of_boundary(pts, slack):
             if all(_contains(center, radius, pts[k], slack) for k in range(n)):
                 if best is None or radius < best[1]:
                     best = (center, radius)
-    if best is None:  # numerically degenerate; fall back to the centroid ball
-        center = pts.mean(axis=0)
-        best = (center, float(np.max(np.linalg.norm(pts - center, axis=1))))
+    if best is None:
+        raise NumericError(
+            f"no circumball of a subset of {n} boundary points contains them all")
     return best
 
 

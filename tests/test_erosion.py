@@ -8,7 +8,7 @@ import pytest
 from conftest import make_body
 from lch import ball_polytope3 as bp3
 from lch import erosion
-from lch.errors import EmptyBodyError, InvalidParameterError
+from lch.errors import DegenerateBodyError, EmptyBodyError, InvalidParameterError
 from lch.inradius import inscribed_ball
 
 FOUR_PI = 4.0 * math.pi
@@ -109,6 +109,119 @@ class TestProfile:
         n_before = len(erosion.inner_parallel(body, events[0] - 1e-8).facets)
         n_after = len(erosion.inner_parallel(body, events[0] + 1e-8).facets)
         assert n_before == 3 and n_after == 2
+
+
+def _built_area(polytope, t):
+    """f(t) through the public build, as the profile computed it before the
+    rebuilds shared one enclosing ball."""
+    if t == 0.0:
+        return bp3.surface_area(polytope)
+    return bp3.surface_area(bp3.build(1.0 / (polytope.radius - t), polytope.centers))
+
+
+def _restart_scan_profile(polytope, n_samples):
+    """The refinement loop that rescanned from k = 0 after every insertion,
+    kept verbatim as the oracle of the one-pass refinement."""
+    r = inscribed_ball(polytope).radius
+    events = erosion.detect_events(polytope)
+    ts = set(np.linspace(0.0, r * (1.0 - erosion._END_MARGIN), n_samples))
+    for ev in events:
+        for t in (ev - erosion._EVENT_FLANK * r, ev + erosion._EVENT_FLANK * r):
+            if 0.0 <= t < r:
+                ts.add(t)
+    ts = sorted(ts)
+    areas = {t: _built_area(polytope, t) for t in ts}
+    min_dt = 1e-4 * r  # keeps the vanishing tail near the inradius finite
+    pending = True
+    while pending and len(ts) < 2048:
+        pending = False
+        for k in range(len(ts) - 1):
+            t0, t1 = ts[k], ts[k + 1]
+            a0, a1 = areas[t0], areas[t1]
+            if t1 - t0 > min_dt and abs(a0 - a1) > erosion._REFINE_REL * max(a0, a1):
+                mid = 0.5 * (t0 + t1)
+                areas[mid] = _built_area(polytope, mid)
+                ts.insert(k + 1, mid)
+                pending = True
+                break
+    return ts, [areas[t] for t in ts]
+
+
+class TestRefinement:
+    @pytest.mark.parametrize("body, n_samples", [
+        (lambda: bp3.build(1.0, EVENT_CENTERS), 64),
+        (lambda: make_body(seed=13, m=6, r0=0.45), 24),
+    ], ids=["event_body", "make_body_13"])
+    def test_matches_restart_scan(self, body, n_samples):
+        body = body()
+        prof = erosion.profile(body, n_samples=n_samples)
+        ts, areas = _restart_scan_profile(body, n_samples)
+        assert prof.ts.tolist() == ts
+        assert prof.areas.tolist() == areas
+        assert len(ts) < 2048
+        # the stop rule holds on every adjacent pair
+        r = inscribed_ball(body).radius
+        for t0, t1, a0, a1 in zip(ts, ts[1:], areas, areas[1:]):
+            assert t1 - t0 <= 1e-4 * r or abs(a0 - a1) <= 0.01 * max(a0, a1)
+
+    def test_matches_restart_scan_at_the_cap(self):
+        # 2000 initial samples leave more failing intervals near the
+        # inradius than the 48 splits the 2048-sample cap allows
+        body = bp3.build(1.0, EVENT_CENTERS)
+        prof = erosion.profile(body, n_samples=2000)
+        ts, areas = _restart_scan_profile(body, 2000)
+        assert len(ts) == 2048
+        assert prof.ts.tolist() == ts
+        assert prof.areas.tolist() == areas
+
+
+class TestSharedEnclosingBall:
+    """Rebuilds that reuse one enclosing ball equal the public build."""
+
+    @staticmethod
+    def _same_body(a, b):
+        assert a.combinatorial_signature() == b.combinatorial_signature()
+        assert [f.area for f in a.facets] == [f.area for f in b.facets]
+        assert bp3.volume(a) == bp3.volume(b)
+        assert len(a.vertices) == len(b.vertices)
+        for v, w in zip(a.vertices, b.vertices):
+            assert np.array_equal(v.position, w.position) and v.incident == w.incident
+        assert a.build_report.redundant_indices == b.build_report.redundant_indices
+        assert np.array_equal(a.centers, b.centers)
+
+    def test_event_body_across_the_event(self):
+        body = bp3.build(1.0, EVENT_CENTERS)
+        er = erosion._Erosion(body)
+        times = np.linspace(0.025, 0.4875, 16)
+        assert times[0] < EVENT_TIME < times[-1] < er.inradius
+        dropped = 0
+        for t in times:
+            got = er.body(t)
+            self._same_body(got, bp3.build(1.0 / (body.radius - t), body.centers))
+            dropped += got.build_report.redundant_indices == (2,)
+        assert dropped == int(np.sum(times > EVENT_TIME))
+
+    @pytest.mark.parametrize("seed, m, r0", [(13, 6, 0.45), (3, 5, 0.4)])
+    def test_touching_bodies(self, seed, m, r0):
+        body = make_body(seed=seed, m=m, r0=r0)
+        er = erosion._Erosion(body)
+        assert er.inradius == inscribed_ball(body).radius
+        for t in np.linspace(0.0, er.inradius * 0.99, 5)[1:]:
+            self._same_body(er.body(t), bp3.build(1.0 / (body.radius - t), body.centers))
+
+    def test_emptiness_test_raises_like_build(self):
+        body = bp3.build(1.0, EVENT_CENTERS)
+        er = erosion._Erosion(body)
+        for t, error in ((er.inradius, DegenerateBodyError), (0.6, EmptyBodyError)):
+            with pytest.raises(error):
+                bp3.build(1.0 / (body.radius - t), body.centers)
+            with pytest.raises(error):
+                er.body(t)
+        with pytest.raises(DegenerateBodyError):
+            bp3._require_interior(1.0, 1.0)
+        with pytest.raises(EmptyBodyError):
+            bp3._require_interior(1.0 + 1e-9, 1.0)
+        bp3._require_interior(1.0 - 1e-9, 1.0)
 
 
 class TestCoareaVolume:

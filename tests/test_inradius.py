@@ -10,7 +10,8 @@ from scipy.optimize import minimize
 
 from conftest import make_body
 from lch import ball_polytope3 as bp3
-from lch.errors import InvalidParameterError
+from lch import inradius
+from lch.errors import InvalidParameterError, NumericError
 from lch.inradius import (
     halfspace_condition,
     inscribed_ball,
@@ -65,6 +66,12 @@ class TestMEB:
         a = minimal_enclosing_ball(pts)
         b = minimal_enclosing_ball(pts)
         assert np.array_equal(a.center, b.center) and a.radius == b.radius
+
+    def test_no_containing_circumball_raises(self, monkeypatch):
+        # no silent centroid-ball fallback when every circumball solve fails
+        monkeypatch.setattr(inradius, "_circumball", lambda points: None)
+        with pytest.raises(NumericError):
+            minimal_enclosing_ball([[-0.5, 0, 0], [0.5, 0, 0], [0, 0.3, 0]])
 
 
 class TestHalfspaceCondition:

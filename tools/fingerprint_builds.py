@@ -1,4 +1,5 @@
-"""Fingerprint 3-D builds and 2-D polygons on a fixed list of 1270 bodies.
+"""Fingerprint 3-D builds, 2-D polygons and erosion profiles on a fixed list
+of 1274 bodies.
 
     PYTHONPATH=<checkout>/src python tools/fingerprint_builds.py > out.json
 
@@ -6,7 +7,11 @@ Run it on two checkouts and compare the outputs: every float is written
 with float.hex, so equal files mean bit-identical builds.  The list holds
 520 3-D bodies (touching-construction and random-center bodies with
 m = 2..24, and bodies with duplicate, near-duplicate and redundant
-centers) and 150 polygons of each of the five lambda-disk kinds.
+centers), 150 polygons of each of the five lambda-disk kinds, and four
+erosion rows: ``erosion.profile(body, 64)`` (ts, areas, events) and
+``erosion.volume_via_profile`` of a lens, the lens plus a ball whose facet
+dies at t = 13/30, the same three balls in another order, and the touching
+body of ``GenSpec(seed=31, m=3, inradius=0.4)``.
 """
 import json
 import math
@@ -16,6 +21,7 @@ import numpy as np
 
 from lch import arc_polygon2 as ap
 from lch import ball_polytope3 as bp3
+from lch import erosion
 from lch import harness
 from lch import model_space as ms
 
@@ -56,6 +62,25 @@ def fp2(space, lam, disks):
         "order": [a.disk_index for a in p.boundary],
         "vertices": [[h(v) for v in x] for x in p.vertices],
     }
+
+
+def fp_erosion(centers):
+    body = bp3.build(1.0, centers)
+    prof = erosion.profile(body, 64)
+    return {
+        "ts": [h(t) for t in prof.ts],
+        "areas": [h(a) for a in prof.areas],
+        "events": [h(t) for t in prof.events],
+        "volume": h(erosion.volume_via_profile(body)),
+    }
+
+
+def erosion_bodies():
+    lens = [[0.0, 0.0, -0.5], [0.0, 0.0, 0.5]]
+    touching = harness.random_polytope(harness.GenSpec(seed=31, m=3, inradius=0.4))
+    return [lens, lens + [[0.3, 0.0, 0.0]],
+            [[0.0, 0.0, 0.5], [0.0, 0.0, -0.5], [0.3, 0.0, 0.0]],
+            touching.centers]
 
 
 def bodies3():
@@ -115,6 +140,8 @@ def main():
         rows.append(fp3(lam, centers))
     for space, lam, disks, err in bodies2():
         rows.append(fp2(space, lam, disks) if disks is not None else ["gen", err])
+    for centers in erosion_bodies():
+        rows.append(fp_erosion(centers))
     json.dump(rows, sys.stdout)
 
 
