@@ -275,27 +275,31 @@ def build(lam, centers):
 
     from .inradius import minimal_enclosing_ball  # deferred: avoids an import cycle
 
-    _require_interior(minimal_enclosing_ball(pts[keep]).radius, radius)
-    return _assemble(lam, pts, keep, duplicates)
+    return _rebuild(lam, pts, minimal_enclosing_ball(pts[keep]).radius, keep, duplicates)
 
 
-def _require_interior(meb_radius, radius):
-    """Reject balls of ``radius`` whose centers have enclosing radius ``meb_radius``:
-    ``EmptyBodyError`` when they miss a common point, ``DegenerateBodyError``
-    when they only touch."""
+def _rebuild(lam, pts, meb_radius, keep=None, duplicates=()):
+    """The body of the balls of radius ``1/lam`` around ``pts[keep]`` (all of
+    ``pts`` by default), whose centers have enclosing radius ``meb_radius``.
+
+    Raises ``EmptyBodyError`` when the balls miss a common point and
+    ``DegenerateBodyError`` when they only touch.  ``duplicates`` are the
+    repeated centers ``build`` merged.  Without ``keep`` nothing is merged,
+    which is right for the centers of a built body at a smaller radius:
+    they are over 1e-12 of the larger radius apart, so the smaller merge
+    tolerance would find nothing.
+    """
+    radius = 1.0 / lam
     if meb_radius > radius * (1.0 + 1e-12):
         raise EmptyBodyError(
             f"enclosing radius {meb_radius:.12g} of the centers exceeds the ball radius {radius:.12g}"
         )
     if meb_radius >= radius * (1.0 - 1e-12):
         raise DegenerateBodyError("the intersection has empty interior (touching balls)")
-
-
-def _assemble(lam, pts, keep, duplicates):
-    """The body of the balls ``pts[keep]``, which ``_require_interior`` has
-    passed; ``duplicates`` are the dropped indices of repeated centers."""
+    if keep is None:
+        keep = list(range(len(pts)))
     work = pts[keep]
-    retained_local, poly = _build_retained(lam, work, 1.0 / lam)
+    retained_local, poly = _build_retained(lam, work, radius)
     redundant_local = [k for k in range(len(work)) if k not in retained_local]
     redundant_orig = tuple(sorted([keep[k] for k in redundant_local] + list(duplicates)))
     report = BuildReport(redundant_indices=redundant_orig,

@@ -18,7 +18,7 @@ from scipy.integrate import quad
 
 from . import ball_polytope3 as bp3
 from .errors import DegenerateBodyError, EmptyBodyError, InvalidParameterError
-from .inradius import inscribed_ball, minimal_enclosing_ball
+from .inradius import minimal_enclosing_ball
 
 _EVENT_BISECT_TOL = 1e-10
 # Profile samples flanking an event, relative to the inradius: far enough
@@ -41,22 +41,15 @@ class ErosionProfile:
 
 def inner_parallel(polytope, t):
     """The inner parallel body at distance t (same centers, smaller radius)."""
-    if t < 0.0:
-        raise InvalidParameterError(f"erosion distance must be nonnegative, got {t}")
-    if t == 0.0:
-        return polytope
-    r = inscribed_ball(polytope).radius
-    if t >= r:
-        raise EmptyBodyError(f"erosion distance {t} reaches the inradius {r}")
-    return bp3.build(1.0 / (polytope.radius - t), polytope.centers)
+    return _Erosion(polytope).checked_body(t)
 
 
 class _Erosion:
     """The bodies K_t of one body K for t in [0, r(K)).
 
     K_t keeps the centers, so every rebuild shares one minimal enclosing
-    ball: r(K) = R - rho, and each rebuild runs ``bp3.build``'s emptiness
-    test on rho and its assembly, without recomputing the ball.
+    ball: r(K) = R - rho, and each rebuild is ``bp3._rebuild`` on rho,
+    emptiness test included, without recomputing the ball.
     """
 
     def __init__(self, polytope):
@@ -64,16 +57,20 @@ class _Erosion:
         self.meb_radius = minimal_enclosing_ball(polytope.centers).radius
         self.inradius = polytope.radius - self.meb_radius
 
+    def checked_body(self, t):
+        """K_t for any t: ``InvalidParameterError`` for t < 0 and
+        ``EmptyBodyError`` for t >= r(K)."""
+        if t < 0.0:
+            raise InvalidParameterError(f"erosion distance must be nonnegative, got {t}")
+        if t >= self.inradius:
+            raise EmptyBodyError(f"erosion distance {t} reaches the inradius {self.inradius}")
+        return self.body(t)
+
     def body(self, t):
         if t == 0.0:
             return self.polytope
-        lam = 1.0 / (self.polytope.radius - t)
-        # the radius as build derives it from lam; R - t can differ in the last bit
-        bp3._require_interior(self.meb_radius, 1.0 / lam)
-        # build's duplicate merge would find nothing: the retained centers
-        # are over 1e-12 R apart, and the eroded tolerance is smaller
-        centers = self.polytope.centers
-        return bp3._assemble(lam, centers, list(range(len(centers))), ())
+        return bp3._rebuild(1.0 / (self.polytope.radius - t), self.polytope.centers,
+                            self.meb_radius)
 
     def area(self, t):
         return bp3.surface_area(self.body(t))
@@ -239,13 +236,13 @@ def expansion_check(polytope, t=1e-2):
     """
     lam = polytope.lam
     unit = bp3.build(1.0, np.asarray(polytope.centers) * lam)
+    er = _Erosion(unit)
     # the checked path (EmptyBodyError for t >= r); later samples are below t
-    if inner_parallel(unit, t).combinatorial_signature() != unit.combinatorial_signature():
+    if er.checked_body(t).combinatorial_signature() != unit.combinatorial_signature():
         raise InvalidParameterError(f"a combinatorial event occurs before t = {t}")
     beta_sum = bp3.surface_area(unit)
     edge_term = sum(e.length * math.tan(0.5 * e.dihedral) for e in unit.edges)
     ts = (t, 0.5 * t, 0.25 * t)
-    er = _Erosion(unit)
     remainders = tuple(
         er.area(tk) - ((1.0 - tk) ** 2 * beta_sum - 2.0 * tk * edge_term)
         for tk in ts

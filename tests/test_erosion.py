@@ -209,6 +209,16 @@ class TestSharedEnclosingBall:
         for t in np.linspace(0.0, er.inradius * 0.99, 5)[1:]:
             self._same_body(er.body(t), bp3.build(1.0 / (body.radius - t), body.centers))
 
+    def test_inner_parallel_equals_build(self):
+        body = make_body(seed=13, m=6, r0=0.45)
+        r = inscribed_ball(body).radius
+        assert erosion.inner_parallel(body, 0.0) is body
+        for t in (0.1 * r, 0.5 * r, 0.99 * r):
+            self._same_body(erosion.inner_parallel(body, t),
+                            bp3.build(1.0 / (body.radius - t), body.centers))
+        with pytest.raises(EmptyBodyError):
+            erosion.inner_parallel(body, r)
+
     def test_emptiness_test_raises_like_build(self):
         body = bp3.build(1.0, EVENT_CENTERS)
         er = erosion._Erosion(body)
@@ -217,11 +227,12 @@ class TestSharedEnclosingBall:
                 bp3.build(1.0 / (body.radius - t), body.centers)
             with pytest.raises(error):
                 er.body(t)
+        centers = np.zeros((1, 3))
         with pytest.raises(DegenerateBodyError):
-            bp3._require_interior(1.0, 1.0)
+            bp3._rebuild(1.0, centers, 1.0)
         with pytest.raises(EmptyBodyError):
-            bp3._require_interior(1.0 + 1e-9, 1.0)
-        bp3._require_interior(1.0 - 1e-9, 1.0)
+            bp3._rebuild(1.0, centers, 1.0 + 1e-9)
+        bp3._rebuild(1.0, centers, 1.0 - 1e-9)
 
 
 class TestCoareaVolume:
