@@ -8,11 +8,29 @@ candidate circle.  Conformality keeps chart angles equal to metric angles,
 so turning angles are Euclidean; arc lengths integrate the conformal
 factor along the chart circle.
 
+Each disk's chart circle, and the depth of a chart point below the disks'
+boundaries, come from the disk's chart quadratic (``ms.chart_form``), so
+this module holds no distance formula of its own.
+
 All boundary arcs have geodesic curvature equal to the curvature bound, so
 for nonzero ambient curvature the area follows from the total-turning
 identity ``c * area + lam * perimeter + sum(turning angles) = 2 pi``; the
 Euclidean area uses the shoelace over the vertices plus circular-segment
 corrections.
+
+The lens of inradius s is bounded by two arcs of geodesic curvature lam
+that meet on the perpendicular bisector of its axis.  Write (tn, sn, atn)
+for (x, x, x), (tan, sin, atan) and (tanh, sinh, atanh) at c = 0, +1, -1
+and rho for the disk radius; then its perimeter P is, in closed form:
+
+* disks: ``cos alpha = lam tn(rho - s)``, ``P = 4 alpha sn(rho)``; inverse
+  ``s = rho - atn(cos(P / (4 sn rho)) / lam)`` for ``P < 2 pi sn(rho)``;
+* horodisks (lam = 1, c = -1): ``P = 4 sqrt(e^(2s) - 1)``; inverse
+  ``s = log(1 + P^2 / 16) / 2``;
+* equidistants, characteristic distance delta:
+  ``cosh y = sinh delta / sinh(delta - s)``, ``sinh w = sinh y / cosh delta``,
+  ``P = 4 w cosh delta``; inverse, with ``w = P / (4 cosh delta)``,
+  ``s = delta - asinh(sinh delta / sqrt(1 + cosh^2 delta sinh^2 w))``.
 """
 
 from __future__ import annotations
@@ -21,7 +39,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize
+from scipy.optimize import minimize
 
 from . import model_space as ms
 from . import _gl
@@ -41,6 +59,7 @@ from .errors import (
 )
 
 _VERTEX_TOL = 1e-9
+_N_STARTS = 64  # probe starts of the curved inradius search
 
 
 # ---------------------------------------------------------------------------
@@ -122,119 +141,21 @@ class ChartCircle:
     side: int  # +1: region is the inside of the circle; -1: the outside
 
 
-def _poincare_circle(center, rho):
-    m = np.asarray(center, dtype=float)
-    t = math.tanh(0.5 * rho)
-    mm = float(m @ m)
-    den = 1.0 - t * t * mm
-    return ChartCircle(center=m * (1.0 - t * t) / den,
-                       radius=t * (1.0 - mm) / den, side=+1)
-
-
-def _spherical_circle(center, rho):
-    n = ms.to_sphere(np.asarray(center, dtype=float))
-    # Diametrical cap points along the great circle through N and the poles
-    # project to a diameter of the chart circle.
-    t = np.array([0.0, 0.0, 1.0]) - n[2] * n
-    nt = np.linalg.norm(t)
-    if nt < 1e-12:
-        t = np.array([1.0, 0.0, 0.0]) - n[0] * n
-        nt = np.linalg.norm(t)
-    t /= nt
-    a = ms.from_sphere(math.cos(rho) * n + math.sin(rho) * t)
-    b = ms.from_sphere(math.cos(rho) * n - math.sin(rho) * t)
-    cc = 0.5 * (a + b)
-    rr = 0.5 * float(np.linalg.norm(a - b))
-    side = +1
-    if float(n @ np.array([0.0, 0.0, -1.0])) > math.cos(rho):
-        side = -1  # cap contains the projection pole: image is a disk complement
-    return ChartCircle(center=cc, radius=rr, side=side)
-
-
-def _horo_circle(ideal, level):
-    xi = np.asarray(ideal, dtype=float)
-    tau = -math.tanh(0.5 * level)
-    return ChartCircle(center=xi * 0.5 * (1.0 + tau),
-                       radius=0.5 * (1.0 - tau), side=+1)
-
-
-def _equidistant_circle(space, disk):
-    g1 = np.asarray(disk.geodesic[0], dtype=float)
-    g2 = np.asarray(disk.geodesic[1], dtype=float)
-    base = _geodesic_interior_points(g1, g2, (0.3, 0.5, 0.7))
-    pts = []
-    for w in base:
-        n_left = _geodesic_left_normal(g1, g2, w)
-        pts.append(ms.exp_map(space, w, n_left, disk.offset))
-    cc, rr = _circle_through(pts[0], pts[1], pts[2])
-    probe = ms.exp_map(space, base[1], _geodesic_left_normal(g1, g2, base[1]),
-                       disk.offset - 0.5)
-    inside = float((probe - cc) @ (probe - cc)) < rr * rr
-    return ChartCircle(center=cc, radius=rr, side=+1 if inside else -1)
-
-
-def _circle_through(p1, p2, p3):
-    a = 2.0 * np.array([p2 - p1, p3 - p1])
-    b = np.array([float(p2 @ p2 - p1 @ p1), float(p3 @ p3 - p1 @ p1)])
-    try:
-        c = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("equidistant boundary is numerically straight") from exc
-    return c, float(np.linalg.norm(p1 - c))
-
-
-def _geodesic_interior_points(g1, g2, fractions):
-    """Points on the geodesic through g1, g2, spread along its chart arc."""
-    kind, a, b = ms.geodesic_chart_circle(g1, g2)
-    if kind == "line":
-        lo, hi = -0.45, 0.45
-        return [a + (lo + f * (hi - lo)) * b * 2.0 for f in fractions]
-    center, radius = a, b
-    # Angular window of the arc inside the unit disk: between the two ideal
-    # intersection points with the unit circle.
-    d = np.linalg.norm(center)
-    cos_half = math.sqrt(max(0.0, d * d - radius * radius)) / d  # = 1/d by orthogonality
-    base_ang = math.atan2(-center[1], -center[0])
-    half = math.acos(max(-1.0, min(1.0, (d * d + radius * radius - 1.0) / (2.0 * d * radius))))
-    return [center + radius * np.array([math.cos(base_ang + (2.0 * f - 1.0) * 0.8 * half),
-                                        math.sin(base_ang + (2.0 * f - 1.0) * 0.8 * half)])
-            for f in fractions]
-
-
-def _geodesic_left_normal(g1, g2, w):
-    """Unit chart direction of increasing left-distance at a geodesic point."""
-    kind, a, b = ms.geodesic_chart_circle(g1, g2)
-    g1 = np.asarray(g1, dtype=float)
-    g2 = np.asarray(g2, dtype=float)
-    if kind == "line":
-        return np.array([-b[1], b[0]])
-    center = a
-    radial = w - center
-    radial = radial / np.linalg.norm(radial)
-    tangent_at_g1 = np.array([-(g1 - center)[1], (g1 - center)[0]])
-    if float(tangent_at_g1 @ (g2 - g1)) < 0.0:
-        # traversal g1 -> g2 runs clockwise on this circle
-        left_sign = -1.0
-    else:
-        left_sign = 1.0
-    # Left of ccw traversal points toward the circle center; flip for cw.
-    return -left_sign * radial
-
-
 def chart_circle(disk):
-    space = disk.space
-    if disk.kind == "euclidean":
-        return ChartCircle(center=np.asarray(disk.center, dtype=float),
-                           radius=disk.radius, side=+1)
-    if disk.kind == "geodesic":
-        if space.curvature == -1.0:
-            return _poincare_circle(disk.center, disk.radius)
-        return _spherical_circle(disk.center, disk.radius)
-    if disk.kind == "horo":
-        return _horo_circle(disk.ideal, disk.level)
-    if disk.kind == "equidistant":
-        return _equidistant_circle(space, disk)
-    raise InvalidParameterError(f"unknown disk kind {disk.kind!r}")
+    """The disk's boundary as the level set ``Q = level W`` of its chart form.
+
+    With ``a = A - c level`` the level set is ``a |z|^2 + b . z + k = 0``
+    (``b = beta - 2 A m``, ``k = A |m|^2 + C - level``): a circle of center
+    ``-b / (2a)``, and the disk is its inside for ``a > 0``.
+    """
+    A, (mx, my), (bx, by), C, _, level, _ = ms.chart_form(disk)
+    a = A - disk.space.curvature * level
+    if abs(a) <= 1e-15 * (abs(A) + abs(level)):
+        raise NumericError("the disk boundary passes through the chart's point at infinity")
+    center = np.array([bx - 2.0 * A * mx, by - 2.0 * A * my]) / (-2.0 * a)
+    k = A * (mx * mx + my * my) + C - level
+    return ChartCircle(center=center, radius=math.sqrt(float(center @ center) - k / a),
+                       side=1 if a > 0.0 else -1)
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +262,14 @@ class ArcPolygon2:
         return np.asarray([d.center for d in self.disks])
 
     def membership(self, z, slack=1e-12):
+        """Whether the chart point z, or each row of an (N, 2) array, is in
+        the polygon (up to ``slack`` in the chart circles' squared radii)."""
         z = np.asarray(z, dtype=float)
-        for d in self.disks:
-            circle = chart_circle(d)
-            gap = float((z - circle.center) @ (z - circle.center)) - circle.radius ** 2
-            if circle.side * gap > slack:
-                return False
-        return True
+        inside = np.ones(z.shape[:-1], dtype=bool)
+        for circle in map(chart_circle, self.disks):
+            gap = np.sum((z - circle.center) ** 2, axis=-1) - circle.radius ** 2
+            inside &= circle.side * gap <= slack
+        return inside if z.ndim > 1 else bool(inside)
 
 
 def _arc_length(space, circle, phi0, phi1):
@@ -567,128 +489,13 @@ class InscribedDisk2:
     touching: tuple
 
 
-def _compile_depth(poly):
-    """Vectorized evaluator of min signed distance over the disks.
-
-    Takes an (N, 2) array of chart points and returns (N,) depths, with
-    -inf outside the chart domain.  Disk parameters are precomputed once.
-    """
-    c = poly.space.curvature
-    params = []
-    for d in poly.disks:
-        if d.kind in ("euclidean", "geodesic"):
-            params.append(("ball", np.asarray(d.center, dtype=float), d.radius, None))
-        elif d.kind == "horo":
-            params.append(("horo", np.asarray(d.ideal, dtype=float), d.level, None))
-        else:
-            kind, a, b = ms.geodesic_chart_circle(d.geodesic[0], d.geodesic[1])
-            sign = 1.0
-            if kind == "circle":
-                probe_pt = _nudge_left(d.geodesic[0], d.geodesic[1])
-                s_probe = ms.signed_distance_to_geodesic(
-                    d.geodesic[0], d.geodesic[1], probe_pt)
-                v_probe = (float((probe_pt - a) @ (probe_pt - a)) - b * b)
-                sign = math.copysign(1.0, s_probe * v_probe)
-            params.append(("equi", (kind, a, b, sign), d.offset, d.geodesic))
-
-    def depth(points):
-        points = np.atleast_2d(points)
-        s = np.sum(points * points, axis=1)
-        out = np.full(len(points), np.inf)
-        valid = np.ones(len(points), dtype=bool)
-        if c == -1.0:
-            valid = s < 1.0 - 1e-12
-        ss = np.where(valid, s, 0.0)
-        for kind, p1, p2, extra in params:
-            if kind == "ball":
-                delta = points - p1
-                dd = np.sum(delta * delta, axis=1)
-                if c == 0.0:
-                    dist = np.sqrt(dd)
-                elif c == -1.0:
-                    den = (1.0 - float(p1 @ p1)) * (1.0 - ss)
-                    dist = np.arccosh(np.maximum(1.0, 1.0 + 2.0 * dd / den))
-                else:
-                    pa = ms.to_sphere(p1)
-                    pb = (np.concatenate([2.0 * points, (1.0 - ss)[:, None]], axis=1)
-                          / (1.0 + ss)[:, None])
-                    dist = np.arccos(np.clip(pb @ pa, -1.0, 1.0))
-                val = p2 - dist
-            elif kind == "horo":
-                delta = points - p1
-                dd = np.sum(delta * delta, axis=1)
-                val = p2 - np.log(np.maximum(dd, 1e-300) / np.maximum(1.0 - ss, 1e-300))
-            else:
-                gkind, a, b, sign = p1
-                if gkind == "line":
-                    left = np.array([-b[1], b[0]])
-                    sd = np.arcsinh(2.0 * (points - a) @ left / (1.0 - ss))
-                else:
-                    delta = points - a
-                    value = (np.sum(delta * delta, axis=1) - b * b) / (b * (1.0 - ss))
-                    sd = sign * np.arcsinh(value)
-                val = p2 - sd
-            out = np.minimum(out, val)
-        return np.where(valid, out, -np.inf)
-
-    def depth_scalar(x, y):
-        ssq = x * x + y * y
-        if c == -1.0 and ssq >= 1.0 - 1e-12:
-            return -math.inf
-        best = math.inf
-        for kind, p1, p2, extra in params:
-            if kind == "ball":
-                dx, dy = x - p1[0], y - p1[1]
-                dd = dx * dx + dy * dy
-                if c == 0.0:
-                    dist = math.sqrt(dd)
-                elif c == -1.0:
-                    den = (1.0 - float(p1 @ p1)) * (1.0 - ssq)
-                    dist = math.acosh(max(1.0, 1.0 + 2.0 * dd / den))
-                else:
-                    pa = ms.to_sphere(p1)
-                    w = 1.0 + ssq
-                    dot = (2.0 * x * pa[0] + 2.0 * y * pa[1] + (1.0 - ssq) * pa[2]) / w
-                    dist = math.acos(max(-1.0, min(1.0, dot)))
-                val = p2 - dist
-            elif kind == "horo":
-                dx, dy = x - p1[0], y - p1[1]
-                dd = dx * dx + dy * dy
-                val = p2 - math.log(max(dd, 1e-300) / max(1.0 - ssq, 1e-300))
-            else:
-                gkind, a, b, sign = p1
-                if gkind == "line":
-                    sd = math.asinh(2.0 * (-b[1] * (x - a[0]) + b[0] * (y - a[1]))
-                                    / (1.0 - ssq))
-                else:
-                    dx, dy = x - a[0], y - a[1]
-                    sd = sign * math.asinh((dx * dx + dy * dy - b * b)
-                                           / (b * (1.0 - ssq)))
-                val = p2 - sd
-            if val < best:
-                best = val
-        return best
-
-    depth.scalar = depth_scalar
-    return depth
-
-
-def _nudge_left(g1, g2):
-    g1 = np.asarray(g1, dtype=float)
-    g2 = np.asarray(g2, dtype=float)
-    chord = g2 - g1
-    left = np.array([-chord[1], chord[0]])
-    left /= np.linalg.norm(left)
-    return 0.5 * (g1 + g2) + 1e-5 * left
-
-
-def inradius2(poly, n_starts=64, seed=0):
+def inradius2(poly):
     """Largest inscribed disk.
 
     Euclidean polygons use the exact enclosing-ball duality.  Curved
-    polygons maximize the minimal signed distance to the supporting disks:
-    a vectorized batch of probe starts, then simplex refinement of the
-    best candidates (deterministic for a fixed seed).
+    polygons maximize the least signed distance to the supporting disks
+    (``ms.lambda_disk_depth``): 64 probe starts (a fixed seed), then
+    simplex refinement of the best two.
     """
     if poly.space.curvature == 0.0 and all(d.kind == "euclidean" for d in poly.disks):
         from .inradius import inscribed_ball
@@ -697,25 +504,25 @@ def inradius2(poly, n_starts=64, seed=0):
         return InscribedDisk2(center=ball.center, radius=ball.radius,
                               touching=ball.touching)
 
-    depth = _compile_depth(poly)
+    depth = ms.lambda_disk_depth(poly.space, poly.disks)
     pts = [np.asarray(v) for v in poly.vertices]
     for a in poly.boundary:
         pts.append(a.point_at(0.5 * (a.phi_start + a.phi_end)))
     anchor = np.mean(pts, axis=0) if pts else np.zeros(2)
     spread = max(1e-3, max(np.linalg.norm(p - anchor) for p in pts) if pts else 1.0)
-    rng = np.random.default_rng(seed)
-    probes = anchor + rng.uniform(-spread, spread, size=(n_starts - 1, 2))
+    rng = np.random.default_rng(0)
+    probes = anchor + rng.uniform(-spread, spread, size=(_N_STARTS - 1, 2))
     probes = np.vstack([[anchor], probes])
     if poly.space.curvature == -1.0:
         norms = np.linalg.norm(probes, axis=1)
         probes[norms >= 0.98] *= (0.9 / norms[norms >= 0.98])[:, None]
-    scores = depth(probes)
+    scores = np.array([depth(x, y) for x, y in probes.tolist()])
     order = np.argsort(-scores)
     starts = [probes[k] for k in order[:2]]
 
     best_z, best_v = None, -math.inf
     for z0 in starts:
-        res = minimize(lambda z: -depth.scalar(z[0], z[1]), z0,
+        res = minimize(lambda z: -depth(float(z[0]), float(z[1])), z0,
                        method="Nelder-Mead",
                        options={"xatol": 1e-13, "fatol": 1e-13, "maxiter": 400})
         if -res.fun > best_v:
@@ -776,38 +583,26 @@ def touching_polygon2(space, lam, r0, directions):
     return build2(space, lam, disks)
 
 
-def lens_perimeter_direct(space, lam, s):
-    """Perimeter of the inradius-s lens, without the full boundary build.
+# (tn, sn, atn) of the lens formulas per curvature; float is the identity.
+_LENS_TRIG = {0.0: (float, float, float), 1.0: (math.tan, math.sin, math.atan),
+              -1.0: (math.tanh, math.sinh, math.atanh)}
 
-    The two supporting chart circles intersect in the lens vertices; each
-    boundary arc is the piece of one circle through its touch point.
-    """
-    u = np.array([1.0, 0.0])
-    c1 = chart_circle(supporting_disk(space, lam, s, u))
-    c2 = chart_circle(supporting_disk(space, lam, s, -u))
-    dv = c2.center - c1.center
-    d = float(np.linalg.norm(dv))
-    a = (d * d + c1.radius ** 2 - c2.radius ** 2) / (2.0 * d)
-    h2 = c1.radius ** 2 - a * a
-    if h2 <= 0.0:
-        raise NumericError(f"lens circles fail to intersect at inradius {s}")
-    e = dv / d
-    perp = np.array([-e[1], e[0]])
-    foot = c1.center + a * e
-    h = math.sqrt(h2)
-    v1 = foot + h * perp
-    v2 = foot - h * perp
-    touch = ms.exp_map(space, np.zeros(2), u, s) if space.curvature != 0.0 \
-        else s * u
-    phi_v1 = math.atan2(*(v1 - c1.center)[::-1])
-    phi_v2 = math.atan2(*(v2 - c1.center)[::-1])
-    phi_t = math.atan2(*(touch - c1.center)[::-1])
-    lo, hi = sorted(((phi_v1 % TWO_PI), (phi_v2 % TWO_PI)))
-    if lo <= (phi_t % TWO_PI) <= hi:
-        arc = _arc_length(space, c1, lo, hi)
-    else:
-        arc = _arc_length(space, c1, hi, lo + TWO_PI)
-    return 2.0 * arc
+
+def lens_perimeter_direct(space, lam, s):
+    """Perimeter of the inradius-s lens, in closed form (module docstring)."""
+    space.require_metric_layer()
+    cls = ms.classify_umbilical(space, lam)
+    size = math.inf if cls.size is None else cls.size
+    if not 0.0 < s < size:
+        raise InvalidParameterError(f"lens inradius must lie in (0, {size}), got {s}")
+    if cls.kind == ms.HOROSPHERE:
+        return 4.0 * math.sqrt(math.expm1(2.0 * s))
+    if cls.kind == ms.EQUIDISTANT:
+        # cosh^2 y - 1 with cosh y = sinh(delta) / sinh(delta - s), without cancellation
+        sinh_y = math.sqrt(math.sinh(s) * math.sinh(2.0 * size - s)) / math.sinh(size - s)
+        return 4.0 * math.cosh(size) * math.asinh(sinh_y / math.cosh(size))
+    tn, sn, _ = _LENS_TRIG[space.curvature]
+    return 4.0 * sn(size) * math.acos(lam * tn(size - s))
 
 
 @dataclass(frozen=True)
@@ -818,29 +613,27 @@ class TheoremB2DReport:
     passed: bool
 
 
-def matched_lens_inradius(space, lam, perimeter, tol=1e-12):
-    """Inradius of the lens with the given perimeter, by bisection.
-
-    The lens perimeter grows strictly with its inradius; the upper bracket
-    expands geometrically (capped just below the supporting-disk radius,
-    where the lens degenerates into the full disk).
-    """
-    lens_perimeter = lambda s: lens_perimeter_direct(space, lam, s)
-    cls = ms.classify_umbilical(space, lam)
-    cap = cls.size - 1e-6 if cls.size is not None else math.inf
-    if cls.kind == ms.EUCLIDEAN_SPHERE:
-        cap = 1.0 / lam - 1e-12
-    lo = 1e-9
-    if lens_perimeter(lo) > perimeter:
+def matched_lens_inradius(space, lam, perimeter):
+    """Inradius of the lens with the given perimeter: the exact inverse of
+    ``lens_perimeter_direct``; ``NumericError`` outside the lens range."""
+    space.require_metric_layer()
+    if not perimeter > 0.0:
         raise NumericError(f"perimeter {perimeter} is below every lens perimeter")
-    hi = min(0.5, cap)
-    while lens_perimeter(hi) < perimeter:
-        if hi >= cap:
-            raise NumericError(
-                f"no lens of perimeter {perimeter}: even the near-disk lens is smaller"
-            )
-        hi = min(1.7 * hi, cap)
-    return brentq(lambda s: lens_perimeter(s) - perimeter, lo, hi, xtol=tol)
+    cls = ms.classify_umbilical(space, lam)
+    if cls.kind == ms.HOROSPHERE:
+        return 0.5 * math.log1p(perimeter * perimeter / 16.0)
+    size = cls.size
+    if cls.kind == ms.EQUIDISTANT:
+        ch = math.cosh(size)
+        sinh_w = math.sinh(perimeter / (4.0 * ch))
+        return size - math.asinh(math.sinh(size) / math.hypot(1.0, ch * sinh_w))
+    tn, sn, atn = _LENS_TRIG[space.curvature]
+    alpha = perimeter / (4.0 * sn(size))
+    if alpha >= 0.5 * math.pi:
+        raise NumericError(
+            f"no lens of perimeter {perimeter}: even the full disk is smaller"
+        )
+    return size - atn(math.cos(alpha) / lam)
 
 
 def theoremB_2d_check(poly, tol=1e-7):

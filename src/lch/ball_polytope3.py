@@ -114,9 +114,12 @@ class BallPolytope3:
         return np.vstack([self.centers, self.redundant_centers])
 
     def combinatorial_signature(self):
-        """Hashable summary of the boundary structure (for event detection)."""
+        """Hashable summary of the boundary structure (for event detection):
+        the counts, the facets' balls and the edges' ball pairs, so an edge
+        flip (edge (i, j) dies as edge (k, l) is born) changes it too."""
         return (len(self.facets), len(self.edges), len(self.vertices),
-                tuple(sorted(f.ball_index for f in self.facets)))
+                tuple(sorted(f.ball_index for f in self.facets)),
+                tuple(sorted(e.pair for e in self.edges)))
 
 
 def _dot(a, b):
@@ -145,8 +148,8 @@ def orthonormal_frame(axis):
 def _pair_edges(pts, radius):
     """Feasible arcs of every pairwise intersection circle.
 
-    Returns a list of raw arcs
-    ``(i, j, center, axis, rho, frame, phi_start, phi_end, full, lab_s, lab_e)``.
+    Returns a list of raw arcs ``(i, j, center, axis, rho, frame, phi_start,
+    phi_end, full, lab_s, lab_e, d)``, with d the distance of centers i, j.
     """
     m = len(pts)
     raw = []
@@ -171,10 +174,10 @@ def _pair_edges(pts, radius):
                 continue
             arcs, full = feasible
             if full:
-                raw.append((i, j, z, axis, rho, (e1, e2), 0.0, TWO_PI, True, None, None))
+                raw.append((i, j, z, axis, rho, (e1, e2), 0.0, TWO_PI, True, None, None, d))
             else:
                 for (s, e, lab_s, lab_e) in arcs:
-                    raw.append((i, j, z, axis, rho, (e1, e2), s, e, False, lab_s, lab_e))
+                    raw.append((i, j, z, axis, rho, (e1, e2), s, e, False, lab_s, lab_e, d))
     return raw
 
 
@@ -182,7 +185,7 @@ def _collect_vertices(raw, radius):
     """Cluster arc endpoints into vertices; returns (vertices, endpoint map)."""
     ends = [(arc_id, which, (i, j, lab),
              z + rho * (math.cos(phi) * e1 + math.sin(phi) * e2))
-            for arc_id, (i, j, z, _, rho, (e1, e2), s, e, full, lab_s, lab_e) in enumerate(raw)
+            for arc_id, (i, j, z, _, rho, (e1, e2), s, e, full, lab_s, lab_e, _) in enumerate(raw)
             if not full
             for which, phi, lab in (("s", s, lab_s), ("e", e, lab_e))]
     positions, index = cluster_points([p for *_, p in ends], VERTEX_TOL * radius)
@@ -330,8 +333,7 @@ def _build_retained(lam, work, radius):
 
     edges = []
     for arc_id, arc in enumerate(raw):
-        i, j, z, axis, rho, frame, s, e, full, _, _ = arc
-        d = float(np.linalg.norm(work[j] - work[i]))
+        i, j, z, axis, rho, frame, s, e, full, _, _, d = arc
         dihedral = math.acos(min(1.0, max(-1.0, 1.0 - 0.5 * d * d * lam * lam)))
         edges.append(EdgeArc(pair=(i, j), circle_center=z, circle_axis=axis,
                              circle_radius=rho, frame=frame, phi_start=s, phi_end=e,

@@ -111,15 +111,6 @@ def _bp3_membership_batch(body, pts):
     return ok
 
 
-def _polygon_membership_batch(poly, pts):
-    ok = np.ones(len(pts), dtype=bool)
-    for d in poly.disks:
-        circle = ap.chart_circle(d)
-        gap = np.sum((pts - circle.center) ** 2, axis=1) - circle.radius ** 2
-        ok &= circle.side * gap <= 1e-12
-    return ok
-
-
 def mc_volume(body, n_samples=1_000_000, seed=0):
     """Rejection-sampling volume estimate with its standard error.
 
@@ -150,7 +141,7 @@ def mc_volume(body, n_samples=1_000_000, seed=0):
         lo = np.maximum(lo, -0.999999)
         hi = np.minimum(hi, 0.999999)
     pts = rng.uniform(lo, hi, size=(n_samples, 2))
-    inside = _polygon_membership_batch(body, pts)
+    inside = body.membership(pts)
     s = np.sum(pts * pts, axis=1)
     if c == 0.0:
         w = inside.astype(float)

@@ -15,12 +15,30 @@ Chart conventions (fixed here once for the whole package):
 In all three charts every curve of constant geodesic curvature is a
 Euclidean circle or line.  Only ``|c| in {0, 1}`` carry a metric layer;
 general curvature is handled by rescaling lengths by ``length_scale(c)``.
+
+Every lambda-disk is the sublevel set of one chart quadratic
+(``chart_form``).  With ``W(z) = 1 + c |z|^2`` the signed distance from a
+chart point z to the disk's boundary is ``rho - F(Q(z) / W(z))``, with
+``Q(z) = A |z - m|^2 + beta . z + C`` and a fixed increasing F per kind:
+
+    kind                       Q(z)                             F(x)          rho
+    flat disk, center p        |z - p|^2                        sqrt(x)       1/lam
+    H^2 disk, center p         2 |z - p|^2 / (1 - |p|^2)        acosh(1 + x)  atanh(1/lam)
+    S^2 disk, P = to_sphere(p) -(2 P_xy . z + P_3 (1 - |z|^2))  acos(-x)      atan(1/lam)
+    horodisk, ideal point xi   |z - xi|^2                       log(x)        its level
+    equidistant domain         alpha (1 + |z|^2) + beta . z     asinh(x)      delta
+
+For the equidistant, ``asinh(Q / W)`` is the signed distance to the base
+geodesic, positive on its left (``_geodesic_form``); delta is the
+characteristic distance.  The boundary is the level set ``Q = t W`` with
+``t = F^-1(rho)``, a chart circle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -198,28 +216,30 @@ def busemann(ideal, z):
     return math.log(d2 / (1.0 - zz))
 
 
-def geodesic_chart_circle(g1, g2):
-    """Chart representation of the hyperbolic geodesic through g1, g2.
+def _geodesic_form(g1, g2):
+    """``(alpha, beta)`` of the hyperbolic geodesic through g1, g2.
 
-    Returns ``("line", point, unit_direction)`` for diameters and
-    ``("circle", center, radius)`` otherwise (a Euclidean circle
-    orthogonal to the unit circle).
+    The geodesic is the zero set of ``alpha (1 + |z|^2) + beta . z``, so
+    ``(alpha, beta)`` is orthogonal to the lifts ``(1 + |g|^2, g)`` of both
+    points and is their cross product up to scale.  That product evaluated
+    at z is the determinant of the lifts of z, g1, g2, which has the sign of
+    the orientation (g1, g2, z): positive on the left.  Scaled to
+    ``|beta|^2 / 4 - alpha^2 = 1``, the form over ``1 - |z|^2`` is the sinh
+    of the signed distance (a unit spacelike normal on the hyperboloid).
     """
-    g1 = np.asarray(g1, dtype=float)
-    g2 = np.asarray(g2, dtype=float)
-    cross = g1[0] * g2[1] - g1[1] * g2[0]
-    chord = g2 - g1
-    norm = np.linalg.norm(chord)
-    if norm < 1e-15:
+    (x1, y1), (x2, y2) = g1, g2
+    if math.hypot(x2 - x1, y2 - y1) < 1e-15:
         raise InvalidParameterError("geodesic needs two distinct points")
-    if abs(cross) < 1e-14 * max(1.0, norm):
-        return "line", g1, chord / norm
-    # |g_i - c|^2 = |c|^2 - 1 gives two linear equations for the center.
-    A = 2.0 * np.array([g1, g2])
-    b = np.array([float(g1 @ g1) + 1.0, float(g2 @ g2) + 1.0])
-    center = np.linalg.solve(A, b)
-    radius = math.sqrt(float(center @ center) - 1.0)
-    return "circle", center, radius
+    w1 = 1.0 + x1 * x1 + y1 * y1
+    w2 = 1.0 + x2 * x2 + y2 * y2
+    alpha = x1 * y2 - y1 * x2
+    bx = y1 * w2 - w1 * y2
+    by = w1 * x2 - x1 * w2
+    norm2 = 0.25 * (bx * bx + by * by) - alpha * alpha
+    if not norm2 > 0.0:
+        raise InvalidParameterError("geodesic points must lie inside the unit-disk chart")
+    norm = math.sqrt(norm2)
+    return alpha / norm, (bx / norm, by / norm)
 
 
 def signed_distance_to_geodesic(g1, g2, z):
@@ -227,26 +247,10 @@ def signed_distance_to_geodesic(g1, g2, z):
 
     Positive on the left of the oriented chart curve g1 -> g2.
     """
-    z = _check_domain(-1.0, z)
-    kind, a, b = geodesic_chart_circle(g1, g2)
-    den = 1.0 - float(z @ z)
-    if kind == "line":
-        left_normal = np.array([-b[1], b[0]])
-        return math.asinh(2.0 * float(left_normal @ (z - a)) / den)
-    center, radius = a, b
-    value = (float((z - center) @ (z - center)) - radius * radius) / (radius * den)
-    # Orientation: tangent at g1 headed toward g2, then check whether the
-    # left normal points away from the circle center (the "outside" side,
-    # where `value` is positive).
-    g1 = np.asarray(g1, dtype=float)
-    g2 = np.asarray(g2, dtype=float)
-    radial = g1 - center
-    tangent = np.array([-radial[1], radial[0]])
-    if float(tangent @ (g2 - g1)) < 0.0:
-        tangent = -tangent
-    left = np.array([-tangent[1], tangent[0]])
-    sign = 1.0 if float(left @ radial) > 0.0 else -1.0
-    return sign * math.asinh(value)
+    x, y = _check_domain(-1.0, z)
+    alpha, (bx, by) = _geodesic_form(g1, g2)
+    s = x * x + y * y
+    return math.asinh((alpha * (1.0 + s) + bx * x + by * y) / (1.0 - s))
 
 
 def mobius_translate(a, w):
@@ -297,21 +301,91 @@ def _stereo_jacobian(z):
     return d / (s * s)
 
 
+class ChartForm(NamedTuple):
+    """A lambda-disk as ``{rho - F(Q / W) >= 0}`` in its chart, with
+    ``Q(z) = A |z - m|^2 + beta . z + C`` and ``W(z) = 1 + c |z|^2``.
+
+    ``level = F^-1(rho)``: the boundary is the chart circle ``Q = level W``.
+    """
+
+    A: float
+    m: tuple
+    beta: tuple
+    C: float
+    rho: float
+    level: float
+    F: Callable[[float], float]
+
+
+# F per kind; the clamps only absorb roundoff at the ends of the domain.
+def _flat_distance(x):
+    return math.sqrt(max(x, 0.0))
+
+
+def _hyperbolic_distance(x):
+    return math.acosh(1.0 + max(x, 0.0))
+
+
+def _spherical_distance(x):
+    return math.acos(_clamped(-x))
+
+
+def chart_form(disk):
+    """The chart quadratic of a lambda-disk (see the module docstring)."""
+    kind, c = disk.kind, disk.space.curvature
+    zero = (0.0, 0.0)
+    if kind == "euclidean":
+        return ChartForm(1.0, disk.center, zero, 0.0, disk.radius, disk.radius ** 2,
+                         _flat_distance)
+    if kind == "geodesic" and c == -1.0:
+        px, py = disk.center
+        return ChartForm(2.0 / (1.0 - px * px - py * py), disk.center, zero, 0.0,
+                         disk.radius, math.cosh(disk.radius) - 1.0, _hyperbolic_distance)
+    if kind == "geodesic":
+        P = to_sphere(disk.center)
+        return ChartForm(float(P[2]), zero, (-2.0 * float(P[0]), -2.0 * float(P[1])),
+                         -float(P[2]), disk.radius, -math.cos(disk.radius),
+                         _spherical_distance)
+    if kind == "horo":
+        return ChartForm(1.0, disk.ideal, zero, 0.0, disk.level, math.exp(disk.level),
+                         math.log)
+    if kind == "equidistant":
+        alpha, beta = _geodesic_form(*disk.geodesic)
+        return ChartForm(alpha, zero, beta, alpha, disk.offset, math.sinh(disk.offset),
+                         math.asinh)
+    raise InvalidParameterError(f"unknown lambda-disk kind {kind!r}")
+
+
+def lambda_disk_depth(space, disks):
+    """Scalar ``depth(x, y)``: the least signed distance from the chart point
+    (x, y) to the boundaries of the disks, ``-inf`` off the unit-disk chart."""
+    c = space.curvature
+    forms = [chart_form(d) for d in disks]
+
+    def depth(x, y):
+        w = 1.0 + c * (x * x + y * y)
+        if w <= 1e-12:
+            return -math.inf
+        best = math.inf
+        for A, (mx, my), (bx, by), C, rho, _, F in forms:
+            dx, dy = x - mx, y - my
+            value = rho - F((A * (dx * dx + dy * dy) + bx * x + by * y + C) / w)
+            if value < best:
+                best = value
+        return best
+
+    return depth
+
+
 def signed_distance_to_lambda_disk(space, disk, p):
     """Signed metric distance from p to the boundary of a lambda-disk.
 
     Positive strictly inside the convex region, zero on its boundary,
-    negative outside.  For ball-like disks this is ``radius - d(center, p)``;
-    horodisks use the Busemann function; equidistant domains use the signed
-    distance to the base geodesic.
+    negative outside: ``radius - d(center, p)`` for ball-like disks, the
+    horodisk level minus the Busemann function, and the characteristic
+    distance minus the signed distance to the base geodesic, all through
+    the disk's ``chart_form``.
     """
     space.require_metric_layer()
-    p = _check_domain(space.curvature, p)
-    kind = disk.kind
-    if kind in ("euclidean", "geodesic"):
-        return disk.radius - metric_distance(space, disk.center, p)
-    if kind == "horo":
-        return disk.level - busemann(disk.ideal, p)
-    if kind == "equidistant":
-        return disk.offset - signed_distance_to_geodesic(disk.geodesic[0], disk.geodesic[1], p)
-    raise InvalidParameterError(f"unknown lambda-disk kind {kind!r}")
+    x, y = _check_domain(space.curvature, p)
+    return lambda_disk_depth(space, (disk,))(float(x), float(y))

@@ -11,6 +11,7 @@ from lch.errors import (
     EmptyBodyError,
     InvalidParameterError,
     NonCompactError,
+    NumericError,
 )
 
 HYP = ms.ModelSpace(2, -1.0)
@@ -35,7 +36,8 @@ def mc_area_oracle(poly, n=300_000, seed=0):
     if c == -1.0:
         lo, hi = np.maximum(lo, -0.999), np.minimum(hi, 0.999)
     z = rng.uniform(lo, hi, size=(n, 2))
-    member = np.array([poly.membership(p) for p in z])
+    member = poly.membership(z)
+    assert all(poly.membership(p) == member[k] for k, p in enumerate(z[:200]))
     s = np.sum(z * z, axis=1)
     if c == 0.0:
         w = member.astype(float)
@@ -207,6 +209,12 @@ class TestCurved:
             d = ms.metric_distance(HYP, disk.center, z)
             assert abs(d - disk.radius) < 1e-12
 
+    def test_boundary_through_the_projection_pole_raises(self):
+        # to_sphere(p)_3 = -cos(pi/4): the cap's boundary holds the south pole
+        disk = ap.geodesic_disk(SPH, 1.0, (1.0 + math.sqrt(2.0), 0.0))
+        with pytest.raises(NumericError):
+            ap.chart_circle(disk)
+
     @pytest.mark.parametrize("lam,r0", [(2.0, 0.3), (1.0, 0.4), (0.5, 0.35)])
     def test_hyperbolic_total_turning(self, lam, r0):
         ang = np.array([0.3, 2.0, 4.4])
@@ -315,7 +323,33 @@ class TestInradius2:
             assert abs(disk.radius - r0) < 1e-7
 
 
+class TestLens:
+    # the five fingerprinted (curvature, lam) kinds and a narrow equidistant
+    @pytest.mark.parametrize("space,lam", [(FLAT, 1.0), (SPH, 1.0), (HYP, 2.0), (HYP, 1.0),
+                                           (HYP, 0.5), (HYP, 0.2)])
+    @pytest.mark.parametrize("fraction", [0.1, 0.5, 0.9])
+    def test_closed_form_matches_built_lens(self, space, lam, fraction):
+        size = ms.classify_umbilical(space, lam).size
+        s = fraction * (1.0 if size is None else size)
+        perimeter = ap.lens_perimeter_direct(space, lam, s)
+        built = ap.perimeter2(ap.touching_polygon2(space, lam, s, [[1, 0], [-1, 0]]))
+        assert abs(perimeter - built) <= 1e-12 * built
+        assert abs(ap.matched_lens_inradius(space, lam, perimeter) - s) <= 1e-12 * s
+
+    def test_perimeter_outside_the_lens_range(self):
+        with pytest.raises(NumericError):
+            ap.matched_lens_inradius(SPH, 1.0, 2.0 * math.pi * math.sin(math.pi / 4.0))
+        with pytest.raises(NumericError):
+            ap.matched_lens_inradius(HYP, 0.5, 0.0)
+
+
 class TestTheoremB2D:
+    def test_narrow_equidistant_body(self):
+        from lch import harness
+        spec = harness.GenSpec(seed=7, m=3, inradius=0.1, lam=0.2, dim=2, curvature=-1.0)
+        rep = ap.theoremB_2d_check(harness.random_polytope(spec))
+        assert rep.passed and abs(rep.r_body - 0.1) < 1e-7
+
     @pytest.mark.parametrize("space,lam", [(HYP, 2.0), (HYP, 1.0), (HYP, 0.5),
                                            (SPH, 1.0), (FLAT, 1.0)])
     def test_small_sweep(self, space, lam):

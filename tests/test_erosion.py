@@ -110,6 +110,17 @@ class TestProfile:
         n_after = len(erosion.inner_parallel(body, events[0] + 1e-8).facets)
         assert n_before == 3 and n_after == 2
 
+    def test_edge_flip_is_an_event(self):
+        # The counts and facets stay the same where edge (1, 4) becomes
+        # edge (0, 3) at t ~ 0.40686928; only the edge pairs change.
+        rng = np.random.default_rng(3)
+        m = rng.integers(3, 7)
+        u = rng.normal(size=(m, 3))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        body = bp3.build(1.0, u * rng.uniform(0.3, 0.65, size=(m, 1)))
+        events = erosion.detect_events(body)
+        assert min(abs(ev - 0.4068693) for ev in events) < 1e-7
+
 
 def _built_area(polytope, t):
     """f(t) through the public build, as the profile computed it before the

@@ -159,8 +159,56 @@ class TestSignedDistanceToGeodesic:
             foot = ms.exp_map(HYP, w, -g, abs(d)) if d > 0 else ms.exp_map(HYP, w, g, abs(d))
             assert abs(ms.signed_distance_to_geodesic(g1, g2, foot)) < 1e-7
 
+    def test_matches_translated_axis(self):
+        # The isometry z -> (z - g1) / (1 - conj(g1) z) sends the geodesic to
+        # a diameter through 0, where the left distance is asinh(2 y / (1 - |z|^2)).
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            g1, g2, z = rng.uniform(-0.6, 0.6, size=(3, 2))
+            e = ms.mobius_translate(-g1, g2)
+            left = np.array([-e[1], e[0]]) / np.linalg.norm(e)
+            w = ms.mobius_translate(-g1, z)
+            ref = math.asinh(2.0 * float(w @ left) / (1.0 - float(w @ w)))
+            assert abs(ms.signed_distance_to_geodesic(g1, g2, z) - ref) < 1e-12
+
+
+def _disk_cases():
+    from lch import arc_polygon2 as ap
+    return [
+        ap.euclidean_disk(FLAT, 1.0, (0.2, -0.1)),
+        ap.geodesic_disk(HYP, 2.0, (0.1, 0.2)),
+        ap.geodesic_disk(SPH, 1.0, (0.3, -0.2)),
+        ap.geodesic_disk(SPH, 1.0, (3.0, 1.0)),  # the cap holds the projection pole
+        ap.horodisk(HYP, 1.0, (0.6, 0.8), level=0.3),
+        ap.equidistant_domain(HYP, 0.5, (0.3, 0.1), (0.1, 0.45)),
+        ap.equidistant_domain(HYP, 0.5, (-0.5, 0.0), (0.5, 0.0)),  # base is a diameter
+    ]
+
+
+def _reference_depth(disk, z):
+    if disk.kind in ("euclidean", "geodesic"):
+        return disk.radius - ms.metric_distance(disk.space, disk.center, z)
+    if disk.kind == "horo":
+        return disk.level - ms.busemann(disk.ideal, z)
+    return disk.offset - ms.signed_distance_to_geodesic(*disk.geodesic, z)
+
 
 class TestSignedDistanceToDisk:
+    @pytest.mark.parametrize("k", range(7))
+    def test_form_matches_reference_distances(self, k):
+        from lch.arc_polygon2 import chart_circle
+        disk = _disk_cases()[k]
+        rng = np.random.default_rng(k)
+        z = rng.uniform(-0.9, 0.9, size=(200, 2))
+        for p in z[np.sum(z * z, axis=1) < 0.9]:
+            assert abs(ms.signed_distance_to_lambda_disk(disk.space, disk, p)
+                       - _reference_depth(disk, p)) <= 1e-12
+        circle = chart_circle(disk)
+        for phi in np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False):
+            p = circle.center + circle.radius * np.array([math.cos(phi), math.sin(phi)])
+            if disk.space.curvature != -1.0 or p @ p < 1.0 - 1e-6:
+                assert abs(ms.signed_distance_to_lambda_disk(disk.space, disk, p)) <= 1e-12
+
     def test_flat_disk_center_depth(self):
         from lch.arc_polygon2 import euclidean_disk
         disk = euclidean_disk(FLAT, 1.0, (0.2, -0.1))

@@ -2,6 +2,7 @@
 of 1274 bodies.
 
     PYTHONPATH=<checkout>/src python tools/fingerprint_builds.py > out.json
+    PYTHONPATH=<checkout>/src python tools/fingerprint_builds.py --compare old.json new.json
 
 Run it on two checkouts and compare the outputs: every float is written
 with float.hex, so equal files mean bit-identical builds.  The list holds
@@ -11,7 +12,14 @@ centers), 150 polygons of each of the five lambda-disk kinds, and four
 erosion rows: ``erosion.profile(body, 64)`` (ts, areas, events) and
 ``erosion.volume_via_profile`` of a lens, the lens plus a ball whose facet
 dies at t = 13/30, the same three balls in another order, and the touching
-body of ``GenSpec(seed=31, m=3, inradius=0.4)``.
+body of ``GenSpec(seed=31, m=3, inradius=0.4)``.  Each polygon row also
+holds its ``inradius2`` disk and the inradius of the lens of equal
+perimeter; failures are recorded as rows, like build failures.
+
+``--compare`` prints, for each section and each field, the number of rows
+whose non-float content differs and the largest relative difference of
+the floats, measured against the largest magnitude of that field in the
+row (so a vertex coordinate near zero is compared on its polygon's scale).
 """
 import json
 import math
@@ -31,10 +39,9 @@ def h(x):
 
 
 def fp3(lam, centers):
-    try:
-        b = bp3.build(lam, centers)
-    except Exception as exc:  # record failures too
-        return ["error", type(exc).__name__, str(exc)]
+    b = recorded(bp3.build, lam, centers)
+    if not isinstance(b, bp3.BallPolytope3):
+        return b
     r = b.build_report
     return {
         "sig": repr(b.combinatorial_signature()),
@@ -50,17 +57,26 @@ def fp3(lam, centers):
     }
 
 
-def fp2(space, lam, disks):
+def recorded(f, *args):
     try:
-        p = ap.build2(space, lam, disks)
-    except Exception as exc:
+        return f(*args)
+    except Exception as exc:  # record failures too
         return ["error", type(exc).__name__, str(exc)]
+
+
+def fp2(space, lam, disks):
+    p = recorded(ap.build2, space, lam, disks)
+    if not isinstance(p, ap.ArcPolygon2):
+        return p
+    disk = recorded(ap.inradius2, p)
     return {
         "perimeter": h(ap.perimeter2(p)),
         "area": h(ap.area2(p)),
         "turning": [h(t) for t in p.turning_angles],
         "order": [a.disk_index for a in p.boundary],
         "vertices": [[h(v) for v in x] for x in p.vertices],
+        "inradius": disk if isinstance(disk, list) else [h(disk.radius), list(disk.touching)],
+        "lens": recorded(lambda: h(ap.matched_lens_inradius(space, lam, ap.perimeter2(p)))),
     }
 
 
@@ -134,14 +150,63 @@ def bodies2():
     return out
 
 
+def fields(row, path="", out=None):
+    """Row leaves grouped by field path; hex strings become floats."""
+    out = {} if out is None else out
+    if isinstance(row, dict):
+        for k, v in row.items():
+            fields(v, f"{path}/{k}", out)
+    elif isinstance(row, list):
+        for v in row:
+            fields(v, path, out)
+    else:
+        hexed = isinstance(row, str) and "0x" in row
+        out.setdefault(path or "/", []).append(float.fromhex(row) if hexed else row)
+    return out
+
+
+def compare(old, new):
+    for section in old:
+        a_rows, b_rows = old[section], new[section]
+        print(f"{section}: {len(a_rows)} rows")
+        if len(a_rows) != len(b_rows):
+            print(f"  row counts differ: {len(a_rows)} vs {len(b_rows)}")
+            continue
+        stats = {}  # field -> [rows with non-float differences, max relative float difference]
+        for a, b in zip(a_rows, b_rows):
+            fa, fb = fields(a), fields(b)
+            differs = False
+            for path in fa.keys() | fb.keys():
+                va, vb = fa.get(path, []), fb.get(path, [])
+                stat = stats.setdefault(path, [0, 0.0])
+                xa = [v for v in va if isinstance(v, float)]
+                xb = [v for v in vb if isinstance(v, float)]
+                if len(xa) != len(xb) or ([v for v in va if not isinstance(v, float)]
+                                          != [v for v in vb if not isinstance(v, float)]):
+                    stat[0] += 1
+                    differs = True
+                    continue
+                scale = max((abs(v) for v in xa + xb), default=0.0)
+                if scale > 0.0:
+                    stat[1] = max(stat[1], max(abs(x - y) for x, y in zip(xa, xb)) / scale)
+            stats.setdefault("all fields", [0, 0.0])[0] += differs
+        stats["all fields"][1] = max(rel for _, rel in stats.values())
+        for path, (rows, rel) in sorted(stats.items()):
+            print(f"  {path}: {rows} rows differ in non-float fields; "
+                  f"max relative float difference {rel:.3g}")
+
+
 def main():
-    rows = []
-    for lam, centers in bodies3():
-        rows.append(fp3(lam, centers))
-    for space, lam, disks, err in bodies2():
-        rows.append(fp2(space, lam, disks) if disks is not None else ["gen", err])
-    for centers in erosion_bodies():
-        rows.append(fp_erosion(centers))
+    if sys.argv[1:2] == ["--compare"]:
+        with open(sys.argv[2]) as f_old, open(sys.argv[3]) as f_new:
+            compare(json.load(f_old), json.load(f_new))
+        return
+    rows = {
+        "3d": [fp3(lam, centers) for lam, centers in bodies3()],
+        "2d": [fp2(space, lam, disks) if disks is not None else ["gen", err]
+               for space, lam, disks, err in bodies2()],
+        "erosion": [fp_erosion(centers) for centers in erosion_bodies()],
+    }
     json.dump(rows, sys.stdout)
 
 
