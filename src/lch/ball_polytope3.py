@@ -70,7 +70,8 @@ class EdgeArc:
         return self.circle_center + self.circle_radius * (math.cos(phi) * e1 + math.sin(phi) * e2)
 
     def tangent_at(self, phi, forward):
-        t = np.array(_cross(self.circle_axis.tolist(), _circle_point(self, phi)))
+        t = np.array(_cross(self.circle_axis.tolist(),
+                            _circle_point(self.frame[0].tolist(), self.frame[1].tolist(), phi)))
         return t if forward else -t
 
 
@@ -114,9 +115,9 @@ class BallPolytope3:
         return np.vstack([self.centers, self.redundant_centers])
 
     def combinatorial_signature(self):
-        """Hashable summary of the boundary structure (for event detection):
-        the counts, the facets' balls and the edges' ball pairs, so an edge
-        flip (edge (i, j) dies as edge (k, l) is born) changes it too."""
+        """Hashable summary of the boundary structure: the counts, the
+        facets' balls and the edges' ball pairs, so an edge flip (edge
+        (i, j) dies as edge (k, l) is born) changes it too."""
         return (len(self.facets), len(self.edges), len(self.vertices),
                 tuple(sorted(f.ball_index for f in self.facets)),
                 tuple(sorted(e.pair for e in self.edges)))
@@ -205,54 +206,83 @@ def _collect_vertices(raw, radius):
     return vertices, endpoint_vertex
 
 
-def _circle_point(edge, phi):
-    """Unit direction cos(phi) e1 + sin(phi) e2 of an edge's circle, as a list."""
+def _frames(edges):
+    """Each edge's circle (axis, e1, e2), as lists."""
+    return [(e.circle_axis.tolist(), e.frame[0].tolist(), e.frame[1].tolist()) for e in edges]
+
+
+def _circle_point(e1, e2, phi):
+    """Unit direction cos(phi) e1 + sin(phi) e2 of a circle, as a tuple."""
     c, s = math.cos(phi), math.sin(phi)
-    return [c * p + s * q for p, q in zip(edge.frame[0].tolist(), edge.frame[1].tolist())]
+    return (c * e1[0] + s * e2[0], c * e1[1] + s * e2[1], c * e1[2] + s * e2[2])
 
 
-def _unit_tangent(edge, phi, forward):
-    """Unit tangent of an edge at phi, in the direction of travel, as a list."""
-    t = _cross(edge.circle_axis.tolist(), _circle_point(edge, phi))
-    norm = math.sqrt(_dot(t, t))
-    return [x / (norm if forward else -norm) for x in t]
+def _unit_tangent(frame, phi):
+    """Unit tangent at phi, toward increasing phi, of the circle with
+    ``frame`` (axis, e1, e2), as a tuple."""
+    axis, e1, e2 = frame
+    tx, ty, tz = _cross(axis, _circle_point(e1, e2, phi))
+    norm = math.sqrt(tx * tx + ty * ty + tz * tz)
+    return (tx / norm, ty / norm, tz / norm)
 
 
-def _facet_geometry(loops, edges, vertices, center, radius, lam):
-    """Area (intrinsic Gauss-Bonnet) and vector area (Stokes) of one facet."""
-    n_loops = len(loops)
+def _end_tangents(edges, frames, phis):
+    """Each arc's unit tangents at (phi_start, phi_end), toward increasing
+    phi; None for a full circle."""
+    return [None if e.full_circle else (_unit_tangent(f, s), _unit_tangent(f, t))
+            for e, f, (s, t) in zip(edges, frames, phis)]
+
+
+def _facet_area(loops, edges, phis, tangents, positions, center, radius, lam):
+    """Intrinsic Gauss-Bonnet area of one facet on the sphere of ``radius``
+    around ``center``: ``radius^2 (2 pi chi - sum of arc angle * cos(psi) -
+    sum of corner turning angles)``, with cos(psi) = lam d / 2 for an edge
+    whose centers are d apart.
+
+    ``edges`` give each edge's pair distance and end vertices,
+    ``phis[e]`` its ``(phi_start, phi_end)``, ``tangents[e]`` its
+    ``_end_tangents``, ``positions[v]`` vertex v and ``center`` the ball's
+    center, as lists.  The build passes its own; an erosion piece passes
+    those of K_t, whose edges keep their circles' axes and frames.
+    """
     kg_total = 0.0
     turn_total = 0.0
-    vec = [0.0, 0.0, 0.0]
-    center = center.tolist()
     for loop in loops:
         k = len(loop)
         for idx, (eidx, forward) in enumerate(loop):
             edge = edges[eidx]
+            phi_start, phi_end = phis[eidx]
             cos_psi = 0.5 * lam * edge.center_distance
-            kg_total += edge.arc_angle * cos_psi
+            kg_total += (phi_end - phi_start) * cos_psi
+            if not edge.full_circle:
+                nxt_eidx, nxt_forward = loop[(idx + 1) % k]
+                vid = edge.end_vertex if forward else edge.start_vertex
+                t_in = tangents[eidx][1] if forward else [-x for x in tangents[eidx][0]]
+                t_out = (tangents[nxt_eidx][0] if nxt_forward
+                         else [-x for x in tangents[nxt_eidx][1]])
+                normal = [(p - c) / radius for p, c in zip(positions[vid], center)]
+                turn_total += math.atan2(_dot(_cross(t_in, t_out), normal),
+                                         _dot(t_in, t_out))
+    chi = 2 - len(loops)
+    return radius * radius * (TWO_PI * chi - kg_total - turn_total)
+
+
+def _facet_geometry(loops, edges, frames, phis, tangents, positions, center, radius, lam):
+    """Area (intrinsic Gauss-Bonnet) and vector area (Stokes) of one facet."""
+    area = _facet_area(loops, edges, phis, tangents, positions, center, radius, lam)
+    vec = [0.0, 0.0, 0.0]
+    for loop in loops:
+        for eidx, forward in loop:
+            edge = edges[eidx]
+            axis, e1, e2 = frames[eidx]
             phi_from, phi_to = ((edge.phi_start, edge.phi_end) if forward
                                 else (edge.phi_end, edge.phi_start))
-            chord = [p - q for p, q in zip(_circle_point(edge, phi_to),
-                                           _circle_point(edge, phi_from))]
+            chord = [p - q for p, q in zip(_circle_point(e1, e2, phi_to),
+                                           _circle_point(e1, e2, phi_from))]
             rho = edge.circle_radius
             sweep = rho * rho * (phi_to - phi_from)
             vec = [v + 0.5 * (rho * c + sweep * a) for v, c, a in
-                   zip(vec, _cross(edge.circle_center.tolist(), chord),
-                       edge.circle_axis.tolist())]
-            if not edge.full_circle:
-                nxt_eidx, nxt_forward = loop[(idx + 1) % k]
-                nxt = edges[nxt_eidx]
-                vid = edge.end_vertex if forward else edge.start_vertex
-                t_in = _unit_tangent(edge, phi_to, forward)
-                t_out = _unit_tangent(nxt, nxt.phi_start if nxt_forward else nxt.phi_end,
-                                      nxt_forward)
-                normal = [(p - c) / radius
-                          for p, c in zip(vertices[vid].position.tolist(), center)]
-                turn_total += math.atan2(_dot(_cross(t_in, t_out), normal),
-                                         _dot(t_in, t_out))
-    chi = 2 - n_loops
-    area = radius * radius * (TWO_PI * chi - kg_total - turn_total)
+                   zip(vec, _cross(edge.circle_center.tolist(), chord), axis)]
     return area, np.array(vec)
 
 
@@ -342,6 +372,10 @@ def _build_retained(lam, work, radius):
                              end_vertex=endpoint_vertex.get((arc_id, "e")),
                              dihedral=dihedral, center_distance=d))
     edges = tuple(edges)
+    frames = _frames(edges)
+    phis = [(e.phi_start, e.phi_end) for e in edges]
+    tangents = _end_tangents(edges, frames, phis)
+    positions = [v.position.tolist() for v in vertices]
 
     facets = []
     for i in range(m):
@@ -353,7 +387,8 @@ def _build_retained(lam, work, radius):
                 else (edges[k].end_vertex, edges[k].start_vertex) for k, fwd in open_arcs]
         loops = tuple(closed) + tuple(tuple(open_arcs[k] for k in loop)
                                       for loop in chain_loops(ends))
-        area, vec = _facet_geometry(loops, edges, vertices, work[i], radius, lam)
+        area, vec = _facet_geometry(loops, edges, frames, phis, tangents, positions,
+                                    work[i].tolist(), radius, lam)
         facets.append(Facet(ball_index=i, boundary_loops=loops, area=area,
                             vector_area=vec))
     return retained, {"centers": work, "facets": tuple(facets),

@@ -105,9 +105,13 @@ def random_polytope(spec, budget=10_000):
 
 
 def _bp3_membership_batch(body, pts):
-    ok = np.ones(len(pts), dtype=bool)
+    """Which points lie in every ball; each center tests only the points
+    that passed the centers before it."""
+    inside = np.arange(len(pts))
     for c in body.all_centers:
-        ok &= np.linalg.norm(pts - c, axis=1) <= body.radius
+        inside = inside[np.linalg.norm(pts[inside] - c, axis=1) <= body.radius]
+    ok = np.zeros(len(pts), dtype=bool)
+    ok[inside] = True
     return ok
 
 

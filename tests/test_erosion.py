@@ -4,11 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_body
 from lch import ball_polytope3 as bp3
 from lch import erosion
-from lch.errors import DegenerateBodyError, EmptyBodyError, InvalidParameterError
+from lch.errors import (
+    DegenerateBodyError,
+    EmptyBodyError,
+    InvalidParameterError,
+    NumericError,
+)
 from lch.inradius import inscribed_ball
 
 FOUR_PI = 4.0 * math.pi
@@ -18,6 +25,29 @@ LENS = [[0.0, 0.0, -0.5], [0.0, 0.0, 0.5]]
 # 0.3 + sqrt((1-t)^2 - 1/4) = 1 - t, i.e. at t = 13/30
 EVENT_CENTERS = LENS + [[0.3, 0.0, 0.0]]
 EVENT_TIME = 13.0 / 30.0
+
+
+def random_centers(seed, m=None):
+    """Random centers with triangular facets that shrink to points and
+    edge flips; ``m`` defaults to 3..6 drawn from the seed."""
+    rng = np.random.default_rng(seed)
+    m = rng.integers(3, 7) if m is None else m
+    u = rng.normal(size=(m, 3))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    return u * rng.uniform(0.3, 0.65, size=(m, 1))
+
+
+# Every event of the random_centers bodies, from a 6001-point signature
+# scan of [0, r) with bisection of every change.
+SCANNED_EVENTS = {
+    0: (0.419176561, 0.462521183, 0.492585321, 0.492805591, 0.525190021),
+    3: (0.406869281, 0.506178842, 0.522441521),
+    4: (0.431968974, 0.440840594),
+    5: (0.472427008, 0.472687817, 0.473032122, 0.485427222),
+    7: (0.148342577, 0.192698403, 0.219510346, 0.260053144, 0.509469865),
+}
+# The erode benchmark's touching shape.
+TOUCHING_M3 = dict(seed=31, m=3, r0=0.4)
 
 
 def lens_profile(t, alpha=math.pi / 3.0):
@@ -101,7 +131,7 @@ class TestProfile:
         body = bp3.build(1.0, EVENT_CENTERS)
         events = erosion.detect_events(body)
         assert len(events) == 1
-        assert abs(events[0] - EVENT_TIME) < 1e-6
+        assert abs(events[0] - EVENT_TIME) < 1e-12
         before = bp3.surface_area(erosion.inner_parallel(body, events[0] - 1e-8))
         after = bp3.surface_area(erosion.inner_parallel(body, events[0] + 1e-8))
         assert abs(before - after) < 1e-6
@@ -113,13 +143,89 @@ class TestProfile:
     def test_edge_flip_is_an_event(self):
         # The counts and facets stay the same where edge (1, 4) becomes
         # edge (0, 3) at t ~ 0.40686928; only the edge pairs change.
-        rng = np.random.default_rng(3)
-        m = rng.integers(3, 7)
-        u = rng.normal(size=(m, 3))
-        u /= np.linalg.norm(u, axis=1)[:, None]
-        body = bp3.build(1.0, u * rng.uniform(0.3, 0.65, size=(m, 1)))
+        body = bp3.build(1.0, random_centers(3))
         events = erosion.detect_events(body)
         assert min(abs(ev - 0.4068693) for ev in events) < 1e-7
+
+    @pytest.mark.parametrize("seed", sorted(SCANNED_EVENTS))
+    def test_every_event_found(self, seed):
+        # s = 5 has two pairs of events under 1e-3 apart
+        events = erosion.detect_events(bp3.build(1.0, random_centers(seed)))
+        expected = SCANNED_EVENTS[seed]
+        assert len(events) == len(expected)
+        assert all(abs(ev - x) <= 1e-8 for ev, x in zip(events, expected))
+
+
+KINETIC_BODIES = {
+    "event_body": lambda: bp3.build(1.0, EVENT_CENTERS),
+    **{f"random_{s}": (lambda s=s: bp3.build(1.0, random_centers(s)))
+       for s in sorted(SCANNED_EVENTS)},
+    "three_ball": lambda: bp3.build(1.0, [[0.0, 0.0, 0.5], [0.0, 0.0, -0.5], [0.3, 0.0, 0.0]]),
+    "touching_m3": lambda: make_body(**TOUCHING_M3),
+}
+
+
+class TestKinetic:
+    """The closed form between events against rebuilds of K_t."""
+
+    @pytest.mark.parametrize("name", sorted(KINETIC_BODIES))
+    def test_closed_form_equals_rebuild(self, name):
+        body = KINETIC_BODIES[name]()
+        er = erosion._Erosion(body)
+        f0 = bp3.surface_area(body)
+        for t in erosion.profile(body, 64).ts:
+            assert abs(er.area(t) - bp3.surface_area(er.body(t))) <= 1e-12 * f0
+
+    @pytest.mark.parametrize("name", sorted(KINETIC_BODIES))
+    def test_events_bracketed_by_signature_changes(self, name):
+        body = KINETIC_BODIES[name]()
+        er = erosion._Erosion(body)
+        flank = 1e-7 * er.inradius
+        for ev in er.events:
+            before = erosion._full_signature(er.body(ev - flank))
+            assert before != erosion._full_signature(er.body(ev + flank))
+
+    def test_missed_certificate_fails_loudly(self, monkeypatch):
+        # without its one root the event body's piece runs past 13/30,
+        # and the end rebuild has lost a ball
+        monkeypatch.setattr(erosion._Piece, "next_event", lambda self, t0: math.inf)
+        with pytest.raises(NumericError, match="piece 0"):
+            erosion.detect_events(bp3.build(1.0, EVENT_CENTERS))
+
+    def test_closed_form_mismatch_fails_loudly(self, monkeypatch):
+        area = erosion._Piece.area
+        monkeypatch.setattr(erosion._Piece, "area",
+                            lambda self, t: area(self, t) * (1.0 + 1e-10))
+        with pytest.raises(NumericError, match="closed-form area"):
+            erosion.detect_events(bp3.build(1.0, EVENT_CENTERS))
+
+
+def _moved(centers, seed):
+    """A rigid motion of the centers: a random rotation and translation."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q *= np.sign(np.diag(r))
+    return centers @ q.T + rng.uniform(-2.0, 2.0, size=3)
+
+
+class TestErosionMetamorphic:
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.floats(0.25, 4.0))
+    def test_rigid_motion_and_scaling(self, seed, m, lam):
+        centers = random_centers(seed, m)
+        base = erosion._Erosion(bp3.build(1.0, centers))
+        r, f0 = base.inradius, bp3.surface_area(base.polytope)
+        ts = np.linspace(0.0, r * (1.0 - 1e-5), 17)
+        moved = erosion._Erosion(bp3.build(1.0, _moved(centers, seed)))
+        assert len(moved.events) == len(base.events)
+        assert all(abs(a - b) <= 1e-10 * r for a, b in zip(moved.events, base.events))
+        assert all(abs(moved.area(t) - base.area(t)) <= 1e-12 * f0 for t in ts)
+        # build(lam, c) is build(1, lam c) shrunk by lam
+        scaled = erosion._Erosion(bp3.build(lam, centers / lam))
+        assert len(scaled.events) == len(base.events)
+        assert all(abs(lam * a - b) <= 1e-10 * r for a, b in zip(scaled.events, base.events))
+        assert all(abs(lam * lam * scaled.area(t / lam) - base.area(t)) <= 1e-12 * f0
+                   for t in ts)
 
 
 def _built_area(polytope, t):
@@ -164,11 +270,12 @@ class TestRefinement:
         (lambda: make_body(seed=13, m=6, r0=0.45), 24),
     ], ids=["event_body", "make_body_13"])
     def test_matches_restart_scan(self, body, n_samples):
+        # The areas come from the closed form, the oracle's from rebuilds.
         body = body()
         prof = erosion.profile(body, n_samples=n_samples)
         ts, areas = _restart_scan_profile(body, n_samples)
         assert prof.ts.tolist() == ts
-        assert prof.areas.tolist() == areas
+        assert np.max(np.abs(prof.areas - areas)) <= 1e-12 * areas[0]
         assert len(ts) < 2048
         # the stop rule holds on every adjacent pair
         r = inscribed_ball(body).radius
@@ -183,7 +290,7 @@ class TestRefinement:
         ts, areas = _restart_scan_profile(body, 2000)
         assert len(ts) == 2048
         assert prof.ts.tolist() == ts
-        assert prof.areas.tolist() == areas
+        assert np.max(np.abs(prof.areas - areas)) <= 1e-12 * areas[0]
 
 
 class TestSharedEnclosingBall:
@@ -273,11 +380,7 @@ class TestCoareaVolume:
     def test_vanishing_triangle_events(self):
         # Triangular facets shrink to points here, so four spheres meet at
         # each event and a rebuild exactly there is degenerate.
-        rng = np.random.default_rng(5)
-        m = rng.integers(3, 7)
-        u = rng.normal(size=(m, 3))
-        u /= np.linalg.norm(u, axis=1)[:, None]
-        body = bp3.build(1.0, u * rng.uniform(0.3, 0.65, size=(m, 1)))
+        body = bp3.build(1.0, random_centers(5))
         r = inscribed_ball(body).radius
         prof = erosion.profile(body, n_samples=64)
         assert prof.events

@@ -92,6 +92,19 @@ class TestMonteCarlo:
         b = harness.mc_volume(body, n_samples=10_000, seed=3)
         assert a == b
 
+    def test_membership_filter_equals_every_center(self):
+        # each center tests only the survivors; the mask is that of testing
+        # all points against every center, retained and redundant alike
+        body = bp3.build(1.0, list(harness.random_polytope(
+            harness.GenSpec(seed=9, m=12, inradius=0.4)).centers) + [[0.0, 0.0, 0.0]])
+        assert len(body.redundant_centers) == 1
+        pts = np.random.default_rng(4).uniform(-1.5, 1.5, size=(100_000, 3))
+        every = np.ones(len(pts), dtype=bool)
+        for c in body.all_centers:
+            every &= np.linalg.norm(pts - c, axis=1) <= body.radius
+        got = harness._bp3_membership_batch(body, pts)
+        assert got.any() and np.array_equal(got, every)
+
     def test_sample_floor(self):
         body = bp3.build(1.0, [[0, 0, 0]])
         with pytest.raises(InvalidParameterError):

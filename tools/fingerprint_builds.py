@@ -1,5 +1,5 @@
 """Fingerprint 3-D builds, 2-D polygons and erosion profiles on a fixed list
-of 1274 bodies.
+of 1276 bodies.
 
     PYTHONPATH=<checkout>/src python tools/fingerprint_builds.py > out.json
     PYTHONPATH=<checkout>/src python tools/fingerprint_builds.py --compare old.json new.json
@@ -8,11 +8,13 @@ Run it on two checkouts and compare the outputs: every float is written
 with float.hex, so equal files mean bit-identical builds.  The list holds
 520 3-D bodies (touching-construction and random-center bodies with
 m = 2..24, and bodies with duplicate, near-duplicate and redundant
-centers), 150 polygons of each of the five lambda-disk kinds, and four
+centers), 150 polygons of each of the five lambda-disk kinds, and six
 erosion rows: ``erosion.profile(body, 64)`` (ts, areas, events) and
 ``erosion.volume_via_profile`` of a lens, the lens plus a ball whose facet
-dies at t = 13/30, the same three balls in another order, and the touching
-body of ``GenSpec(seed=31, m=3, inradius=0.4)``.  Each polygon row also
+dies at t = 13/30, the same three balls in another order, the touching
+body of ``GenSpec(seed=31, m=3, inradius=0.4)``, and the random-center
+bodies of seeds 3 (an edge flip) and 5 (four events, two pairs of them
+under 1e-3 apart) from the erosion tests.  Each polygon row also
 holds its ``inradius2`` disk and the inradius of the lens of equal
 perimeter; failures are recorded as rows, like build failures.
 
@@ -91,12 +93,21 @@ def fp_erosion(centers):
     }
 
 
+def vanishing_triangle_centers(seed):
+    """The random-center bodies of the erosion event tests."""
+    rng = np.random.default_rng(seed)
+    m = rng.integers(3, 7)
+    u = rng.normal(size=(m, 3))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    return u * rng.uniform(0.3, 0.65, size=(m, 1))
+
+
 def erosion_bodies():
     lens = [[0.0, 0.0, -0.5], [0.0, 0.0, 0.5]]
     touching = harness.random_polytope(harness.GenSpec(seed=31, m=3, inradius=0.4))
     return [lens, lens + [[0.3, 0.0, 0.0]],
             [[0.0, 0.0, 0.5], [0.0, 0.0, -0.5], [0.3, 0.0, 0.0]],
-            touching.centers]
+            touching.centers, vanishing_triangle_centers(3), vanishing_triangle_centers(5)]
 
 
 def bodies3():
