@@ -127,19 +127,25 @@ def cluster_points(points, tol):
     """Greedy clustering: each point joins the first representative within tol.
 
     Returns ``(representatives, index)``: the points that opened a
-    cluster, in order, and each input point's cluster number.
+    cluster, in order, and each input point's cluster number.  Each point
+    is measured against all representatives so far at once.
     """
+    points = list(points)
     reps, index = [], []
-    for p in points:
-        hit = None
-        for k, q in enumerate(reps):
-            if np.linalg.norm(p - q) <= tol:
-                hit = k
-                break
-        if hit is None:
-            hit = len(reps)
+    if not points:
+        return reps, index
+    coords = np.array(points, dtype=float)
+    rep_coords = np.empty_like(coords)
+    for p, x in zip(points, coords):
+        d = rep_coords[:len(reps)] - x
+        # np.linalg.norm(d, axis=1), bit for bit, without its call overhead
+        near = (np.sqrt(np.add.reduce(d * d, axis=1)) <= tol).nonzero()[0]
+        if near.size:
+            index.append(int(near[0]))
+        else:
+            rep_coords[len(reps)] = x
+            index.append(len(reps))
             reps.append(p)
-        index.append(hit)
     return reps, index
 
 

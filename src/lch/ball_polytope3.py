@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 from ._circular import TWO_PI, chain_loops, cluster_points, feasible_arcs
 from .errors import (
@@ -34,6 +36,12 @@ from .errors import (
 )
 
 VERTEX_TOL = 1e-9  # relative to the ball radius
+# Centers are cospherical when their lifted matrix is this close to rank 3
+# (see _candidate_pairs).
+COSPHERICAL_TOL = 1e-12
+# Adjacent hull triangles whose unit normals agree this closely may be one
+# facet that qhull merged and triangulated arbitrarily.
+_FLAT_NORMALS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -90,6 +98,11 @@ class BuildReport:
     redundant_indices: tuple
     duplicate_indices: tuple
     source_centers: np.ndarray  # the input list, order preserved (for I/O)
+    # Where the first pass, over every kept center, took its candidate
+    # pairs ("hull" or "all", see _candidate_pairs); the pairs tried over
+    # all passes (a pass repeats without the redundant balls).
+    pair_source: str = "all"
+    candidate_pairs: int = 0
 
 
 @dataclass(frozen=True)
@@ -103,6 +116,9 @@ class BallPolytope3:
     edges: tuple
     vertices: tuple
     build_report: BuildReport = field(repr=False)
+    # The minimal enclosing ball of ``centers`` (an ``inradius.MEBResult``)
+    # when the build computed it for exactly these centers, else None.
+    _meb: object = field(default=None, compare=False, repr=False)
 
     @property
     def radius(self):
@@ -146,39 +162,90 @@ def orthonormal_frame(axis):
     return e1, np.array(_cross(a, e1.tolist()))
 
 
-def _pair_edges(pts, radius):
-    """Feasible arcs of every pairwise intersection circle.
+def _candidate_pairs(pts, radius):
+    """The center pairs ``(i, j)``, i < j, that may carry an edge, in
+    lexicographic order, and their source, ``"hull"`` or ``"all"``.
+
+    An edge (i, j) has a point at distance R from o_i and o_j and at most
+    R from every other center: the ball of radius R around it holds every
+    center and has o_i, o_j on its sphere.  When the centers lie on one
+    sphere, the two spheres meet in a circle whose plane has every other
+    center on one side, so (i, j) is an edge of the centers' convex hull
+    (the ball hull of Bezdek, Langi, Naszodi & Papez, DCG 38, 2007).
+
+    The hull edges are the candidates for m >= 5 cospherical centers:
+    centered, scaled to unit size and lifted to (p, |p|^2), the centered
+    lifted rows have smallest singular value at most ``COSPHERICAL_TOL``
+    = 1e-12 times the largest, and the sphere of that singular vector has
+    radius below R (a near-planar set fits a plane instead).  Qhull
+    triangulates merged near-coplanar facets arbitrarily, so every vertex
+    pair of two adjacent hull triangles whose unit normals agree within
+    1e-6 is a candidate too.  All pairs are candidates for m <= 4,
+    centers that are not cospherical, a ``QhullError`` and a hull with
+    fewer than m vertices.
+    """
+    m = len(pts)
+    every = list(combinations(range(m), 2))
+    if m <= 4:
+        return every, "all"
+    q = pts - pts.mean(axis=0)
+    scale = float(np.max(np.linalg.norm(q, axis=1)))
+    q /= scale
+    sq = np.einsum("ij,ij->i", q, q)
+    mean_sq = float(sq.mean())
+    _, sv, vt = np.linalg.svd(np.column_stack([q, sq - mean_sq]), full_matrices=False)
+    a, w = vt[-1, :3], float(vt[-1, 3])
+    # The rows satisfy a.q + w (|q|^2 - mean_sq) = 0: the sphere around
+    # -a / 2w with squared radius mean_sq + |a|^2 / 4w^2, in units of scale.
+    if (sv[-1] > COSPHERICAL_TOL * sv[0]
+            or float(a @ a) >= 4.0 * w * w * ((radius / scale) ** 2 - mean_sq)):
+        return every, "all"
+    try:
+        hull = ConvexHull(pts)
+    except QhullError:
+        return every, "all"
+    if len(hull.vertices) < m:
+        return every, "all"
+    simplices = hull.simplices.tolist()
+    pairs = {pair for tri in simplices for pair in combinations(sorted(tri), 2)}
+    normals = hull.equations[:, :3]
+    flat = np.linalg.norm(normals[:, None, :] - normals[hull.neighbors], axis=2) <= _FLAT_NORMALS
+    for f, k in zip(*np.nonzero(flat)):
+        g = int(hull.neighbors[f, k])
+        if g > f:
+            pairs.update(combinations(sorted(set(simplices[f]) | set(simplices[g])), 2))
+    return sorted(pairs), "hull"
+
+
+def _pair_edges(pts, radius, pairs):
+    """Feasible arcs of the intersection circles of the center pairs
+    ``pairs``, each cut by every other ball.
 
     Returns a list of raw arcs ``(i, j, center, axis, rho, frame, phi_start,
     phi_end, full, lab_s, lab_e, d)``, with d the distance of centers i, j.
     """
     m = len(pts)
     raw = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            dv = pts[j] - pts[i]
-            d = float(np.linalg.norm(dv))
-            if d >= 2.0 * radius:
-                raise EmptyBodyError(
-                    f"balls {i} and {j} are {d:.6g} apart with radius {radius:.6g}"
-                )
-            axis = dv / d
-            z = 0.5 * (pts[i] + pts[j])
-            rho = math.sqrt(max(0.0, radius * radius - 0.25 * d * d))
-            e1, e2 = orthonormal_frame(axis)
-            # Ball k keeps |z + rho (cos phi e1 + sin phi e2) - o_k| <= radius.
-            offsets = ((z - pts[k], k) for k in range(m) if k != i and k != j)
-            feasible = feasible_arcs(
-                (2.0 * rho * float(e1 @ v), 2.0 * rho * float(e2 @ v),
-                 radius * radius - float(v @ v) - rho * rho, k) for v, k in offsets)
-            if feasible is None:
-                continue
-            arcs, full = feasible
-            if full:
-                raw.append((i, j, z, axis, rho, (e1, e2), 0.0, TWO_PI, True, None, None, d))
-            else:
-                for (s, e, lab_s, lab_e) in arcs:
-                    raw.append((i, j, z, axis, rho, (e1, e2), s, e, False, lab_s, lab_e, d))
+    for i, j in pairs:
+        dv = pts[j] - pts[i]
+        d = float(np.linalg.norm(dv))
+        axis = dv / d
+        z = 0.5 * (pts[i] + pts[j])
+        rho = math.sqrt(max(0.0, radius * radius - 0.25 * d * d))
+        e1, e2 = orthonormal_frame(axis)
+        # Ball k keeps |z + rho (cos phi e1 + sin phi e2) - o_k| <= radius.
+        offsets = ((z - pts[k], k) for k in range(m) if k != i and k != j)
+        feasible = feasible_arcs(
+            (2.0 * rho * float(e1 @ v), 2.0 * rho * float(e2 @ v),
+             radius * radius - float(v @ v) - rho * rho, k) for v, k in offsets)
+        if feasible is None:
+            continue
+        arcs, full = feasible
+        if full:
+            raw.append((i, j, z, axis, rho, (e1, e2), 0.0, TWO_PI, True, None, None, d))
+        else:
+            for (s, e, lab_s, lab_e) in arcs:
+                raw.append((i, j, z, axis, rho, (e1, e2), s, e, False, lab_s, lab_e, d))
     return raw
 
 
@@ -308,12 +375,15 @@ def build(lam, centers):
 
     from .inradius import minimal_enclosing_ball  # deferred: avoids an import cycle
 
-    return _rebuild(lam, pts, minimal_enclosing_ball(pts[keep]).radius, keep, duplicates)
+    meb = minimal_enclosing_ball(pts[keep])
+    return _rebuild(lam, pts, meb.radius, keep, duplicates, meb)
 
 
-def _rebuild(lam, pts, meb_radius, keep=None, duplicates=()):
+def _rebuild(lam, pts, meb_radius, keep=None, duplicates=(), meb=None):
     """The body of the balls of radius ``1/lam`` around ``pts[keep]`` (all of
     ``pts`` by default), whose centers have enclosing radius ``meb_radius``.
+    ``meb``, the enclosing ball of ``pts[keep]`` if known, is kept on the
+    body when every ball is retained, so the body's centers are its points.
 
     Raises ``EmptyBodyError`` when the balls miss a common point and
     ``DegenerateBodyError`` when they only touch.  ``duplicates`` are the
@@ -335,20 +405,25 @@ def _rebuild(lam, pts, meb_radius, keep=None, duplicates=()):
     retained_local, poly = _build_retained(lam, work, radius)
     redundant_local = [k for k in range(len(work)) if k not in retained_local]
     redundant_orig = tuple(sorted([keep[k] for k in redundant_local] + list(duplicates)))
+    sources = poly["pair_sources"]
     report = BuildReport(redundant_indices=redundant_orig,
                          duplicate_indices=tuple(duplicates),
-                         source_centers=pts)
+                         source_centers=pts,
+                         pair_source=sources[0][0],
+                         candidate_pairs=sum(n for _, n in sources))
     redundant_pts = pts[list(redundant_orig)] if redundant_orig else np.zeros((0, 3))
     return BallPolytope3(lam=lam, centers=poly["centers"],
                          redundant_centers=redundant_pts,
                          facets=poly["facets"], edges=poly["edges"],
-                         vertices=poly["vertices"], build_report=report)
+                         vertices=poly["vertices"], build_report=report,
+                         _meb=None if redundant_local else meb)
 
 
 def _build_retained(lam, work, radius):
     """Assemble combinatorics, re-running if redundant balls drop out."""
     m = len(work)
-    raw = _pair_edges(work, radius) if m >= 2 else []
+    pairs, source = _candidate_pairs(work, radius)
+    raw = _pair_edges(work, radius, pairs)
     if m >= 2:
         present = set()
         for arc in raw:
@@ -357,6 +432,7 @@ def _build_retained(lam, work, radius):
         if len(retained) < m:
             sub = work[retained]
             retained_sub, poly = _build_retained(lam, sub, radius)
+            poly["pair_sources"].insert(0, (source, len(pairs)))
             return [retained[k] for k in retained_sub], poly
     retained = list(range(m))
     vertices, endpoint_vertex = _collect_vertices(raw, radius)
@@ -392,7 +468,8 @@ def _build_retained(lam, work, radius):
         facets.append(Facet(ball_index=i, boundary_loops=loops, area=area,
                             vector_area=vec))
     return retained, {"centers": work, "facets": tuple(facets),
-                      "edges": edges, "vertices": vertices}
+                      "edges": edges, "vertices": vertices,
+                      "pair_sources": [(source, len(pairs))]}
 
 
 def facet_area(polytope, facet):

@@ -180,15 +180,16 @@ class _Erosion:
     """The bodies K_t of one body K for t in [0, r(K)).
 
     K_t keeps the centers, so every rebuild shares one minimal enclosing
-    ball: r(K) = R - rho, and each rebuild is ``bp3._rebuild`` on rho,
-    emptiness test included, without recomputing the ball.  The event
-    schedule and its pieces are computed on first use.
+    ball, the one K kept from its build if it did: r(K) = R - rho, and each
+    rebuild is ``bp3._rebuild`` on rho, emptiness test included, without
+    recomputing the ball.  The event schedule and its pieces are computed
+    on first use.
     """
 
     def __init__(self, polytope):
         self.polytope = polytope
-        self.meb_radius = minimal_enclosing_ball(polytope.centers).radius
-        self.inradius = polytope.radius - self.meb_radius
+        self.meb = polytope._meb or minimal_enclosing_ball(polytope.centers)
+        self.inradius = polytope.radius - self.meb.radius
 
     def check_distance(self, t):
         """``InvalidParameterError`` for t < 0 and ``EmptyBodyError`` for t >= r(K)."""
@@ -206,7 +207,7 @@ class _Erosion:
         if t == 0.0:
             return self.polytope
         return bp3._rebuild(1.0 / (self.polytope.radius - t), self.polytope.centers,
-                            self.meb_radius)
+                            self.meb.radius, meb=self.meb)
 
     @cached_property
     def _schedule(self):

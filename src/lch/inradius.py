@@ -156,13 +156,14 @@ def halfspace_condition(touch_points, o):
 def inscribed_ball(polytope):
     """The unique inscribed ball of a ball polytope (or Euclidean arc polygon).
 
-    Works on any object exposing ``lam`` and retained ``centers``; the
+    Works on any object exposing ``lam`` and retained ``centers``, and
+    reuses the enclosing ball a ``BallPolytope3`` kept from its build; the
     touching set uses the tolerance ``|R - |o - o_i| - r| < 1e-9 * R``.
     """
     lam = polytope.lam
     radius = 1.0 / lam
     centers = np.atleast_2d(np.asarray(polytope.centers, dtype=float))
-    meb = minimal_enclosing_ball(centers)
+    meb = getattr(polytope, "_meb", None) or minimal_enclosing_ball(centers)
     r = radius - meb.radius
     if r <= 0.0:
         raise EmptyBodyError(

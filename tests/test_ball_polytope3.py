@@ -1,6 +1,7 @@
 """Build combinatorics and exact measures of ball polytopes."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -52,8 +53,15 @@ class TestBuild:
         assert np.all(third[inside])  # B(0,0,0.4) really contains the lens
 
     def test_empty_intersection(self):
-        with pytest.raises(EmptyBodyError):
+        with pytest.raises(EmptyBodyError, match="enclosing radius"):
             bp3.build(1.0, [[0, 0, 0], [3.0, 0, 0]])
+
+    def test_balls_a_diameter_apart_fail_the_enclosing_test(self):
+        # The enclosing-radius test runs before any intersection circle.
+        with pytest.raises(DegenerateBodyError, match="touching"):
+            bp3.build(1.0, [[0, 0, -1.0], [0, 0, 1.0], [0.5, 0, 0]])
+        with pytest.raises(EmptyBodyError, match="enclosing radius"):
+            bp3.build(1.0, [[0, 0, -(1.0 + 1e-9)], [0, 0, 1.0 + 1e-9], [0.5, 0, 0]])
 
     def test_degenerate_touching(self):
         with pytest.raises(DegenerateBodyError):
@@ -177,3 +185,109 @@ class TestInvariants:
             report = bp3.validate_lambda_convexity(body, samples=2000, seed=0)
             assert report.passed
             assert report.max_violation < 1e-9
+
+
+def noisy_touching_centers(seed, m, noise):
+    """A touching body's centers, each moved radially by relative ``noise``."""
+    centers = make_body(seed=seed, m=m, r0=0.3 + 0.02 * (m % 10)).centers
+    rng = np.random.default_rng(seed)
+    return centers * (1.0 + noise * rng.standard_normal((m, 1)))
+
+
+def near_cocircular_centers(eps):
+    """Four centers on one circle of the common sphere, the first moved
+    ``eps`` off it along the sphere, and four below: near eps = 0 the four
+    make one hull facet that qhull may merge and split either way."""
+    polar = [0.55 + eps, 0.55, 0.55, 0.55, 2.3, 2.5, 2.2, 2.7]
+    azimuth = [0.1, 1.9, 3.3, 4.6, 0.7, 2.6, 4.0, 5.5]
+    return -0.6 * np.array([[math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t)]
+                            for t, p in zip(polar, azimuth)])
+
+
+def redundant_and_duplicate_centers(k):
+    """A touching body plus a repeated center, a center 1e-13 from another
+    and a convex combination of the centers (a redundant ball), shuffled."""
+    rng = np.random.default_rng(k)
+    m = 3 + k % 8
+    c = make_body(seed=5000 + k, m=m, r0=0.4).centers
+    rows = list(c) + [c[k % m], c[(k + 1) % m] + 1e-13, rng.dirichlet(np.ones(m)) @ c]
+    return np.asarray(rows)[rng.permutation(len(rows))]
+
+
+def build_outcome(lam, centers):
+    """Everything the candidate pairs may affect, as exact strings, or the
+    error type."""
+    try:
+        body = bp3.build(lam, centers)
+    except Exception as exc:
+        return type(exc)
+    return (body.combinatorial_signature(),
+            [f.boundary_loops for f in body.facets],
+            [f.area.hex() for f in body.facets],
+            [[float(x).hex() for x in v.position] + sorted(v.incident) for v in body.vertices],
+            [(e.pair, e.phi_start.hex(), e.phi_end.hex(), e.start_vertex, e.end_vertex)
+             for e in body.edges],
+            body.build_report.redundant_indices)
+
+
+def all_pairs_outcome(monkeypatch, lam, centers):
+    with monkeypatch.context() as patch:
+        patch.setattr(bp3, "_candidate_pairs",
+                      lambda pts, radius: (list(combinations(range(len(pts)), 2)), "all"))
+        return build_outcome(lam, centers)
+
+
+class TestCandidatePairs:
+    """Hull candidate pairs give the very build that all pairs give."""
+
+    def test_touching_bodies_take_the_hull(self):
+        for m in range(2, 25):
+            for seed in (1, 2):
+                report = make_body(seed=seed, m=m, r0=0.2 + 0.03 * m).build_report
+                assert report.pair_source == ("hull" if m >= 5 else "all")
+                assert report.candidate_pairs <= m * (m - 1) // 2
+                if m >= 6:
+                    assert report.candidate_pairs < m * (m - 1) // 2
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-15, 1e-13, 1e-12, 1e-9, 1e-6, 1e-3])
+    def test_noisy_touching_bodies(self, monkeypatch, noise):
+        sources = set()
+        for m in range(5, 25):
+            centers = noisy_touching_centers(seed=m, m=m, noise=noise)
+            assert build_outcome(1.0, centers) == all_pairs_outcome(monkeypatch, 1.0, centers)
+            sources.add(bp3._candidate_pairs(centers, 1.0)[1])
+        # Both sides of the cosphericity tolerance are exercised.
+        if noise <= 1e-13:
+            assert sources == {"hull"}
+        elif noise >= 1e-9:
+            assert sources == {"all"}
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-15, 1e-12, 1e-9, 1e-8, -1e-7, 1e-6, 1e-4])
+    def test_near_cocircular_centers(self, monkeypatch, eps):
+        centers = near_cocircular_centers(eps)
+        assert build_outcome(1.0, centers) == all_pairs_outcome(monkeypatch, 1.0, centers)
+        pairs, source = bp3._candidate_pairs(centers, 1.0)
+        assert source == "hull"
+        if abs(eps) <= 1e-6:  # the four make one flat facet: both diagonals are tried
+            assert (0, 2) in pairs and (1, 3) in pairs
+
+    def test_redundant_and_duplicate_centers(self, monkeypatch):
+        for k in range(16):
+            centers = redundant_and_duplicate_centers(k)
+            got = build_outcome(1.0, centers)
+            assert not isinstance(got, type)
+            assert got == all_pairs_outcome(monkeypatch, 1.0, centers)
+
+    def test_near_planar_centers_take_all_pairs(self, monkeypatch):
+        # Centers in convex position within ~1e-13 of a plane pass the
+        # singular-value test, but they fit a plane, not a sphere: some of
+        # their edges are no hull edges.
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            m = int(rng.integers(6, 12))
+            angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, m))
+            radii = rng.uniform(0.3, 0.6, m)
+            centers = np.column_stack([radii * np.cos(angles), radii * np.sin(angles),
+                                       1e-13 * rng.standard_normal(m)])
+            assert bp3._candidate_pairs(centers, 1.0)[1] == "all"
+            assert build_outcome(1.0, centers) == all_pairs_outcome(monkeypatch, 1.0, centers)

@@ -133,6 +133,24 @@ def test_cluster_points_prefers_the_first_representative():
     assert [r.tolist() for r in reps] == [[0.0, 0.0], [1.5, 0.0]]
 
 
+def test_cluster_points_matches_one_point_at_a_time():
+    # grid points at distances near tol from each other, in 2-D and 3-D
+    rng = np.random.default_rng(4)
+    for dim in (2, 3):
+        pts = list(0.25 * rng.integers(0, 6, size=(60, dim)) + 1e-17 * rng.normal(size=(60, dim)))
+        reps, index = [], []
+        for p in pts:
+            hit = next((k for k, q in enumerate(reps) if np.linalg.norm(p - q) <= 0.25), None)
+            if hit is None:
+                hit = len(reps)
+                reps.append(p)
+            index.append(hit)
+        got_reps, got_index = cluster_points(pts, 0.25)
+        assert got_index == index
+        assert all(a is b for a, b in zip(got_reps, reps)) and len(got_reps) == len(reps)
+    assert cluster_points([], 1.0) == ([], [])
+
+
 def test_chain_loops_returns_loops_in_first_index_order():
     # arcs 1 -> 3 -> 4 form a triangle on vertices 10, 11, 12; arcs 0 -> 2 a digon
     ends = [(20, 21), (10, 11), (21, 20), (11, 12), (12, 10)]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import make_body
 from lch import ball_polytope3 as bp3
 from lch import erosion
+from lch import inradius
 from lch.errors import (
     DegenerateBodyError,
     EmptyBodyError,
@@ -336,6 +337,22 @@ class TestSharedEnclosingBall:
                             bp3.build(1.0 / (body.radius - t), body.centers))
         with pytest.raises(EmptyBodyError):
             erosion.inner_parallel(body, r)
+
+    def test_one_enclosing_ball_per_body(self, monkeypatch):
+        centers = make_body(seed=31, m=5, r0=0.4).centers
+        calls = []
+        original = inradius.minimal_enclosing_ball
+
+        def counted(points):
+            calls.append(len(points))
+            return original(points)
+
+        monkeypatch.setattr(inradius, "minimal_enclosing_ball", counted)
+        monkeypatch.setattr(erosion, "minimal_enclosing_ball", counted)
+        body = bp3.build(1.0, centers)
+        erosion.profile(body, 16)
+        erosion.volume_via_profile(body)
+        assert calls == [5]
 
     def test_emptiness_test_raises_like_build(self):
         body = bp3.build(1.0, EVENT_CENTERS)

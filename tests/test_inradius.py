@@ -1,6 +1,7 @@
 """Enclosing-ball duality, touching reductions, and the reverse inradius check."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -131,6 +132,30 @@ class TestInscribedBall:
             ball = inscribed_ball(body)
             meb = minimal_enclosing_ball(body.centers)
             assert set(meb.support) <= set(ball.touching)
+
+
+class TestKeptEnclosingBall:
+    """The enclosing ball a build keeps gives the inscribed ball of its centers."""
+
+    @staticmethod
+    def _bits(ball):
+        return (ball.center.tobytes(), ball.radius.hex(), ball.touching,
+                [p.tobytes() for p in ball.touch_points], ball.halfspace_ok)
+
+    def test_same_bits_as_the_centers_alone(self):
+        base = make_body(seed=9, m=7, r0=0.35).centers
+        cases = {
+            "touching": (base, True),
+            "duplicate": (np.vstack([base, base[2]]), True),
+            "redundant": (np.vstack([base, base.mean(axis=0)]), False),
+            "lens": (np.asarray(LENS), True),
+            "ball": (np.zeros((1, 3)), True),
+        }
+        for name, (centers, kept) in cases.items():
+            body = bp3.build(1.0, centers)
+            assert (body._meb is not None) == kept, name
+            alone = SimpleNamespace(lam=body.lam, centers=body.centers)
+            assert self._bits(inscribed_ball(body)) == self._bits(inscribed_ball(alone)), name
 
 
 class TestReductions:

@@ -1,14 +1,18 @@
 """Fingerprint 3-D builds, 2-D polygons and erosion profiles on a fixed list
-of 1276 bodies.
+of 1444 bodies.
 
     PYTHONPATH=<checkout>/src python tools/fingerprint_builds.py > out.json
     PYTHONPATH=<checkout>/src python tools/fingerprint_builds.py --compare old.json new.json
 
 Run it on two checkouts and compare the outputs: every float is written
 with float.hex, so equal files mean bit-identical builds.  The list holds
-520 3-D bodies (touching-construction and random-center bodies with
-m = 2..24, and bodies with duplicate, near-duplicate and redundant
-centers), 150 polygons of each of the five lambda-disk kinds, and six
+688 3-D bodies (touching-construction and random-center bodies with
+m = 2..24; bodies with duplicate, near-duplicate and redundant centers;
+touching bodies with m = 5..24 whose centers are moved radially by a
+relative 0 to 1e-3, on both sides of the cosphericity tolerance of the
+hull candidate pairs; four centers near one circle of their common
+sphere; and centers within ~1e-13 of a plane), 150 polygons of each of
+the five lambda-disk kinds, and six
 erosion rows: ``erosion.profile(body, 64)`` (ts, areas, events) and
 ``erosion.volume_via_profile`` of a lens, the lens plus a ball whose facet
 dies at t = 13/30, the same three balls in another order, the touching
@@ -22,6 +26,9 @@ perimeter; failures are recorded as rows, like build failures.
 whose non-float content differs and the largest relative difference of
 the floats, measured against the largest magnitude of that field in the
 row (so a vertex coordinate near zero is compared on its polygon's scale).
+Erosion profiles are matched on their shared sample times: the areas are
+compared at those times, and the sample times only one side has are
+counted apart.
 """
 import json
 import math
@@ -131,7 +138,41 @@ def bodies3():
         rows = list(c) + extra
         order = rng.permutation(len(rows))
         out.append((1.0, np.asarray(rows)[order]))
+    out += [(1.0, noisy_touching_centers(m, m, noise)) for noise in NOISE for m in range(5, 25)]
+    out += [(1.0, near_cocircular_centers(eps)) for eps in COCIRCULAR_EPS]
+    planar = np.random.default_rng(0)
+    out += [(1.0, near_planar_centers(planar)) for _ in range(20)]
     return out
+
+
+NOISE = (0.0, 1e-15, 1e-13, 1e-12, 1e-9, 1e-6, 1e-3)
+COCIRCULAR_EPS = (0.0, 1e-15, 1e-12, 1e-9, 1e-8, -1e-7, 1e-6, 1e-4)
+
+
+def noisy_touching_centers(seed, m, noise):
+    """A touching body's centers, each moved radially by relative ``noise``."""
+    spec = harness.GenSpec(seed=seed, m=m, inradius=0.3 + 0.02 * (m % 10))
+    centers = harness.random_polytope(spec).centers
+    rng = np.random.default_rng(seed)
+    return centers * (1.0 + noise * rng.standard_normal((m, 1)))
+
+
+def near_cocircular_centers(eps):
+    """Four centers on one circle of the common sphere, the first moved
+    ``eps`` off it along the sphere, and four below."""
+    polar = [0.55 + eps, 0.55, 0.55, 0.55, 2.3, 2.5, 2.2, 2.7]
+    azimuth = [0.1, 1.9, 3.3, 4.6, 0.7, 2.6, 4.0, 5.5]
+    return -0.6 * np.array([[math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t)]
+                            for t, p in zip(polar, azimuth)])
+
+
+def near_planar_centers(rng):
+    """Centers in convex position within ~1e-13 of a plane."""
+    m = int(rng.integers(6, 12))
+    angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, m))
+    radii = rng.uniform(0.3, 0.6, m)
+    return np.column_stack([radii * np.cos(angles), radii * np.sin(angles),
+                            1e-13 * rng.standard_normal(m)])
 
 
 KINDS = (  # (curvature, lam): euclidean, spherical, hyperbolic disk, horodisk, equidistant
@@ -176,6 +217,15 @@ def fields(row, path="", out=None):
     return out
 
 
+def split_samples(row):
+    """An erosion row without its profile samples, and the samples as a
+    {t: area} map of hex strings; other rows pass through."""
+    if not (isinstance(row, dict) and "ts" in row):
+        return row, {}
+    return ({k: v for k, v in row.items() if k not in ("ts", "areas")},
+            dict(zip(row["ts"], row["areas"])))
+
+
 def compare(old, new):
     for section in old:
         a_rows, b_rows = old[section], new[section]
@@ -184,9 +234,20 @@ def compare(old, new):
             print(f"  row counts differ: {len(a_rows)} vs {len(b_rows)}")
             continue
         stats = {}  # field -> [rows with non-float differences, max relative float difference]
+        unshared = 0  # profile sample times only one side has
         for a, b in zip(a_rows, b_rows):
-            fa, fb = fields(a), fields(b)
+            (a, sa), (b, sb) = split_samples(a), split_samples(b)
             differs = False
+            if sa or sb:
+                stat = stats.setdefault("/areas at shared ts", [0, 0.0])
+                only = len(sa.keys() ^ sb.keys())
+                unshared += only
+                differs = only > 0
+                pairs = [(float.fromhex(sa[t]), float.fromhex(sb[t])) for t in sa.keys() & sb.keys()]
+                scale = max((max(abs(x), abs(y)) for x, y in pairs), default=0.0)
+                if scale > 0.0:
+                    stat[1] = max(stat[1], max(abs(x - y) for x, y in pairs) / scale)
+            fa, fb = fields(a), fields(b)
             for path in fa.keys() | fb.keys():
                 va, vb = fa.get(path, []), fb.get(path, [])
                 stat = stats.setdefault(path, [0, 0.0])
@@ -205,6 +266,8 @@ def compare(old, new):
         for path, (rows, rel) in sorted(stats.items()):
             print(f"  {path}: {rows} rows differ in non-float fields; "
                   f"max relative float difference {rel:.3g}")
+        if any(isinstance(r, dict) and "ts" in r for r in a_rows + b_rows):
+            print(f"  sample times not shared: {unshared}")
 
 
 def main():
