@@ -119,6 +119,8 @@ class BallPolytope3:
     # The minimal enclosing ball of ``centers`` (an ``inradius.MEBResult``)
     # when the build computed it for exactly these centers, else None.
     _meb: object = field(default=None, compare=False, repr=False)
+    # The body's ``inradius.InscribedBall``, kept by its first computation.
+    _inscribed: object = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def radius(self):

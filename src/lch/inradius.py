@@ -159,7 +159,19 @@ def inscribed_ball(polytope):
     Works on any object exposing ``lam`` and retained ``centers``, and
     reuses the enclosing ball a ``BallPolytope3`` kept from its build; the
     touching set uses the tolerance ``|R - |o - o_i| - r| < 1e-9 * R``.
+    A ``BallPolytope3`` keeps its inscribed ball, so the half-space LP runs
+    once per body.
     """
+    kept = getattr(polytope, "_inscribed", None)
+    if kept is not None:
+        return kept
+    ball = _inscribed_ball(polytope)
+    if isinstance(polytope, bp3.BallPolytope3):
+        object.__setattr__(polytope, "_inscribed", ball)  # a cache on a frozen body
+    return ball
+
+
+def _inscribed_ball(polytope):
     lam = polytope.lam
     radius = 1.0 / lam
     centers = np.atleast_2d(np.asarray(polytope.centers, dtype=float))
@@ -199,9 +211,14 @@ def reduce_to_touching(polytope):
     """Drop every ball whose facet does not touch the inscribed ball.
 
     The result keeps the same inscribed ball and its surface area can only
-    grow (strictly, when anything was dropped).
+    grow (strictly, when anything was dropped).  A body with every ball
+    touching and no redundant or duplicate center is returned as it is: a
+    build of its centers would give it again.
     """
     ball = inscribed_ball(polytope)
+    if (len(ball.touching) == len(polytope.centers)
+            and not polytope.build_report.redundant_indices):
+        return polytope
     keep = polytope.centers[list(ball.touching)]
     return bp3.build(polytope.lam, keep)
 

@@ -7,7 +7,10 @@ coordinates ``(t, theta)`` about the touch axis, so projected areas reduce
 to one-dimensional integrals of the radial extent ``t_max(theta)``.  That
 extent is exact: each meridian half-plane cuts the supporting sphere in a
 great semicircle, and every other ball forbids one arc of it, so the facet
-ends where the first forbidden arc opens.
+ends where the first forbidden arc opens.  One numpy kernel evaluates those
+arc starts over the whole (azimuth x other ball) array, and a facet's
+smooth pieces share one Gauss-Legendre node-doubling pass, which calls the
+kernel once per doubling level.
 
 The area-element pullback of the projection restricted to the supporting
 sphere is ``g(t) = rho(t)^2 / (r^2 cos beta)`` with ``rho`` the ray length
@@ -26,8 +29,8 @@ from scipy.integrate import quad
 
 from . import _gl
 from . import ball_polytope3 as bp3
-from ._circular import TWO_PI, single_constraint_interval
-from .errors import InvalidParameterError
+from ._circular import CONSTRAINT_EPS, TWO_PI
+from .errors import InvalidParameterError, NumericError
 from .inradius import inscribed_ball
 
 FOUR_PI = 4.0 * math.pi
@@ -89,8 +92,8 @@ def radial_project(chart, q):
     return chart.center + chart.inradius * d / norm
 
 
-def _radial_extents(polytope, chart, thetas):
-    """t_max(theta) for a batch of azimuths, in closed form.
+def _extent_function(polytope, chart):
+    """t_max as a vectorized function of the azimuth, in closed form.
 
     The meridian half-plane at azimuth theta holds o_i, so it cuts the
     supporting sphere in the semicircle ``o_i + R (cos(phi) a + sin(phi) w)``,
@@ -99,23 +102,47 @@ def _radial_extents(polytope, chart, thetas):
     ``-2R (v.a) cos(phi) - 2R (v.w) sin(phi) > -|v|^2`` with ``v = o_k - o_i``;
     the facet ends where the first such arc opens, at phi_max, which lies at
     polar angle ``atan2(R sin(phi_max), R cos(phi_max) - e)`` about o.
+
+    The coefficients are computed once per chart; a call evaluates the
+    arc starts ``atan2(b, a) - acos(d / hypot(a, b)) mod 2 pi`` over the
+    whole (azimuth x ball) array and takes phi_max as a row minimum from
+    pi.  A ball that forbids the whole semicircle cannot occur for a
+    facet touching the inscribed ball (its touch point lies in every
+    ball) and raises ``NumericError``.
     """
     big_r = chart.ball_radius
     e1, e2 = bp3.orthonormal_frame(chart.axis)
-    v = np.delete(polytope.centers, chart.facet_index, axis=0) - chart.sphere_center
-    cos_coef = (-2.0 * big_r * (v @ chart.axis)).tolist()
+    others = np.delete(np.arange(len(polytope.centers)), chart.facet_index)
+    v = polytope.centers[others] - chart.sphere_center
+    cos_coef = -2.0 * big_r * (v @ chart.axis)
     e1_coef, e2_coef = -2.0 * big_r * (v @ e1), -2.0 * big_r * (v @ e2)
-    bound = (-np.sum(v * v, axis=1)).tolist()
-    phi_max = []
-    for theta in thetas:
-        sin_coef = (math.cos(theta) * e1_coef + math.sin(theta) * e2_coef).tolist()
-        phi = math.pi
-        for a, b, d in zip(cos_coef, sin_coef, bound):
-            kind, center, half_width = single_constraint_interval(a, b, d)
-            if kind == "cut":
-                phi = min(phi, (center - half_width) % TWO_PI)
-        phi_max.append(phi)
-    return np.arctan2(big_r * np.sin(phi_max), big_r * np.cos(phi_max) - chart.center_offset)
+    bound = -np.sum(v * v, axis=1)
+
+    def t_max(thetas):
+        thetas = np.asarray(thetas, dtype=float)
+        sin_coef = np.cos(thetas)[:, None] * e1_coef + np.sin(thetas)[:, None] * e2_coef
+        m = np.hypot(cos_coef, sin_coef)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = bound / m
+        degenerate = m <= CONSTRAINT_EPS
+        empty = np.where(degenerate, bound < -CONSTRAINT_EPS, ratio <= -1.0)
+        if np.any(empty):
+            row, col = (int(x[0]) for x in np.nonzero(empty))
+            raise NumericError(
+                f"ball {int(others[col])} forbids the whole meridian of facet "
+                f"{chart.facet_index} at azimuth {float(thetas[row])!r}")
+        cut = ~degenerate & (ratio < 1.0)
+        start = np.mod(np.arctan2(sin_coef, cos_coef) - np.arccos(np.clip(ratio, -1.0, 1.0)),
+                       TWO_PI)
+        phi_max = np.min(start, axis=1, initial=math.pi, where=cut)
+        return np.arctan2(big_r * np.sin(phi_max), big_r * np.cos(phi_max) - chart.center_offset)
+
+    return t_max
+
+
+def _radial_extents(polytope, chart, thetas):
+    """t_max(theta) for a batch of azimuths (see ``_extent_function``)."""
+    return _extent_function(polytope, chart)(thetas)
 
 
 def _break_azimuths(polytope, chart):
@@ -138,26 +165,25 @@ def _break_azimuths(polytope, chart):
 def projected_facet_area(polytope, chart, facet=None, rel_tol=1e-9):
     """Area of the facet's radial projection on the inscribed sphere.
 
-    Polar quadrature: the azimuth circle is split at projected-vertex
-    directions (the only kinks of the radial extent), and each smooth piece
-    is integrated by Gauss-Legendre, doubling from 16 nodes until the
-    relative change drops below ``rel_tol`` (``NumericError`` past 256).
+    Polar quadrature of ``1 - cos t_max(theta)``: the azimuth circle is
+    split at projected-vertex directions (the only kinks of the radial
+    extent), and all smooth pieces are integrated by Gauss-Legendre in one
+    node-doubling pass, from 16 nodes per piece; each level evaluates the
+    (azimuth x ball) extent kernel once on the nodes of every piece not
+    yet settled to ``rel_tol`` (``NumericError`` past 256 nodes).
     """
     if facet is None:
         facet = polytope.facets[chart.facet_index]
     if not facet.boundary_loops:
         return FOUR_PI * chart.inradius ** 2  # single ball: the whole sphere
 
-    def one_minus_cos_tmax(thetas):
-        return 1.0 - np.cos(_radial_extents(polytope, chart, thetas))
-
-    total = 0.0
-    breaks = _break_azimuths(polytope, chart)
-    for a, b in zip(breaks, breaks[1:]):
-        if b - a < 1e-13:
-            continue
-        total += _gl.integrate(one_minus_cos_tmax, a, b, 16, rel_tol, 256)
-    return chart.inradius ** 2 * total
+    t_max = _extent_function(polytope, chart)
+    breaks = np.array(_break_azimuths(polytope, chart))
+    a, b = breaks[:-1], breaks[1:]
+    keep = b - a >= 1e-13
+    pieces = _gl.integrate(lambda thetas: 1.0 - np.cos(t_max(thetas)),
+                           a[keep], b[keep], 16, rel_tol, 256)
+    return chart.inradius ** 2 * sum(pieces.tolist())
 
 
 @dataclass(frozen=True)

@@ -155,7 +155,24 @@ class TestKeptEnclosingBall:
             body = bp3.build(1.0, centers)
             assert (body._meb is not None) == kept, name
             alone = SimpleNamespace(lam=body.lam, centers=body.centers)
-            assert self._bits(inscribed_ball(body)) == self._bits(inscribed_ball(alone)), name
+            first = inscribed_ball(body)
+            assert self._bits(first) == self._bits(inscribed_ball(alone)), name
+            assert inscribed_ball(body) is first, name  # kept on the body
+
+    def test_one_lp_per_body_on_the_key_claim_path(self, monkeypatch):
+        from lch import projection_ratio as pr
+
+        calls = []
+        original = inradius.halfspace_condition
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(inradius, "halfspace_condition", counted)
+        body = bp3.build(1.0, make_body(seed=9, m=7, r0=0.35).centers)
+        assert pr.key_claim_check(reduce_to_touching(body)).passed
+        assert len(calls) == 1
 
 
 class TestReductions:
@@ -171,6 +188,28 @@ class TestReductions:
         assert len(reduced.facets) == 2
         assert inscribed_ball(reduced).radius == inscribed_ball(body).radius
         assert bp3.surface_area(reduced) > bp3.surface_area(body) + 1e-9
+
+    @staticmethod
+    def _hex(body):
+        return ([f.area.hex() for f in body.facets],
+                [[x.hex() for x in v.position] for v in body.vertices])
+
+    def test_reduce_returns_a_touching_body(self):
+        for m in (2, 5, 9, 12):
+            body = bp3.build(1.0, make_body(seed=60 + m, m=m, r0=0.4).centers)
+            assert reduce_to_touching(body) is body
+            fresh = bp3.build(body.lam, body.centers)
+            assert self._hex(body) == self._hex(fresh)
+
+    def test_reduce_rebuilds_redundant_and_duplicate_centers(self):
+        base = make_body(seed=9, m=7, r0=0.35).centers
+        for extra in (base.mean(axis=0), base[2]):
+            body = bp3.build(1.0, np.vstack([base, extra]))
+            assert body.build_report.redundant_indices == (7,)
+            reduced = reduce_to_touching(body)
+            assert reduced is not body
+            assert len(reduced.redundant_centers) == 0
+            assert self._hex(reduced) == self._hex(bp3.build(1.0, base))
 
     def test_reduce_idempotent(self):
         body = make_body(seed=11, m=6, r0=0.45)

@@ -1,13 +1,16 @@
 """Radial projection, facet ratio bounds, and conical sectors."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from conftest import make_body
+from lch import _gl
 from lch import ball_polytope3 as bp3
 from lch import projection_ratio as pr
+from lch._circular import TWO_PI, single_constraint_interval
 from lch.errors import InvalidParameterError, NumericError
 from lch.inradius import inscribed_ball, reduce_to_touching
 
@@ -100,6 +103,67 @@ class TestRadialExtent:
                                    for dt in (-1e-9, 1e-9))
                 assert np.all(np.linalg.norm(others - inside, axis=1) <= body.radius)
                 assert np.any(np.linalg.norm(others - outside, axis=1) > body.radius)
+
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_kernel_matches_the_scalar_loop(self, m):
+        body = reduce_to_touching(make_body(seed=40 + m, m=m, r0=0.4))
+        ball = inscribed_ball(body)
+        thetas = np.linspace(0.0, 2.0 * math.pi, 97)
+        for i in range(len(body.centers)):
+            chart = pr.chart_for_facet(body, i, ball)
+            reference = _scalar_radial_extents(body, chart, thetas)
+            assert np.max(np.abs(pr._radial_extents(body, chart, thetas) - reference)) <= 1e-13
+
+    def test_ball_forbidding_the_whole_meridian_raises(self):
+        # the touch point lies in every ball, so no constraint can empty a
+        # meridian of a touching facet; a supporting sphere moved out of
+        # another ball breaks that
+        body = make_body(seed=45, m=5, r0=0.4)
+        chart = pr.chart_for_facet(body, 0)
+        away = body.centers[0] + 3.0 * body.radius * (body.centers[0] - body.centers[1])
+        moved = dataclasses.replace(chart, sphere_center=away)
+        with pytest.raises(NumericError, match="forbids the whole meridian"):
+            pr._radial_extents(body, moved, np.linspace(0.0, 1.0, 5))
+
+
+def _scalar_radial_extents(polytope, chart, thetas):
+    """t_max(theta), one ``single_constraint_interval`` per (azimuth, ball)."""
+    big_r = chart.ball_radius
+    e1, e2 = bp3.orthonormal_frame(chart.axis)
+    v = np.delete(polytope.centers, chart.facet_index, axis=0) - chart.sphere_center
+    cos_coef = (-2.0 * big_r * (v @ chart.axis)).tolist()
+    e1_coef, e2_coef = -2.0 * big_r * (v @ e1), -2.0 * big_r * (v @ e2)
+    bound = (-np.sum(v * v, axis=1)).tolist()
+    phi_max = []
+    for theta in thetas:
+        sin_coef = (math.cos(theta) * e1_coef + math.sin(theta) * e2_coef).tolist()
+        phi = math.pi
+        for a, b, d in zip(cos_coef, sin_coef, bound):
+            kind, center, half_width = single_constraint_interval(a, b, d)
+            assert kind == "cut"
+            phi = min(phi, (center - half_width) % TWO_PI)
+        phi_max.append(phi)
+    return np.arctan2(big_r * np.sin(phi_max), big_r * np.cos(phi_max) - chart.center_offset)
+
+
+class TestBatchedQuadrature:
+    def test_batch_equals_scalar_calls(self):
+        def f(x):
+            return np.exp(np.sin(3.0 * x)) / (1.1 + np.cos(x))
+
+        a = np.array([0.0, 0.4, 1.3, 2.0, 5.9])
+        b = np.array([0.4, 1.3, 2.0, 5.9, 6.2])
+        batch = _gl.integrate(f, a, b, 16, 1e-12, 256)
+        for lo, hi, value in zip(a, b, batch):
+            single = _gl.integrate(f, float(lo), float(hi), 16, 1e-12, 256)
+            assert isinstance(single, float)
+            assert abs(value - single) <= 1e-15 * abs(single)
+
+    def test_unsettled_interval_is_named(self):
+        a, b = np.array([0.0, 1.0]), np.array([1.0, 2.0])
+        with pytest.raises(NumericError, match=r"\[1\.0, 2\.0\]"):
+            _gl.integrate(lambda x: np.where(x > 1.0, np.sin(300.0 * x), x), a, b, 16, 1e-12, 64)
 
 
 def _sphere_point(chart, e1, e2, t, theta):

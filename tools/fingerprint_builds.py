@@ -1,5 +1,5 @@
-"""Fingerprint 3-D builds, 2-D polygons and erosion profiles on a fixed list
-of 1444 bodies.
+"""Fingerprint 3-D builds, 2-D polygons, erosion profiles and the key claim
+on a fixed list of 1444 bodies.
 
     PYTHONPATH=<checkout>/src python tools/fingerprint_builds.py > out.json
     PYTHONPATH=<checkout>/src python tools/fingerprint_builds.py --compare old.json new.json
@@ -20,7 +20,10 @@ body of ``GenSpec(seed=31, m=3, inradius=0.4)``, and the random-center
 bodies of seeds 3 (an edge flip) and 5 (four events, two pairs of them
 under 1e-3 apart) from the erosion tests.  Each polygon row also
 holds its ``inradius2`` disk and the inradius of the lens of equal
-perimeter; failures are recorded as rows, like build failures.
+perimeter; failures are recorded as rows, like build failures.  The
+key-claim section runs ``reduce_to_touching`` and ``key_claim_check`` on
+the 240 touching-construction bodies of the 3-D list and records each
+facet's projected area and ratio and the ``at_equality`` flags.
 
 ``--compare`` prints, for each section and each field, the number of rows
 whose non-float content differs and the largest relative difference of
@@ -40,7 +43,9 @@ from lch import arc_polygon2 as ap
 from lch import ball_polytope3 as bp3
 from lch import erosion
 from lch import harness
+from lch import inradius
 from lch import model_space as ms
+from lch import projection_ratio as pr
 
 
 def h(x):
@@ -100,6 +105,20 @@ def fp_erosion(centers):
     }
 
 
+def fp_keyclaim(lam, centers):
+    def check():
+        body = inradius.reduce_to_touching(bp3.build(lam, centers))
+        ball = inradius.inscribed_ball(body)
+        rep = pr.key_claim_check(body)
+        return {
+            "projected": [h(pr.projected_facet_area(body, pr.chart_for_facet(
+                body, f.ball_index, ball), f)) for f in body.facets],
+            "ratios": [h(r) for r in rep.ratios],
+            "at_equality": list(rep.at_equality),
+        }
+    return recorded(check)
+
+
 def vanishing_triangle_centers(seed):
     """The random-center bodies of the erosion event tests."""
     rng = np.random.default_rng(seed)
@@ -117,13 +136,19 @@ def erosion_bodies():
             touching.centers, vanishing_triangle_centers(3), vanishing_triangle_centers(5)]
 
 
-def bodies3():
-    rng = np.random.default_rng(2024)
+def touching_bodies3(rng):
+    """The touching-construction bodies, m = 2..24, that open the 3-D list."""
     out = []
-    for k in range(240):  # touching construction, m = 2..24
+    for k in range(240):
         m = 2 + k % 23
         spec = harness.GenSpec(seed=1000 + k, m=m, inradius=float(rng.uniform(0.15, 0.85)))
         out.append((1.0, harness.random_polytope(spec).centers))
+    return out
+
+
+def bodies3():
+    rng = np.random.default_rng(2024)
+    out = touching_bodies3(rng)
     for k in range(240):  # random centers inside a ball of radius < 1
         m = 2 + k % 23
         u = rng.normal(size=(m, 3))
@@ -280,6 +305,8 @@ def main():
         "2d": [fp2(space, lam, disks) if disks is not None else ["gen", err]
                for space, lam, disks, err in bodies2()],
         "erosion": [fp_erosion(centers) for centers in erosion_bodies()],
+        "keyclaim": [fp_keyclaim(lam, centers)
+                     for lam, centers in touching_bodies3(np.random.default_rng(2024))],
     }
     json.dump(rows, sys.stdout)
 
