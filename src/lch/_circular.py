@@ -20,8 +20,6 @@ import numpy as np
 from .errors import TopologyError
 
 TWO_PI = 2.0 * math.pi
-# |(a, b)| at or below which a constraint a cos + b sin <= d is constant
-CONSTRAINT_EPS = 1e-14
 
 
 def complement_of_forbidden(forbidden, eps=1e-12):
@@ -87,7 +85,7 @@ def complement_of_forbidden(forbidden, eps=1e-12):
     return arcs, False
 
 
-def single_constraint_interval(a, b, d, eps=CONSTRAINT_EPS):
+def single_constraint_interval(a, b, d, eps=1e-14):
     """Feasible half-width of ``a*cos(phi) + b*sin(phi) <= d`` on a circle.
 
     Returns ``(kind, center, half_width)`` where ``kind`` is ``"full"``,

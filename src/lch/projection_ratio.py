@@ -1,22 +1,27 @@
 """Radial projection onto the inscribed sphere and facet ratio bounds.
 
-Every touching facet lies on a supporting sphere whose center sits on the
-ray from the inscribed center ``o`` through the touch point.  Projecting
-the facet radially onto the inscribed sphere is a star-shaped map in polar
-coordinates ``(t, theta)`` about the touch axis, so projected areas reduce
-to one-dimensional integrals of the radial extent ``t_max(theta)``.  That
-extent is exact: each meridian half-plane cuts the supporting sphere in a
-great semicircle, and every other ball forbids one arc of it, so the facet
-ends where the first forbidden arc opens.  One numpy kernel evaluates those
-arc starts over the whole (azimuth x other ball) array, and a facet's
-smooth pieces share one Gauss-Legendre node-doubling pass, which calls the
-kernel once per doubling level.
+Every touching facet i lies on a supporting sphere whose center o_i sits on
+the ray from the inscribed center ``o`` through the touch point, at
+distance ``e = R - r`` from o.  When the balls i and j both touch the
+inscribed ball, their common edge lies in the bisector plane of o_i and
+o_j, which passes through o because |o - o_i| = |o - o_j| = e.  So on a
+body whose balls all touch, every projected edge is a great-circle arc,
+and the radial projection of facet i onto the inscribed sphere is the
+spherical polygon ``{u : u . (o_j - o_i) >= 0 for all j}``: the spherical
+Voronoi cell of the touch direction ``(o - o_i) / e`` among all the touch
+directions.  ``projected_facet_area`` measures it by Gauss-Bonnet and
+requires that precondition of every edge of the facet.
 
 The area-element pullback of the projection restricted to the supporting
 sphere is ``g(t) = rho(t)^2 / (r^2 cos beta)`` with ``rho`` the ray length
 and ``beta`` the incidence angle; it is 1 on the axis and strictly
 increasing, which drives the per-facet ratio bound
 ``|F_i| / |projected F_i| <= (|boundary of matched lens|/2) / (2 pi r^2)``.
+Its integral is a closed form: the cone of polar angle t about the touch
+axis cuts from the supporting sphere the cap of angle phi about o_i with
+``R cos(phi) = e + rho(t) cos(t)``, so
+``r^2 * integral_0^t g(s) sin(s) ds = R^2 (1 - cos phi)``, and the
+conical-sector measures need no quadrature.
 """
 
 from __future__ import annotations
@@ -25,12 +30,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
-from . import _gl
 from . import ball_polytope3 as bp3
-from ._circular import CONSTRAINT_EPS, TWO_PI
-from .errors import InvalidParameterError, NumericError
+from ._circular import TWO_PI
+from .errors import InvalidParameterError
 from .inradius import inscribed_ball
 
 FOUR_PI = 4.0 * math.pi
@@ -92,98 +95,46 @@ def radial_project(chart, q):
     return chart.center + chart.inradius * d / norm
 
 
-def _extent_function(polytope, chart):
-    """t_max as a vectorized function of the azimuth, in closed form.
-
-    The meridian half-plane at azimuth theta holds o_i, so it cuts the
-    supporting sphere in the semicircle ``o_i + R (cos(phi) a + sin(phi) w)``,
-    phi in [0, pi] from the touch point (a the touch axis, w the azimuth
-    direction).  Ball k forbids one arc of it, where
-    ``-2R (v.a) cos(phi) - 2R (v.w) sin(phi) > -|v|^2`` with ``v = o_k - o_i``;
-    the facet ends where the first such arc opens, at phi_max, which lies at
-    polar angle ``atan2(R sin(phi_max), R cos(phi_max) - e)`` about o.
-
-    The coefficients are computed once per chart; a call evaluates the
-    arc starts ``atan2(b, a) - acos(d / hypot(a, b)) mod 2 pi`` over the
-    whole (azimuth x ball) array and takes phi_max as a row minimum from
-    pi.  A ball that forbids the whole semicircle cannot occur for a
-    facet touching the inscribed ball (its touch point lies in every
-    ball) and raises ``NumericError``.
-    """
-    big_r = chart.ball_radius
-    e1, e2 = bp3.orthonormal_frame(chart.axis)
-    others = np.delete(np.arange(len(polytope.centers)), chart.facet_index)
-    v = polytope.centers[others] - chart.sphere_center
-    cos_coef = -2.0 * big_r * (v @ chart.axis)
-    e1_coef, e2_coef = -2.0 * big_r * (v @ e1), -2.0 * big_r * (v @ e2)
-    bound = -np.sum(v * v, axis=1)
-
-    def t_max(thetas):
-        thetas = np.asarray(thetas, dtype=float)
-        sin_coef = np.cos(thetas)[:, None] * e1_coef + np.sin(thetas)[:, None] * e2_coef
-        m = np.hypot(cos_coef, sin_coef)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = bound / m
-        degenerate = m <= CONSTRAINT_EPS
-        empty = np.where(degenerate, bound < -CONSTRAINT_EPS, ratio <= -1.0)
-        if np.any(empty):
-            row, col = (int(x[0]) for x in np.nonzero(empty))
-            raise NumericError(
-                f"ball {int(others[col])} forbids the whole meridian of facet "
-                f"{chart.facet_index} at azimuth {float(thetas[row])!r}")
-        cut = ~degenerate & (ratio < 1.0)
-        start = np.mod(np.arctan2(sin_coef, cos_coef) - np.arccos(np.clip(ratio, -1.0, 1.0)),
-                       TWO_PI)
-        phi_max = np.min(start, axis=1, initial=math.pi, where=cut)
-        return np.arctan2(big_r * np.sin(phi_max), big_r * np.cos(phi_max) - chart.center_offset)
-
-    return t_max
-
-
-def _radial_extents(polytope, chart, thetas):
-    """t_max(theta) for a batch of azimuths (see ``_extent_function``)."""
-    return _extent_function(polytope, chart)(thetas)
-
-
-def _break_azimuths(polytope, chart):
-    """Azimuths where t_max(theta) can kink: projected boundary vertices."""
-    e1, e2 = bp3.orthonormal_frame(chart.axis)
-    breaks = {0.0, 2.0 * math.pi}
-    facet = polytope.facets[chart.facet_index]
-    for loop in facet.boundary_loops:
-        for eidx, forward in loop:
-            edge = polytope.edges[eidx]
-            if edge.full_circle:
-                continue
-            for vid in (edge.start_vertex, edge.end_vertex):
-                w = polytope.vertices[vid].position - chart.center
-                theta = math.atan2(float(w @ e2), float(w @ e1)) % (2.0 * math.pi)
-                breaks.add(theta)
-    return sorted(breaks)
-
-
-def projected_facet_area(polytope, chart, facet=None, rel_tol=1e-9):
+def projected_facet_area(polytope, chart, facet=None):
     """Area of the facet's radial projection on the inscribed sphere.
 
-    Polar quadrature of ``1 - cos t_max(theta)``: the azimuth circle is
-    split at projected-vertex directions (the only kinks of the radial
-    extent), and all smooth pieces are integrated by Gauss-Legendre in one
-    node-doubling pass, from 16 nodes per piece; each level evaluates the
-    (azimuth x ball) extent kernel once on the nodes of every piece not
-    yet settled to ``rel_tol`` (``NumericError`` past 256 nodes).
+    The projection is a spherical polygon with great-circle sides (see the
+    module docstring), so Gauss-Bonnet gives
+    ``r^2 (2 pi (2 - #loops) - sum of exterior angles)``.  The side of edge
+    (i, j) lies in the plane through o with normal ``circle_axis``, negated
+    where the loop runs the edge backward; the exterior angle at a vertex v
+    is the signed angle, about u = (v - o)/|v - o|, from the incoming
+    side's normal to the outgoing side's.  A full circle adds no angle.
+    ``InvalidParameterError`` when an edge plane misses o by more than
+    ``1e-9 R``, that is, when the neighbouring ball does not touch the
+    inscribed ball too.
     """
     if facet is None:
         facet = polytope.facets[chart.facet_index]
-    if not facet.boundary_loops:
-        return FOUR_PI * chart.inradius ** 2  # single ball: the whole sphere
-
-    t_max = _extent_function(polytope, chart)
-    breaks = np.array(_break_azimuths(polytope, chart))
-    a, b = breaks[:-1], breaks[1:]
-    keep = b - a >= 1e-13
-    pieces = _gl.integrate(lambda thetas: 1.0 - np.cos(t_max(thetas)),
-                           a[keep], b[keep], 16, rel_tol, 256)
-    return chart.inradius ** 2 * sum(pieces.tolist())
+    o = chart.center.tolist()
+    tol = 1e-9 * polytope.radius
+    turn = 0.0
+    for loop in facet.boundary_loops:
+        normals = []
+        for eidx, forward in loop:
+            edge = polytope.edges[eidx]
+            axis = edge.circle_axis.tolist()
+            miss = bp3._dot([c - x for c, x in zip(edge.circle_center.tolist(), o)], axis)
+            if abs(miss) > tol:
+                raise InvalidParameterError(
+                    f"the plane of edge {eidx} misses the inscribed center by {miss!r}, "
+                    f"so one of balls {edge.pair} does not touch the inscribed ball")
+            normals.append(axis if forward else [-x for x in axis])
+        for idx, (eidx, forward) in enumerate(loop):
+            edge = polytope.edges[eidx]
+            if edge.full_circle:
+                continue
+            vid = edge.end_vertex if forward else edge.start_vertex
+            u = [p - c for p, c in zip(polytope.vertices[vid].position.tolist(), o)]
+            n_in, n_out = normals[idx], normals[(idx + 1) % len(loop)]
+            turn += math.atan2(bp3._dot(bp3._cross(n_in, n_out), u) / math.sqrt(bp3._dot(u, u)),
+                               bp3._dot(n_in, n_out))
+    return chart.inradius ** 2 * (TWO_PI * (2 - len(facet.boundary_loops)) - turn)
 
 
 @dataclass(frozen=True)
@@ -244,15 +195,18 @@ class KeyClaimReport:
 
 
 def _is_natural_extension(polytope, chart, facet, tol=1e-8):
-    """True when the facet boundary lies in the equatorial plane through o."""
-    scale = polytope.radius
+    """True when the facet boundary lies in the equatorial plane through o:
+    every edge circle's center lies within ``tol * R`` of that plane, and
+    its tilt against the plane moves its rim by at most ``tol * R``."""
+    slack = tol * polytope.radius
+    o, axis = chart.center.tolist(), chart.axis.tolist()
     for loop in facet.boundary_loops:
-        for eidx, forward in loop:
+        for eidx, _ in loop:
             edge = polytope.edges[eidx]
-            for phi in np.linspace(edge.phi_start, edge.phi_end, 8):
-                x = edge.point_at(phi)
-                if abs(float((x - chart.center) @ chart.axis)) > tol * scale:
-                    return False
+            height = bp3._dot([c - x for c, x in zip(edge.circle_center.tolist(), o)], axis)
+            tilt = bp3._cross(axis, edge.circle_axis.tolist())
+            if abs(height) > slack or edge.circle_radius * math.sqrt(bp3._dot(tilt, tilt)) > slack:
+                return False
     return bool(facet.boundary_loops)
 
 
@@ -281,42 +235,57 @@ def key_claim_check(polytope, tol=1e-5):
                           surface_area=area, passed=passed)
 
 
+def _one_minus_cos(angle):
+    """1 - cos(angle), without cancellation near 0."""
+    half = math.sin(0.5 * angle)
+    return 2.0 * half * half
+
+
+def _cone_caps(chart, x):
+    """(1 - cos phi, 1 - cos t) for the cone of polar angle t = x pi/2 about
+    the touch axis and the cap of angle phi about o_i that it cuts from the
+    supporting sphere: the cone's edge ray meets that sphere at distance
+    rho(t), so R cos(phi) = e + rho cos(t) and R sin(phi) = rho sin(t)."""
+    if not 0.0 < x <= 1.0:
+        raise InvalidParameterError(f"cone fraction x must lie in (0, 1], got {x}")
+    t = 0.5 * math.pi * x
+    e, r = chart.center_offset, chart.inradius
+    c = math.cos(t)
+    power = r * (chart.ball_radius + e)  # R^2 - e^2, as R - e = r
+    rho = power / (e * c + math.sqrt(e * e * c * c + power))
+    phi = math.atan2(rho * math.sin(t), e + rho * c)
+    return _one_minus_cos(phi), _one_minus_cos(t)
+
+
 def sector_measures(chart, x, wedge=(0.0, math.pi / 3.0)):
     """(area, projected area) of the conical sector cut by a wedge.
 
     The sector collects directions within polar angle ``x * pi/2`` of the
-    touch axis and azimuth inside the wedge; its supporting-sphere area is
-    the projected area weighted by the density.
+    touch axis and azimuth inside the wedge: a wedge of the cap it cuts from
+    the supporting sphere, ``(t2 - t1) R^2 (1 - cos phi)``, over a wedge of
+    the inscribed sphere's cap, ``(t2 - t1) r^2 (1 - cos t)``.
     """
-    if not 0.0 < x <= 1.0:
-        raise InvalidParameterError(f"cone fraction x must lie in (0, 1], got {x}")
     t1, t2 = wedge
+    cap, projected_cap = _cone_caps(chart, x)
     if not 0.0 < t2 - t1 <= 2.0 * math.pi:
         raise InvalidParameterError(f"wedge dihedral must lie in (0, 2*pi], got {wedge}")
-    t_top = 0.5 * math.pi * x
-    num, _ = quad(lambda t: chart.density(t) * math.sin(t), 0.0, t_top,
-                  epsabs=0.0, epsrel=1e-12, limit=200)
-    r2 = chart.inradius ** 2
-    return ((t2 - t1) * r2 * num,
-            (t2 - t1) * r2 * (1.0 - math.cos(t_top)))
+    return ((t2 - t1) * chart.ball_radius ** 2 * cap,
+            (t2 - t1) * chart.inradius ** 2 * projected_cap)
 
 
 def sector_ratio(chart, x, wedge=(0.0, math.pi / 3.0)):
     """Measure ratio |C_x| / |projected C_x| of a conical sector.
 
-    One-dimensional polar quadrature; nondecreasing in x, equal to the
-    extremal ratio at x = 1 independently of the wedge.
+    Nondecreasing in x, equal to the extremal ratio at x = 1 independently
+    of the wedge.
     """
     area, projected = sector_measures(chart, x, wedge)
     return area / projected
 
 
 def cumulative_sector_excess(chart, x, lam):
-    """Integral of (g - F) sin t up to the cone angle; nonpositive, zero at x=1."""
-    if not 0.0 < x <= 1.0:
-        raise InvalidParameterError(f"cone fraction x must lie in (0, 1], got {x}")
+    """Integral of (g - F) sin t up to the cone angle, in closed form
+    ``R^2 (1 - cos phi) / r^2 - F (1 - cos t)``; nonpositive, zero at x=1."""
+    cap, projected_cap = _cone_caps(chart, x)
     bound = ratio_F(lam, chart.inradius)
-    t_top = 0.5 * math.pi * x
-    val, _ = quad(lambda t: (chart.density(t) - bound) * math.sin(t), 0.0, t_top,
-                  epsabs=1e-13, epsrel=1e-11, limit=200)
-    return val
+    return (chart.ball_radius / chart.inradius) ** 2 * cap - bound * projected_cap

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lch import _gl
 from lch import arc_polygon2 as ap
 from lch import model_space as ms
 from lch.errors import (
@@ -288,6 +289,12 @@ def _sampled_geodesic_curvature(space, arc, prev_h):
     dab = ms.metric_distance(space, a, b)
     dbc = ms.metric_distance(space, b, c)
     return exterior / (0.5 * (dab + dbc))
+
+
+class TestArcLength:
+    def test_unsettled_interval_is_named(self):
+        with pytest.raises(NumericError, match=r"\[1\.0, 2\.0\]"):
+            _gl.integrate(lambda x: np.sin(300.0 * x), 1.0, 2.0, 16, 1e-12, 64)
 
 
 class TestInradius2:
