@@ -36,7 +36,7 @@ and rho for the disk radius; then its perimeter P is, in closed form:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
@@ -253,6 +253,8 @@ class ArcPolygon2:
     boundary: tuple        # arcs in counterclockwise traversal order
     vertices: tuple        # chart points; vertex k starts boundary[k]
     turning_angles: tuple  # angle at vertex k (between boundary[k-1] and boundary[k])
+    # The polygon's ``InscribedDisk2``, kept by the first ``inradius2``.
+    _inscribed_disk: object = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def centers(self):
@@ -495,8 +497,15 @@ def inradius2(poly):
     Euclidean polygons use the exact enclosing-ball duality.  Curved
     polygons maximize the least signed distance to the supporting disks
     (``ms.lambda_disk_depth``): 64 probe starts (a fixed seed), then
-    simplex refinement of the best two.
+    simplex refinement of the best two.  The polygon keeps its disk, so
+    the search runs once per polygon.
     """
+    if poly._inscribed_disk is None:
+        object.__setattr__(poly, "_inscribed_disk", _inradius2(poly))  # a cache on a frozen polygon
+    return poly._inscribed_disk
+
+
+def _inradius2(poly):
     if poly.space.curvature == 0.0 and all(d.kind == "euclidean" for d in poly.disks):
         from .inradius import inscribed_ball
 

@@ -121,6 +121,8 @@ class BallPolytope3:
     _meb: object = field(default=None, compare=False, repr=False)
     # The body's ``inradius.InscribedBall``, kept by its first computation.
     _inscribed: object = field(default=None, init=False, compare=False, repr=False)
+    # The body's ``erosion._Erosion`` (its event schedule), kept by its first use.
+    _erosion: object = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def radius(self):

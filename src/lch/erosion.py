@@ -11,8 +11,14 @@ The vertex of spheres i, j, k is ``c + h(t) n``: c is the circumcenter of
 o_i o_j o_k, rho its circumradius, n the triangle's unit normal toward
 the vertex and ``h(t) = sqrt(R_t^2 - rho^2)``.  Edge (i, j) keeps its
 circle's center, axis and frame; its end angles are its vertices' angles
-in that frame.  Each facet's area is then the build's Gauss-Bonnet sum
-(``ball_polytope3._facet_area``) at radius R_t.
+in that frame.  The area is the build's Gauss-Bonnet sum
+(``ball_polytope3._facet_area``) over all facets at radius R_t,
+``R_t^2 (2 pi sum(chi) - sum of arc angle * lam d / 2 - sum of corner
+turns)``.  ``_Piece`` compiles it into arrays once per piece (vertex
+circumcenters, normals and rho^2; edge frames, circle centers, reference
+angles and d / 2; one row per corner turn) and evaluates it at a whole
+array of t in one pass: positions, edge angles by ``arctan2`` on the
+reference branch, end tangents, corner turns and the sum.
 
 The events are the earliest roots of kinetic certificates, in closed form.
 Balls only drop out (a ball containing K_s contains K_t once shrunk by
@@ -33,25 +39,27 @@ shrinks.  So no cut opens, and a cut closes where circle and sphere touch,
 at the merge of the two points of triple ijl: a root of kind (b) when
 they are vertices of K_t, and no change of K_t when they are not.
 
-``_Erosion`` walks the schedule once.  Each combinatorial piece starts
-with a rebuild just past its event (``_EVENT_FLANK`` r) and ends with one
-more rebuild just before the next (or at r(1 - ``_END_MARGIN``) for the
-last), which must have the piece's full signature and its closed-form
-area within 1e-12 f(0); otherwise ``NumericError`` names the piece.
-Roots less than the flank apart are one event (a triangle's three
-vertices reach the fourth sphere at once): the next piece starts past
-all of them.
+``_Erosion`` walks the schedule once per body, which keeps it as
+``_erosion``.  Each combinatorial piece starts with a rebuild just past
+its event (``_EVENT_FLANK`` r) and ends with one more rebuild just before
+the next (or at r(1 - ``_END_MARGIN``) for the last), which must have the
+piece's full signature and its closed-form area within 1e-12 f(0);
+otherwise ``NumericError`` names the piece.  Roots less than the flank
+apart are one event (a triangle's three vertices reach the fourth sphere
+at once): the next piece starts past all of them.  ``_Erosion.area``
+sends each t of an array to its piece, so every consumer evaluates f in
+batches: ``profile`` one batch per refinement level, ``volume_via_profile``
+one per tanh-sinh level.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import tanhsinh
 
 from . import ball_polytope3 as bp3
 from ._circular import TWO_PI
@@ -65,6 +73,8 @@ from .inradius import minimal_enclosing_ball
 # them).
 _EVENT_FLANK = 1e-7
 _REFINE_REL = 0.01
+# The refinement stops splitting once the profile holds this many samples.
+_MAX_SAMPLES = 2048
 # Samples stop shy of the inradius: all triple points collapse linearly onto
 # the inscribed center there, and within ~1e-9 of it they merge inside the
 # vertex-deduplication tolerance.
@@ -82,7 +92,7 @@ class ErosionProfile:
 
 def inner_parallel(polytope, t):
     """The inner parallel body at distance t (same centers, smaller radius)."""
-    return _Erosion(polytope).checked_body(t)
+    return _erosion(polytope).checked_body(t)
 
 
 def _full_signature(body):
@@ -95,14 +105,34 @@ def _full_signature(body):
             sorted((f.ball_index, len(f.boundary_loops)) for f in body.facets))
 
 
+def _dot3(a, b):
+    """a . b over the last axis of two arrays of 3-vectors (``_dot``'s order)."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def _cross3(a, b):
+    """a x b over the last axis of two arrays of 3-vectors (``_cross``'s order)."""
+    ax, ay, az = a[..., 0], a[..., 1], a[..., 2]
+    bx, by, bz = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx], axis=-1)
+
+
+def _row_sums(a):
+    """Sums over axis 1 of a 2-d array, each row summed in the same order
+    whatever the number of rows: a reduction's order follows the memory
+    layout, which fancy indexing leaves with the rows innermost."""
+    return np.ascontiguousarray(a).sum(axis=1)
+
+
 class _Piece:
     """K_t in closed form for t between two events, from one body inside.
 
-    ``R`` is the radius of the uneroded balls.
+    ``R`` is the radius of the uneroded balls.  The body's facets, edges
+    and vertices are compiled into arrays; full-circle edges keep their
+    angles and only add a constant to the geodesic-curvature sum.
     """
 
     def __init__(self, body, R):
-        self.body = body
         self.R = R
         self.centers = body.centers.tolist()
         self.vertices = []  # (c, n, rho^2, incident spheres)
@@ -112,8 +142,50 @@ class _Piece:
             if _dot(n, [p - q for p, q in zip(v.position.tolist(), c)]) < 0.0:
                 n = [-x for x in n]
             self.vertices.append((c, n, rho2, v.incident))
-        self.frames = bp3._frames(body.edges)
-        self.circle_centers = [e.circle_center.tolist() for e in body.edges]
+        self.c = np.array([c for c, _, _, _ in self.vertices], dtype=float).reshape(-1, 3)
+        self.n = np.array([n for _, n, _, _ in self.vertices], dtype=float).reshape(-1, 3)
+        self.rho2 = np.array([rho2 for _, _, rho2, _ in self.vertices], dtype=float)
+
+        edges = body.edges
+        arc_ids = [k for k, e in enumerate(edges) if not e.full_circle]
+        slot = {k: s for s, k in enumerate(arc_ids)}
+        arcs = [edges[k] for k in arc_ids]
+        # Per arc, shaped to broadcast against (t, arc, end, 3): frame,
+        # circle center, end angles in the reference body, end vertices.
+        self.e1 = np.array([e.frame[0] for e in arcs]).reshape(-1, 1, 3)
+        self.e2 = np.array([e.frame[1] for e in arcs]).reshape(-1, 1, 3)
+        self.z = np.array([e.circle_center for e in arcs]).reshape(-1, 1, 3)
+        self.ref = np.array([(e.phi_start, e.phi_end) for e in arcs]).reshape(-1, 2)
+        self.ends = np.array([(e.start_vertex, e.end_vertex) for e in arcs],
+                             dtype=np.intp).reshape(-1, 2)
+
+        # One row per corner turn: the arc ending at the corner and its end
+        # (1 when the loop runs it forward, else 0), the arc leaving it and
+        # its end (0 when forward), the vertex; and the facet's ball center.
+        corners, centers = [], []
+        uses = [0] * len(edges)  # facet sides of each edge
+        for f in body.facets:
+            for loop in f.boundary_loops:
+                for (eidx, forward), (nxt, nxt_forward) in zip(loop, loop[1:] + loop[:1]):
+                    edge = edges[eidx]
+                    uses[eidx] += 1
+                    if not edge.full_circle:
+                        corners.append((slot[eidx], int(forward), slot[nxt], int(not nxt_forward),
+                                        edge.end_vertex if forward else edge.start_vertex))
+                        centers.append(self.centers[f.ball_index])
+        (self.in_slot, self.in_end, self.out_slot, self.out_end,
+         self.corner_vertex) = np.array(corners, dtype=np.intp).reshape(-1, 5).T
+        # A tangent taken at a backward arc's end points against the loop.
+        self.in_sign = (2.0 * self.in_end - 1.0)[:, None]
+        self.out_sign = (1.0 - 2.0 * self.out_end)[:, None]
+        self.corner_center = np.array(centers, dtype=float).reshape(-1, 3)
+
+        # Geodesic curvature: arc angle times lam d / 2 per facet side; the
+        # full circles' angles are fixed.
+        self.half_d = np.array([0.5 * edges[k].center_distance * uses[k] for k in arc_ids])
+        self.kg_full = sum((e.phi_end - e.phi_start) * 0.5 * e.center_distance * uses[k]
+                           for k, e in enumerate(edges) if e.full_circle)
+        self.chi = sum(2 - len(f.boundary_loops) for f in body.facets)
 
     def next_event(self, t0):
         """The earliest certificate root after t0 (infinity if none)."""
@@ -133,25 +205,28 @@ class _Piece:
                         roots.append(R - math.sqrt(h * h + rho2))  # (a)
         return min((t for t in roots if t > t0), default=math.inf)
 
-    def area(self, t):
-        lam = 1.0 / (self.R - t)
+    def area(self, ts):
+        """f(t) at every t of the 1-d array ``ts``: ``_facet_area`` summed
+        over the facets, each t's value independent of the others."""
+        ts = np.asarray(ts, dtype=float)
+        lam = 1.0 / (self.R - ts)
         radius = 1.0 / lam
-        rt2 = radius * radius
-        positions = []
-        for c, n, rho2, _ in self.vertices:
-            h = math.sqrt(rt2 - rho2)
-            positions.append([p + h * q for p, q in zip(c, n)])
-        phis = []
-        for e, (_, e1, e2), z in zip(self.body.edges, self.frames, self.circle_centers):
-            if e.full_circle:
-                phis.append((e.phi_start, e.phi_end))
-            else:
-                phis.append((_angle(positions[e.start_vertex], z, e1, e2, e.phi_start),
-                             _angle(positions[e.end_vertex], z, e1, e2, e.phi_end)))
-        tangents = bp3._end_tangents(self.body.edges, self.frames, phis)
-        return float(sum(bp3._facet_area(f.boundary_loops, self.body.edges, phis, tangents,
-                                         positions, self.centers[f.ball_index], radius, lam)
-                         for f in self.body.facets))
+        h = np.sqrt((radius * radius)[:, None] - self.rho2)
+        positions = self.c + h[:, :, None] * self.n            # (t, vertex, 3)
+        q = positions[:, self.ends] - self.z                    # (t, arc, end, 3)
+        x, y = _dot3(q, self.e1), _dot3(q, self.e2)
+        phi = np.arctan2(y, x)
+        phi = self.ref + ((phi - self.ref + math.pi) % TWO_PI - math.pi)
+        norm = np.sqrt(x * x + y * y)
+        # The unit tangent toward increasing phi: axis x (cos e1 + sin e2)
+        # = cos e2 - sin e1, as e1 x e2 = axis.
+        tangents = ((x / norm)[..., None] * self.e2 - (y / norm)[..., None] * self.e1)
+        t_in = self.in_sign * tangents[:, self.in_slot, self.in_end]
+        t_out = self.out_sign * tangents[:, self.out_slot, self.out_end]
+        normal = (positions[:, self.corner_vertex] - self.corner_center) / radius[:, None, None]
+        turns = np.arctan2(_dot3(_cross3(t_in, t_out), normal), _dot3(t_in, t_out))
+        kg = lam * (self.kg_full + _row_sums((phi[:, :, 1] - phi[:, :, 0]) * self.half_d))
+        return radius * radius * (TWO_PI * self.chi - kg - _row_sums(turns))
 
 
 def _circumcircle(a, b, o):
@@ -168,14 +243,6 @@ def _circumcircle(a, b, o):
             uu * vv * _dot(wd, wd) / (4.0 * s))
 
 
-def _angle(p, z, e1, e2, ref):
-    """The angle of point p on the circle (z; e1, e2), on the branch within
-    pi of ``ref``."""
-    q = [x - y for x, y in zip(p, z)]
-    phi = math.atan2(_dot(q, e2), _dot(q, e1))
-    return ref + ((phi - ref + math.pi) % TWO_PI - math.pi)
-
-
 class _Erosion:
     """The bodies K_t of one body K for t in [0, r(K)).
 
@@ -183,7 +250,7 @@ class _Erosion:
     ball, the one K kept from its build if it did: r(K) = R - rho, and each
     rebuild is ``bp3._rebuild`` on rho, emptiness test included, without
     recomputing the ball.  The event schedule and its pieces are computed
-    on first use.
+    on first use; ``_erosion`` keeps one ``_Erosion`` per body.
     """
 
     def __init__(self, polytope):
@@ -228,7 +295,7 @@ class _Erosion:
                 raise NumericError(
                     f"erosion piece {len(pieces)} from t = {t0!r}: the rebuild at "
                     f"t = {t_check!r} changed combinatorics before the next event at {t_next!r}")
-            closed, rebuilt = piece.area(t_check), bp3.surface_area(end)
+            closed, rebuilt = float(piece.area([t_check])[0]), bp3.surface_area(end)
             if abs(closed - rebuilt) > _CHECK_REL * f0:
                 raise NumericError(
                     f"erosion piece {len(pieces)} from t = {t0!r}: closed-form area "
@@ -244,57 +311,103 @@ class _Erosion:
     def events(self):
         return self._schedule[0]
 
-    def area(self, t):
-        """f(t): the closed form of the piece holding t.  The last piece
-        holds up to its next root, beyond r(1 - _END_MARGIN); past it (only
-        the coarea integral goes there) K_t is rebuilt."""
+    def area(self, ts):
+        """f at every t of the array ``ts`` (same shape): the closed form of
+        the piece holding t.  The last piece holds up to its next root,
+        beyond r(1 - _END_MARGIN); past it (only the coarea integral goes
+        there) K_t is rebuilt."""
         events, pieces, expiry = self._schedule
-        if t >= expiry:
-            return bp3.surface_area(self.body(t))
-        return pieces[bisect.bisect_right(events, t)].area(t)
+        ts = np.asarray(ts, dtype=float)
+        flat = ts.ravel()
+        out = np.empty_like(flat)
+        late = flat >= expiry
+        which = np.searchsorted(np.asarray(events, dtype=float), flat, side="right")
+        which[late] = len(pieces)
+        for k in np.unique(which).tolist():
+            here = which == k
+            if k < len(pieces):
+                out[here] = pieces[k].area(flat[here])
+            else:
+                out[here] = [bp3.surface_area(self.body(t)) for t in flat[here].tolist()]
+        return out.reshape(ts.shape)
+
+
+def _erosion(polytope):
+    """The body's ``_Erosion``, kept on it by the first call."""
+    er = polytope._erosion
+    if er is None:
+        er = _Erosion(polytope)
+        object.__setattr__(polytope, "_erosion", er)  # a cache on a frozen body
+    return er
 
 
 def detect_events(polytope):
     """Times in (0, r(K)(1 - 1e-5)) where the boundary combinatorics changes."""
-    return _Erosion(polytope).events
+    return _erosion(polytope).events
 
 
 def profile(polytope, n_samples=64):
     """Sampled erosion profile with event refinement.
 
     Starts from ``n_samples`` equally spaced times in [0, r(K)) plus a
-    sample just either side of every event, then bisects, in one pass from
-    left to right, every interval whose end areas differ by more than 1%
-    relative and that is longer than 1e-4 r(K) (the floor keeps the
-    vanishing tail near the inradius finite).  Each interval is split
-    until both halves pass, so the splits are made in the order of always
-    splitting the leftmost failing interval; they stop once 2048 samples
-    are reached.
+    sample just either side of every event, then bisects every interval
+    whose end areas differ by more than 1% relative and that is longer
+    than 1e-4 r(K) (the floor keeps the vanishing tail near the inradius
+    finite), until both halves of each split pass.  The splits are made
+    in the order of always splitting the leftmost failing interval, and
+    they stop once 2048 samples are reached.
+
+    Whether an interval splits depends only on its ends, so the closure
+    of the splits is computed level by level first, one array of
+    midpoints evaluated per level, while under the 2048 cap.  A closure
+    of at most 2048 samples is the profile: splitting one interval at a
+    time would make every one of its splits below the cap.  Otherwise the
+    leftmost-first pass walks the closure's areas and evaluates a
+    midpoint the closure did not reach on its own.
     """
     if n_samples < 2:
         raise InvalidParameterError(f"n_samples must be >= 2, got {n_samples}")
-    er = _Erosion(polytope)
+    er = _erosion(polytope)
     r = er.inradius
     events = er.events
-    ts = set(np.linspace(0.0, r * (1.0 - _END_MARGIN), n_samples))
+    ts = set(np.linspace(0.0, r * (1.0 - _END_MARGIN), n_samples).tolist())
     for ev in events:
         for t in (ev - _EVENT_FLANK * r, ev + _EVENT_FLANK * r):
             if 0.0 <= t < r:
                 ts.add(t)
     ts = sorted(ts)
-    areas = {t: er.area(t) for t in ts}
     min_dt = 1e-4 * r
-    done, todo = ts[:1], ts[:0:-1]  # passed samples; the rest, next one last
-    while todo:
-        t0, t1 = done[-1], todo[-1]
-        a0, a1 = areas[t0], areas[t1]
-        if (len(done) + len(todo) < 2048 and t1 - t0 > min_dt
-                and abs(a0 - a1) > _REFINE_REL * max(a0, a1)):
-            mid = 0.5 * (t0 + t1)
-            areas[mid] = er.area(mid)
-            todo.append(mid)
-        else:
-            done.append(todo.pop())
+
+    t = np.asarray(ts)
+    a = er.area(t)
+    areas = dict(zip(ts, a.tolist()))
+    lo, hi, a_lo, a_hi = t[:-1], t[1:], a[:-1], a[1:]
+    while lo.size and len(areas) < _MAX_SAMPLES:
+        # the split test of the pass below, on arrays
+        keep = (hi - lo > min_dt) & (np.abs(a_lo - a_hi) > _REFINE_REL * np.maximum(a_lo, a_hi))
+        lo, hi, a_lo, a_hi = lo[keep], hi[keep], a_lo[keep], a_hi[keep]
+        mid = 0.5 * (lo + hi)
+        a_mid = er.area(mid)
+        areas.update(zip(mid.tolist(), a_mid.tolist()))
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        a_lo, a_hi = np.concatenate([a_lo, a_mid]), np.concatenate([a_mid, a_hi])
+    if not lo.size and len(areas) <= _MAX_SAMPLES:
+        # Every split of the closure happens below the cap, so the pass
+        # below would make them all.
+        done = sorted(areas)
+    else:
+        done, todo = ts[:1], ts[:0:-1]  # passed samples; the rest, next one last
+        while todo:
+            t0, t1 = done[-1], todo[-1]
+            a0, a1 = areas[t0], areas[t1]
+            if (len(done) + len(todo) < _MAX_SAMPLES and t1 - t0 > min_dt
+                    and abs(a0 - a1) > _REFINE_REL * max(a0, a1)):
+                mid = 0.5 * (t0 + t1)
+                if mid not in areas:
+                    areas[mid] = float(er.area([mid])[0])
+                todo.append(mid)
+            else:
+                done.append(todo.pop())
     return ErosionProfile(ts=np.asarray(done), areas=np.asarray([areas[t] for t in done]),
                           events=events)
 
@@ -302,24 +415,37 @@ def profile(polytope, n_samples=64):
 def volume_via_profile(polytope):
     """Coarea volume: the integral of the erosion profile up to the inradius.
 
-    Within 1e-7 of the inradius the eroded body collapses toward the
-    inscribed center and rebuilds become degenerate; there the profile is
-    replaced by the inscribed-sphere floor ``4 pi (r - t)^2``, whose
-    integral error is far below the 1e-6 relative target.
+    The pieces [0, e_1], [e_1, e_2], ..., [e_k, r] are integrated in one
+    vectorized tanh-sinh call (``scipy.integrate.tanhsinh``, Takahasi &
+    Mori 1974), each to a relative 1e-10; it evaluates each level's nodes
+    of every piece as one array and tolerates the square-root endpoint
+    behaviour at merge events and at the inradius.  Within 1e-7 of the inradius the eroded body
+    collapses toward the inscribed center and rebuilds become degenerate;
+    there the profile is replaced by the inscribed-sphere floor
+    ``4 pi (r - t)^2``, whose integral error is far below the 1e-6
+    relative target.  ``NumericError`` names a piece whose integral does
+    not converge.
     """
-    er = _Erosion(polytope)
+    er = _erosion(polytope)
     r = er.inradius
-    events = er.events
     tail = 1e-7 * r
+    ends = np.array([0.0, *er.events, r])
 
     def integrand(t):
-        if r - t <= tail:
-            return 4.0 * math.pi * (r - t) ** 2
-        return er.area(t)
+        out = 4.0 * math.pi * (r - t) ** 2
+        inside = r - t > tail
+        out[inside] = er.area(t[inside])
+        return out
 
-    value, _ = quad(integrand, 0.0, r, points=sorted(events), limit=200,
-                    epsabs=1e-12, epsrel=1e-10)
-    return float(value)
+    res = tanhsinh(integrand, ends[:-1], ends[1:], rtol=1e-10)
+    failed = np.flatnonzero(~res.success)
+    if failed.size:
+        k = int(failed[0])
+        lo, hi = ends[k:k + 2].tolist()
+        raise NumericError(
+            f"tanh-sinh on erosion piece {k}, t in [{lo!r}, {hi!r}], did "
+            f"not converge (status {int(res.status[k])}, error estimate {float(res.error[k])!r})")
+    return float(np.sum(res.integral))
 
 
 def initial_derivative(polytope):
@@ -356,11 +482,11 @@ def compare_profiles(polytope, lens_polytope, n_samples=48, tol=1e-9):
         raise InvalidParameterError(
             f"surface areas differ: {a_body!r} vs {a_lens!r}"
         )
-    body, lens = _Erosion(polytope), _Erosion(lens_polytope)
+    body, lens = _erosion(polytope), _erosion(lens_polytope)
     r_body, r_lens = body.inradius, lens.inradius
     upper = min(r_body, r_lens) * (1.0 - _END_MARGIN)
     ts = np.linspace(0.0, upper, n_samples)
-    gaps = np.array([body.area(t) - lens.area(t) for t in ts])
+    gaps = body.area(ts) - lens.area(ts)
     min_gap = float(np.min(gaps))
     return ProfileComparison(ts=ts, min_gap=min_gap, r_body=r_body,
                              r_reference=r_lens,
@@ -385,17 +511,16 @@ def expansion_check(polytope, t=1e-2):
     """
     lam = polytope.lam
     unit = bp3.build(1.0, np.asarray(polytope.centers) * lam)
-    er = _Erosion(unit)
+    er = _erosion(unit)
     er.check_distance(t)
     if er.events and er.events[0] <= t:
         raise InvalidParameterError(f"a combinatorial event occurs before t = {t}")
     beta_sum = bp3.surface_area(unit)
     edge_term = sum(e.length * math.tan(0.5 * e.dihedral) for e in unit.edges)
     ts = (t, 0.5 * t, 0.25 * t)
-    remainders = tuple(
-        er.area(tk) - ((1.0 - tk) ** 2 * beta_sum - 2.0 * tk * edge_term)
-        for tk in ts
-    )
+    tk = np.asarray(ts)
+    remainders = tuple((er.area(tk) - ((1.0 - tk) ** 2 * beta_sum
+                                       - 2.0 * tk * edge_term)).tolist())
     coefficients = tuple(rem / tk ** 2 for rem, tk in zip(remainders, ts))
     if all(abs(rem) <= 1e-11 * beta_sum for rem in remainders):
         passed = True  # remainder identically zero (the ball)

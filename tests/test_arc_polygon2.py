@@ -329,6 +329,20 @@ class TestInradius2:
             disk = ap.inradius2(poly)
             assert abs(disk.radius - r0) < 1e-7
 
+    def test_disk_kept_per_polygon(self, monkeypatch):
+        # the reverse inradius check reuses the disk instead of searching again
+        dirs = [[1.0, 0.0], [-0.5, 0.8], [-0.5, -0.8]]
+        first = ap.touching_polygon2(HYP, 1.0, 0.3, dirs)
+        fresh = ap.touching_polygon2(HYP, 1.0, 0.3, dirs)
+        searches = []
+        search = ap._inradius2
+        monkeypatch.setattr(ap, "_inradius2", lambda poly: searches.append(poly) or search(poly))
+        disk = ap.inradius2(first)
+        assert ap.inradius2(first) is disk
+        rep = ap.theoremB_2d_check(first)
+        assert searches == [first] and rep.r_body == disk.radius
+        assert ap.theoremB_2d_check(fresh) == rep
+
 
 class TestLens:
     # the five fingerprinted (curvature, lam) kinds and a narrow equidistant

@@ -201,6 +201,52 @@ class TestKinetic:
             erosion.detect_events(bp3.build(1.0, EVENT_CENTERS))
 
 
+# Bodies whose pieces the array closed form is checked on: one event, no
+# event, and four events two pairs of which are under 1e-3 apart.
+ARRAY_BODIES = {
+    "event_body": lambda: bp3.build(1.0, EVENT_CENTERS),
+    "make_body_13": lambda: make_body(seed=13, m=6, r0=0.45),
+    "random_5": lambda: bp3.build(1.0, random_centers(5)),
+}
+
+
+def _piece_times(er, seed, n=20):
+    """(piece, n random times inside it, a flank clear of its events) for
+    every piece of the schedule."""
+    rng = np.random.default_rng(seed)
+    events, pieces, _ = er._schedule
+    r = er.inradius
+    flank = 2.0 * erosion._EVENT_FLANK * r
+    starts = [0.0] + [ev + flank for ev in events]
+    stops = [ev - flank for ev in events] + [r * (1.0 - erosion._END_MARGIN)]
+    return [(piece, np.sort(rng.uniform(a, b, size=n)))
+            for piece, a, b in zip(pieces, starts, stops)]
+
+
+class TestArrayForm:
+    """``_Piece.area`` on arrays of t."""
+
+    @pytest.mark.parametrize("name", sorted(ARRAY_BODIES))
+    def test_batch_equals_single_evaluations(self, name):
+        er = erosion._Erosion(ARRAY_BODIES[name]())
+        pieces = _piece_times(er, 1)
+        for piece, ts in pieces:
+            single = [piece.area(ts[k:k + 1])[0] for k in range(len(ts))]
+            assert piece.area(ts).tolist() == single
+        every = np.concatenate([ts for _, ts in pieces])
+        assert er.area(every).tolist() == np.concatenate(
+            [piece.area(ts) for piece, ts in pieces]).tolist()
+
+    @pytest.mark.parametrize("name", sorted(ARRAY_BODIES))
+    def test_matches_rebuild_inside_every_piece(self, name):
+        body = ARRAY_BODIES[name]()
+        er = erosion._Erosion(body)
+        f0 = bp3.surface_area(body)
+        for piece, ts in _piece_times(er, 2):
+            rebuilt = [bp3.surface_area(er.body(t)) for t in ts.tolist()]
+            assert np.max(np.abs(piece.area(ts) - rebuilt)) <= 1e-12 * f0
+
+
 def _moved(centers, seed):
     """A rigid motion of the centers: a random rotation and translation."""
     rng = np.random.default_rng(seed)
@@ -354,6 +400,22 @@ class TestSharedEnclosingBall:
         erosion.volume_via_profile(body)
         assert calls == [5]
 
+    def test_one_schedule_per_body(self, monkeypatch):
+        # one rebuild at the end of each piece and one just past each event
+        body = bp3.build(1.0, EVENT_CENTERS)
+        calls = []
+        original = bp3._rebuild
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bp3, "_rebuild", counted)
+        prof = erosion.profile(body, 64)
+        erosion.volume_via_profile(body)
+        assert erosion.detect_events(body) == prof.events
+        assert len(prof.events) == 1 and len(calls) == 3
+
     def test_emptiness_test_raises_like_build(self):
         body = bp3.build(1.0, EVENT_CENTERS)
         er = erosion._Erosion(body)
@@ -393,6 +455,13 @@ class TestCoareaVolume:
         v1 = erosion.volume_via_profile(body)
         v2 = bp3.volume(body)
         assert abs(v1 - v2) <= 1e-6 * v2
+
+    def test_unconverged_piece_fails_loudly(self, monkeypatch):
+        tanhsinh = erosion.tanhsinh
+        monkeypatch.setattr(erosion, "tanhsinh",
+                            lambda *args, **kwargs: tanhsinh(*args, **kwargs, maxlevel=1))
+        with pytest.raises(NumericError, match="erosion piece 0"):
+            erosion.volume_via_profile(bp3.build(1.0, EVENT_CENTERS))
 
     def test_vanishing_triangle_events(self):
         # Triangular facets shrink to points here, so four spheres meet at
