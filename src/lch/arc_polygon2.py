@@ -37,9 +37,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import model_space as ms
 from . import _gl
@@ -59,7 +59,6 @@ from .errors import (
 )
 
 _VERTEX_TOL = 1e-9
-_N_STARTS = 64  # probe starts of the curved inradius search
 
 
 # ---------------------------------------------------------------------------
@@ -492,13 +491,17 @@ class InscribedDisk2:
 
 
 def inradius2(poly):
-    """Largest inscribed disk.
+    """Largest inscribed disk, exact in all three geometries.
 
     Euclidean polygons use the exact enclosing-ball duality.  Curved
-    polygons maximize the least signed distance to the supporting disks
-    (``ms.lambda_disk_depth``): 64 probe starts (a fixed seed), then
-    simplex refinement of the best two.  The polygon keeps its disk, so
-    the search runs once per polygon.
+    polygons lift to the quadric of ``ms.lifted_form``, where the depth
+    below disk i is ``rho - F(a_i . X + b_i)``: at the inscribed center
+    ``max_i (a_i . X + b_i)`` is least on the quadric, an LP-type problem
+    whose basis holds at most three disks, solved in closed form
+    (``_minimax_on_quadric``).  The radius is the least signed distance
+    from that center to the disks' boundaries, evaluated in the chart, and
+    the touching disks are those within 1e-7 of it.  The polygon keeps its
+    disk, so the solve runs once per polygon.
     """
     if poly._inscribed_disk is None:
         object.__setattr__(poly, "_inscribed_disk", _inradius2(poly))  # a cache on a frozen polygon
@@ -513,37 +516,88 @@ def _inradius2(poly):
         return InscribedDisk2(center=ball.center, radius=ball.radius,
                               touching=ball.touching)
 
-    depth = ms.lambda_disk_depth(poly.space, poly.disks)
-    pts = [np.asarray(v) for v in poly.vertices]
-    for a in poly.boundary:
-        pts.append(a.point_at(0.5 * (a.phi_start + a.phi_end)))
-    anchor = np.mean(pts, axis=0) if pts else np.zeros(2)
-    spread = max(1e-3, max(np.linalg.norm(p - anchor) for p in pts) if pts else 1.0)
-    rng = np.random.default_rng(0)
-    probes = anchor + rng.uniform(-spread, spread, size=(_N_STARTS - 1, 2))
-    probes = np.vstack([[anchor], probes])
-    if poly.space.curvature == -1.0:
-        norms = np.linalg.norm(probes, axis=1)
-        probes[norms >= 0.98] *= (0.9 / norms[norms >= 0.98])[:, None]
-    scores = np.array([depth(x, y) for x, y in probes.tolist()])
-    order = np.argsort(-scores)
-    starts = [probes[k] for k in order[:2]]
+    forms = [ms.lifted_form(d) for d in poly.disks]
+    if len({(f.rho, f.F) for f in forms}) > 1:  # the depth is rho - F(max_i ...) for one rho, F
+        raise InvalidParameterError("the inradius needs disks of one kind and one lam")
+    # Only a disk whose arc bounds the polygon can touch its inscribed disk.
+    pool = sorted({arc.disk_index for arc in poly.boundary})
+    a, b = np.array([f.a for f in forms]), np.array([f.b for f in forms])
+    X, _ = _minimax_on_quadric(poly.space.curvature, a, b, pool)
+    center = ms.unlift(X)
+    # The chart evaluates the depth more accurately than the lift far out.
+    depths = [ms.signed_distance_to_lambda_disk(poly.space, d, center) for d in poly.disks]
+    radius = min(depths)
+    if not radius > 0.0:
+        raise NumericError(f"the polygon has no interior (inradius {radius:.3g})")
+    touching = tuple(i for i, v in enumerate(depths) if abs(v - radius) <= 1e-7)
+    return InscribedDisk2(center=center, radius=radius, touching=touching)
 
-    best_z, best_v = None, -math.inf
-    for z0 in starts:
-        res = minimize(lambda z: -depth(float(z[0]), float(z[1])), z0,
-                       method="Nelder-Mead",
-                       options={"xatol": 1e-13, "fatol": 1e-13, "maxiter": 400})
-        if -res.fun > best_v:
-            best_v, best_z = -res.fun, res.x
-    if best_z is None or not math.isfinite(best_v) or best_v <= 0.0:
-        raise NumericError("inscribed-disk search failed to converge")
-    touching = tuple(
-        i for i, d in enumerate(poly.disks)
-        if abs(ms.signed_distance_to_lambda_disk(poly.space, d, best_z) - best_v) <= 1e-7
-    )
-    return InscribedDisk2(center=np.asarray(best_z), radius=float(best_v),
-                          touching=touching)
+
+def _minimax_on_quadric(c, a, b, pool):
+    """The point X of the lifted quadric ``X . G X = c``, ``G = diag(1, 1, c)``,
+    on the chart's side (S^2 minus its south pole, the upper sheet of H^2),
+    where ``max_i (a_i . X + b_i)`` is least, and the rows of its basis.
+
+    At the optimum a convex combination ``sum mu_k a_k`` of at most three
+    active rows is parallel to ``G X``, so the optimum is one of these
+    closed-form candidates, built for every basis of rows in ``pool``:
+
+    * one row: the minimum of ``a_i . X`` alone, ``X = -G a_i / |a_i|_G``;
+    * two rows: the critical points of ``a_i . X`` on the curve
+      ``d . X = e`` (``d = a_i - a_j``, ``e = b_j - b_i``), where
+      ``X = -G (a_i - nu d) / lambda``.  With ``p = d . G a_i``,
+      ``q = d . G d``, ``alpha = a_i . G a_i`` and
+      ``kappa^2 = (alpha q - p^2) / (q^2 (c q - e^2))`` they are
+      ``nu = p / q + sigma e kappa``, ``lambda = sigma kappa q`` for
+      ``sigma = +-1``, smooth through the homogeneous case ``e = 0``
+      (equal-radius hyperbolic disks all have ``b = -1``);
+    * three rows: the two points where the line ``d_1 . X = e_1``,
+      ``d_2 . X = e_2`` meets the quadric.
+
+    Every candidate lies on the quadric, so the least objective among them
+    (evaluated over every row) is the optimum.  ``NumericError`` when no
+    candidate exists: the depth has no maximum (an unbounded body).
+    """
+    g = np.array([1.0, 1.0, c])
+    blocks = [(np.empty((0, 3)), np.empty((0, 3), dtype=int))]  # (candidates, rows padded with -1)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for size in (1, 2, 3):
+            rows = np.array(list(combinations(pool, size)), dtype=int).reshape(-1, size)
+            if not len(rows):
+                continue
+            ai = a[rows[:, 0]]
+            if size == 1:
+                X = -g * ai / np.sqrt(np.sum(ai * g * ai, axis=1) / c)[:, None]
+                X = X[None]
+            elif size == 2:
+                d, e = ai - a[rows[:, 1]], b[rows[:, 1]] - b[rows[:, 0]]
+                p, q = np.sum(d * g * ai, axis=1), np.sum(d * g * d, axis=1)
+                alpha = np.sum(ai * g * ai, axis=1)
+                kappa = np.sqrt((alpha * q - p * p) / (q * q * (c * q - e * e)))
+                X = np.stack([-g * (ai - (p / q + sigma * e * kappa)[:, None] * d)
+                              / (sigma * kappa * q)[:, None] for sigma in (1.0, -1.0)])
+            else:
+                d1, e1 = ai - a[rows[:, 1]], b[rows[:, 1]] - b[rows[:, 0]]
+                d2, e2 = ai - a[rows[:, 2]], b[rows[:, 2]] - b[rows[:, 0]]
+                n = np.cross(d1, d2)
+                x0 = ((e1[:, None] * np.cross(d2, n) + e2[:, None] * np.cross(n, d1))
+                      / np.sum(n * n, axis=1)[:, None])
+                qa = np.sum(n * g * n, axis=1)
+                qb = np.sum(x0 * g * n, axis=1)
+                qc = np.sum(x0 * g * x0, axis=1) - c
+                root = -(qb + np.copysign(np.sqrt(qb * qb - qa * qc), qb))
+                X = np.stack([x0 + t[:, None] * n for t in (root / qa, qc / root)])
+            padded = np.full((len(rows), 3), -1)
+            padded[:, :size] = rows
+            blocks.extend((Xs, padded) for Xs in X)
+    X = np.concatenate([Xs for Xs, _ in blocks])
+    basis = np.concatenate([rows for _, rows in blocks])
+    ok = np.all(np.isfinite(X), axis=1) & (X[:, 2] > (-1.0 if c > 0.0 else 0.0))
+    if not np.any(ok):
+        raise NumericError("the depth has no maximum on the lifted quadric (unbounded body)")
+    X, basis = X[ok], basis[ok]
+    best = int(np.argmin(np.max(X @ a.T + b, axis=1)))
+    return X[best], tuple(int(i) for i in basis[best] if i >= 0)
 
 
 def supporting_disk(space, lam, r0, u):

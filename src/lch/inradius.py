@@ -23,6 +23,7 @@ from .errors import EmptyBodyError, InvalidParameterError, NumericError
 from . import ball_polytope3 as bp3
 
 TOUCH_TOL = 1e-9  # relative to the ball radius
+GAP_TOL = 1e-9  # radians past pi that a planar angular gap may reach
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,9 @@ def halfspace_condition(touch_points, o):
     Equivalently the origin-shifted directions admit no strictly separating
     direction; by Gordan duality that is the feasibility of a convex
     combination of the unit directions summing to zero, checked as a small
-    linear program.
+    linear program.  In the plane that holds iff no angular gap between
+    consecutive directions exceeds pi (by ``GAP_TOL``), read off the sorted
+    angles with no LP.
     """
     pts = np.atleast_2d(np.asarray(touch_points, dtype=float))
     o = np.asarray(o, dtype=float)
@@ -144,6 +147,10 @@ def halfspace_condition(touch_points, o):
     norms = np.linalg.norm(dirs, axis=1)
     if np.any(norms < 1e-14):
         raise InvalidParameterError("touch points must be distinct from the center")
+    if dirs.shape[1] == 2:
+        angles = np.sort(np.arctan2(dirs[:, 1], dirs[:, 0]))
+        gaps = np.diff(angles, append=angles[0] + 2.0 * math.pi)
+        return bool(np.max(gaps) <= math.pi + GAP_TOL)
     dirs = dirs / norms[:, None]
     n, d = dirs.shape
     a_eq = np.vstack([dirs.T, np.ones((1, n))])

@@ -32,6 +32,27 @@ For the equidistant, ``asinh(Q / W)`` is the signed distance to the base
 geodesic, positive on its left (``_geodesic_form``); delta is the
 characteristic distance.  The boundary is the level set ``Q = t W`` with
 ``t = F^-1(rho)``, a chart circle.
+
+For ``c = +-1`` the chart point z lifts (``lift``) to the quadric
+``X . G X = c``, ``G = diag(1, 1, c)``, on the side ``1 + X_3 > 0``:
+
+    X = (2 z, 1 - c |z|^2) / W      (the unit sphere for c = +1, the upper
+                                     sheet of the hyperboloid for c = -1)
+
+and back by ``z = X_12 / (1 + X_3)`` (``unlift``).  The three chart
+monomials over W are affine in X,
+
+    1 / W = (1 + X_3) / 2,   z / W = X_12 / 2,   |z|^2 / W = c (1 - X_3) / 2,
+
+so with ``b_z = beta - 2 A m`` and ``k = A |m|^2 + C`` every form is
+
+    Q / W = a . X + b,   a = (b_z / 2, (k - c A) / 2),   b = (k + c A) / 2
+
+(``lifted_form``): ``a = -P``, ``b = 0`` for the S^2 disk of center
+``P = lift(p)``, and ``a = -G P``, ``b = -1`` for the H^2 disk.  A horodisk
+scales (a, b) by ``e^-level`` and takes rho = 0, so that disks of one
+lambda share one rho and one F, and the depth below all of them is
+``rho - F(max_i (a_i . X + b_i))``.
 """
 
 from __future__ import annotations
@@ -354,6 +375,45 @@ def chart_form(disk):
         return ChartForm(alpha, zero, beta, alpha, disk.offset, math.sinh(disk.offset),
                          math.asinh)
     raise InvalidParameterError(f"unknown lambda-disk kind {kind!r}")
+
+
+def lift(c, z):
+    """Chart points ``(..., 2)`` of M^2(c), c = +-1, on the quadric
+    ``X . G X = c`` (module docstring)."""
+    z = np.asarray(z, dtype=float)
+    s = c * np.sum(z * z, axis=-1, keepdims=True)
+    return np.concatenate([2.0 * z, 1.0 - s], axis=-1) / (1.0 + s)
+
+
+def unlift(X):
+    """The chart point of a point of the lifted quadric (inverse of ``lift``)."""
+    X = np.asarray(X, dtype=float)
+    return X[..., :2] / (1.0 + X[..., 2:])
+
+
+class LiftedForm(NamedTuple):
+    """A lambda-disk as ``{rho - F(a . X + b) >= 0}`` on the lifted quadric."""
+
+    a: tuple
+    b: float
+    rho: float
+    F: Callable[[float], float]
+
+
+def lifted_form(disk):
+    """The chart form of a curved lambda-disk as an affine function of the
+    lifted point (see the module docstring)."""
+    c = disk.space.curvature
+    if c not in (-1.0, 1.0):
+        raise InvalidParameterError(f"the lift needs curvature +-1, got {c}")
+    A, (mx, my), (bx, by), C, rho, _, F = chart_form(disk)
+    k = A * (mx * mx + my * my) + C
+    a = (0.5 * bx - A * mx, 0.5 * by - A * my, 0.5 * (k - c * A))
+    b = 0.5 * (k + c * A)
+    if disk.kind == "horo":
+        scale = math.exp(-rho)
+        return LiftedForm(tuple(scale * x for x in a), scale * b, 0.0, F)
+    return LiftedForm(a, b, rho, F)
 
 
 def lambda_disk_depth(space, disks):

@@ -307,7 +307,7 @@ class TestInradius2:
     def test_spherical_disk(self):
         poly = ap.build2(SPH, 1.0, [ap.geodesic_disk(SPH, 1.0, (0.0, 0.0))])
         disk = ap.inradius2(poly)
-        assert abs(disk.radius - math.pi / 4.0) < 1e-8
+        assert abs(disk.radius - math.pi / 4.0) <= 1e-15
 
     @pytest.mark.parametrize("space,lam", [(HYP, 2.0), (HYP, 1.0), (HYP, 0.5),
                                            (SPH, 1.0), (FLAT, 1.0)])
@@ -342,6 +342,111 @@ class TestInradius2:
         rep = ap.theoremB_2d_check(first)
         assert searches == [first] and rep.r_body == disk.radius
         assert ap.theoremB_2d_check(fresh) == rep
+
+
+def _lifted(poly):
+    forms = [ms.lifted_form(d) for d in poly.disks]
+    return np.array([f.a for f in forms]), np.array([f.b for f in forms])
+
+
+def _criterion_04_bodies(curvature, lam, count):
+    """Bodies of the criterion-04 recipe for one (curvature, lam)."""
+    from lch import harness
+
+    r_hi = 0.45 if curvature == -1.0 else 0.6
+    for k in range(count):
+        rng = harness.rng_stream(2104, k)
+        r0 = float(rng.uniform(0.1, r_hi)) / max(lam, 1.0)
+        spec = harness.GenSpec(seed=2104 + 104729 * k, m=int(rng.integers(2, 8)),
+                               inradius=r0, dim=2, curvature=curvature, lam=lam)
+        yield r0, harness.random_polytope(spec)
+
+
+def _supporting_bodies(space, lam):
+    """Regular and lopsided touching polygons from ``supporting_disk``."""
+    for r0, m in ((0.12, 2), (0.2, 3), (0.3, 5), (0.38, 8)):
+        ang = 2.0 * math.pi * np.arange(m) / m + 0.3
+        yield r0, ap.touching_polygon2(space, lam, r0, np.column_stack([np.cos(ang), np.sin(ang)]))
+    ang = np.array([0.1, 1.7, 3.2, 3.4])
+    yield 0.25, ap.touching_polygon2(space, lam, 0.25, np.column_stack([np.cos(ang), np.sin(ang)]))
+
+
+CURVED_KINDS = [(HYP, 2.0), (HYP, 1.0), (HYP, 0.5), (SPH, 1.0)]
+
+
+class TestExactInradius:
+    @pytest.mark.parametrize("space,lam", CURVED_KINDS)
+    def test_radius_and_depth(self, space, lam):
+        bodies = list(_criterion_04_bodies(space.curvature, lam, 40))
+        bodies += list(_supporting_bodies(space, lam))
+        for r0, poly in bodies:
+            disk = ap.inradius2(poly)
+            assert abs(disk.radius - r0) <= 1e-13
+            depth = ms.lambda_disk_depth(space, poly.disks)(*disk.center)
+            assert abs(depth - disk.radius) <= 1e-12
+            assert disk.touching == tuple(range(len(poly.disks)))
+
+    @pytest.mark.parametrize("space,lam", CURVED_KINDS)
+    def test_kkt_multipliers(self, space, lam):
+        # over the touching disks, some mu >= 0 (sum 1) and nu > 0 give
+        # sum mu_k a_k + nu G X = 0: X is a minimum of the max on the quadric
+        from scipy.optimize import nnls
+
+        g = np.array([1.0, 1.0, space.curvature])
+        for _, poly in _criterion_04_bodies(space.curvature, lam, 15):
+            a, b = _lifted(poly)
+            X, basis = ap._minimax_on_quadric(space.curvature, a, b, range(len(a)))
+            assert set(basis) <= set(ap.inradius2(poly).touching)
+            assert abs(X @ (g * X) - space.curvature) <= 1e-13
+            active = list(ap.inradius2(poly).touching)
+            system = np.vstack([np.column_stack([a[active].T, g * X]),
+                                np.r_[np.ones(len(active)), 0.0]])
+            coef, residual = nnls(system, np.r_[0.0, 0.0, 0.0, 1.0])
+            assert residual <= 1e-12 and coef[-1] > 0.1
+
+    def test_redundant_disk_is_not_a_basis(self):
+        # a disk off the boundary changes neither the radius nor the touching set
+        dirs = [[1.0, 0.0], [-0.5, 0.8], [-0.5, -0.8]]
+        base = ap.touching_polygon2(HYP, 2.0, 0.2, dirs)
+        extra = ap.geodesic_disk(HYP, 2.0, (0.02, 0.01))
+        poly = ap.build2(HYP, 2.0, base.disks + (extra,))
+        assert 3 not in {arc.disk_index for arc in poly.boundary}
+        disk = ap.inradius2(poly)
+        assert abs(disk.radius - 0.2) <= 1e-13 and disk.touching == (0, 1, 2)
+
+
+class TestDegenerateBasis:
+    @pytest.mark.parametrize("space,lam", CURVED_KINDS)
+    def test_lens_has_two_active_disks(self, space, lam):
+        poly = ap.touching_polygon2(space, lam, 0.2, [[0.6, 0.8], [-0.6, -0.8]])
+        a, b = _lifted(poly)
+        X, basis = ap._minimax_on_quadric(space.curvature, a, b, [0, 1])
+        assert basis == (0, 1)
+        assert abs(ap.inradius2(poly).radius - 0.2) <= 1e-13
+
+    def test_homogeneous_pairs(self):
+        # equal-radius disks: b = 0 on S^2 exactly and b = -1 on H^2, so e = 0
+        sph = ap.touching_polygon2(SPH, 1.0, 0.3, [[1.0, 0.0], [-1.0, 0.0]])
+        assert _lifted(sph)[1].tolist() == [0.0, 0.0]
+        for space, r0, dirs in ((SPH, 0.3, [[1.0, 0.0], [-1.0, 0.0]]),
+                                (HYP, 0.2, [[1.0, 0.0], [-1.0, 0.0]]),
+                                (HYP, 0.2, [[1.0, 0.0], [-0.5, 0.8], [-0.5, -0.8]])):
+            poly = ap.touching_polygon2(space, 2.0 if space is HYP else 1.0, r0, dirs)
+            a, b = _lifted(poly)
+            b = np.full_like(b, b[0] if space is SPH else -1.0)
+            X, _ = ap._minimax_on_quadric(space.curvature, a, b, range(len(a)))
+            center = ms.unlift(X)
+            depth = ms.lambda_disk_depth(space, poly.disks)(*center)
+            assert abs(depth - r0) <= 1e-13
+
+    @pytest.mark.parametrize("disk", [
+        ap.horodisk(HYP, 1.0, (0.6, 0.8), level=0.3),
+        ap.equidistant_domain(HYP, 0.5, (-0.5, 0.0), (0.5, 0.0)),
+    ])
+    def test_unbounded_body_raises(self, disk):
+        form = ms.lifted_form(disk)
+        with pytest.raises(NumericError, match="unbounded"):
+            ap._minimax_on_quadric(-1.0, np.array([form.a]), np.array([form.b]), [0])
 
 
 class TestLens:

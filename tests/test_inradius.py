@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize
+from scipy.optimize import linprog, minimize
 
 from conftest import make_body
 from lch import ball_polytope3 as bp3
@@ -90,6 +90,44 @@ class TestHalfspaceCondition:
     def test_coincident_point_rejected(self):
         with pytest.raises(InvalidParameterError):
             halfspace_condition([[0, 0, 0], [1, 0, 0]], [0, 0, 0])
+        with pytest.raises(InvalidParameterError):
+            halfspace_condition([[0, 0], [1, 0]], [0, 0])
+
+    @staticmethod
+    def _lp(dirs):
+        """The Gordan LP: a convex combination of the unit directions is zero."""
+        dirs = np.asarray(dirs, dtype=float)
+        dirs = dirs / np.linalg.norm(dirs, axis=1)[:, None]
+        n, d = dirs.shape
+        res = linprog(np.zeros(n), A_eq=np.vstack([dirs.T, np.ones((1, n))]),
+                      b_eq=np.r_[np.zeros(d), 1.0], bounds=[(0.0, None)] * n,
+                      method="highs")
+        return res.status == 0
+
+    def test_planar_gap_test_agrees_with_lp(self):
+        rng = np.random.default_rng(2000)
+        answers = []
+        for k in range(2000):
+            m = 2 + k % 7
+            o = rng.uniform(-1.0, 1.0, 2)
+            ang = rng.uniform(0.0, 2.0 * math.pi, m)
+            pts = o + rng.uniform(0.1, 2.0, (m, 1)) * np.column_stack([np.cos(ang), np.sin(ang)])
+            answers.append(halfspace_condition(pts, o))
+            assert answers[-1] == self._lp(pts - o), (m, ang)
+        assert 500 < sum(answers) < 1500
+
+    @pytest.mark.parametrize("base", [0.0, 0.3, 2.0, -3.0])
+    def test_planar_gaps_near_pi(self, base):
+        def u(t):
+            return [math.cos(base + t), math.sin(base + t)]
+
+        assert halfspace_condition([u(0.0), [-x for x in u(0.0)]], [0.0, 0.0])
+        assert not halfspace_condition([u(0.0)], [0.0, 0.0])
+        for delta in (1e-12, -1e-12, 1e-6, -1e-6):
+            pair = [u(0.0), u(math.pi + delta)]  # largest gap pi + |delta|
+            triple = pair + [u(1.5 * math.pi + 0.5 * delta)]  # largest gap pi + delta
+            assert halfspace_condition(pair, [0.0, 0.0]) == (abs(delta) < 1e-9) == self._lp(pair)
+            assert halfspace_condition(triple, [0.0, 0.0]) == (delta < 1e-9) == self._lp(triple)
 
 
 class TestInscribedBall:

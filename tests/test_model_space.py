@@ -230,3 +230,48 @@ class TestSignedDistanceToDisk:
         # evaluate at an exact base point instead: any of the defining points
         val = ms.signed_distance_to_lambda_disk(HYP, disk, (-0.3, 0.05))
         assert math.isclose(val, 0.5 * math.log(3.0), rel_tol=1e-12)
+
+
+class TestLift:
+    @pytest.mark.parametrize("c", [-1.0, 1.0])
+    def test_quadric_and_inverse(self, c):
+        z = np.random.default_rng(3).uniform(-0.7, 0.7, size=(50, 2))
+        X = ms.lift(c, z)
+        assert np.allclose(X[:, 0] ** 2 + X[:, 1] ** 2 + c * X[:, 2] ** 2, c,
+                           rtol=0.0, atol=1e-14)
+        assert np.all(X[:, 2] > (-1.0 if c > 0.0 else 0.0))
+        assert np.allclose(ms.unlift(X), z, rtol=0.0, atol=1e-15)
+        assert np.allclose(ms.lift(c, z[0]), X[0], rtol=0.0, atol=0.0)
+
+    def test_sphere_lift_is_to_sphere(self):
+        z = (0.3, -1.7)
+        assert np.allclose(ms.lift(1.0, z), ms.to_sphere(z), rtol=0.0, atol=1e-16)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_form_is_affine_in_the_lift(self, k):
+        # rho - F(a . X + b) is the chart depth, horodisks scaled to rho = 0
+        disk = _disk_cases()[k]
+        c = disk.space.curvature
+        form = ms.lifted_form(disk)
+        z = np.random.default_rng(k).uniform(-0.9, 0.9, size=(200, 2))
+        z = z[np.sum(z * z, axis=1) < 0.9]
+        values = ms.lift(c, z) @ np.asarray(form.a) + form.b
+        for p, v in zip(z, values):
+            assert abs(form.rho - form.F(v)
+                       - ms.signed_distance_to_lambda_disk(disk.space, disk, p)) <= 1e-12
+        if disk.kind == "horo":
+            assert form.rho == 0.0
+
+    def test_disk_forms(self):
+        # a = -P, b = 0 on S^2 and a = -G P, b = -1 on H^2
+        sph = ms.lifted_form(_disk_cases()[2])
+        assert np.allclose(sph.a, -ms.lift(1.0, (0.3, -0.2)), rtol=0.0, atol=1e-15)
+        assert sph.b == 0.0
+        hyp = ms.lifted_form(_disk_cases()[1])
+        P = ms.lift(-1.0, (0.1, 0.2))
+        assert np.allclose(hyp.a, -P * [1.0, 1.0, -1.0], rtol=0.0, atol=1e-15)
+        assert abs(hyp.b + 1.0) <= 1e-15
+
+    def test_flat_disk_has_no_lift(self):
+        with pytest.raises(InvalidParameterError):
+            ms.lifted_form(_disk_cases()[0])
