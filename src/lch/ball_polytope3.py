@@ -116,8 +116,10 @@ class BallPolytope3:
     edges: tuple
     vertices: tuple
     build_report: BuildReport = field(repr=False)
-    # The minimal enclosing ball of ``centers`` (an ``inradius.MEBResult``)
-    # when the build computed it for exactly these centers, else None.
+    # The minimal enclosing ball of ``centers`` (an ``inradius.MEBResult``):
+    # the build's, its support remapped past dropped redundant balls; None
+    # when a support ball dropped, until ``inradius`` or ``erosion`` solves
+    # it once and keeps it.
     _meb: object = field(default=None, compare=False, repr=False)
     # The body's ``inradius.InscribedBall``, kept by its first computation.
     _inscribed: object = field(default=None, init=False, compare=False, repr=False)
@@ -387,7 +389,8 @@ def _rebuild(lam, pts, meb_radius, keep=None, duplicates=(), meb=None):
     """The body of the balls of radius ``1/lam`` around ``pts[keep]`` (all of
     ``pts`` by default), whose centers have enclosing radius ``meb_radius``.
     ``meb``, the enclosing ball of ``pts[keep]`` if known, is kept on the
-    body when every ball is retained, so the body's centers are its points.
+    body with its support remapped to the retained balls, unless a support
+    ball dropped (it touched the body at a single point).
 
     Raises ``EmptyBodyError`` when the balls miss a common point and
     ``DegenerateBodyError`` when they only touch.  ``duplicates`` are the
@@ -420,7 +423,7 @@ def _rebuild(lam, pts, meb_radius, keep=None, duplicates=(), meb=None):
                          redundant_centers=redundant_pts,
                          facets=poly["facets"], edges=poly["edges"],
                          vertices=poly["vertices"], build_report=report,
-                         _meb=None if redundant_local else meb)
+                         _meb=meb.remapped(retained_local) if meb and redundant_local else meb)
 
 
 def _build_retained(lam, work, radius):

@@ -247,15 +247,18 @@ class _Erosion:
     """The bodies K_t of one body K for t in [0, r(K)).
 
     K_t keeps the centers, so every rebuild shares one minimal enclosing
-    ball, the one K kept from its build if it did: r(K) = R - rho, and each
-    rebuild is ``bp3._rebuild`` on rho, emptiness test included, without
-    recomputing the ball.  The event schedule and its pieces are computed
-    on first use; ``_erosion`` keeps one ``_Erosion`` per body.
+    ball, the one K keeps (``inscribed_ball`` reads the same one):
+    r(K) = R - rho, and each rebuild is ``bp3._rebuild`` on rho, emptiness
+    test included, without recomputing the ball.  The event schedule and
+    its pieces are computed on first use; ``_erosion`` keeps one
+    ``_Erosion`` per body.
     """
 
     def __init__(self, polytope):
         self.polytope = polytope
-        self.meb = polytope._meb or minimal_enclosing_ball(polytope.centers)
+        if polytope._meb is None:  # a support ball dropped: solve once, keep it
+            object.__setattr__(polytope, "_meb", minimal_enclosing_ball(polytope.centers))
+        self.meb = polytope._meb
         self.inradius = polytope.radius - self.meb.radius
 
     def check_distance(self, t):

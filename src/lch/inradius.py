@@ -6,31 +6,56 @@ For a body ``K = intersection of B(o_i, R)`` the depth of a point x is
     r(K) = R - rho,    rho = radius of the minimal enclosing ball of the o_i,
 
 with the inscribed center at the enclosing-ball center and the touching
-facets exactly the enclosing ball's support set.  The enclosing ball is
-computed by Welzl's move-to-front recursion with exact circumball solves.
+facets exactly the enclosing ball's support set.  The enclosing ball, in
+any dimension, comes from Welzl's move-to-front recursion (Welzl 1991):
+each basis of at most d+1 support points is extended one point at a time
+in closed form (Gaertner, "Fast and robust smallest enclosing balls",
+ESA 1999), with no subset enumeration and no LP.  The final basis carries
+its barycentric multipliers mu >= 0, sum mu = 1, sum mu_k p_k = center:
+the KKT certificate of the ball, and, since then
+sum mu_k (center - p_k) = 0, the Gordan certificate that the touch
+directions of the inscribed ball lie in no open half-space.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import EmptyBodyError, InvalidParameterError, NumericError
 from . import ball_polytope3 as bp3
 
 TOUCH_TOL = 1e-9  # relative to the ball radius
 GAP_TOL = 1e-9  # radians past pi that a planar angular gap may reach
+# How far from the origin the enclosing-ball center of unit directions may
+# lie when their hull still counts as holding the origin.
+CENTER_TOL = 1e-9
+# How negative a multiplier may be in a basis that certifies its ball.
+MU_TOL = 1e-12
+# A new basis point whose offset from the basis's affine hull has squared
+# length at or below this fraction of its squared offset from the first
+# basis point (an angle of 1e-12) is affinely dependent on the basis.
+_DEPENDENT = 1e-24
 
 
 @dataclass(frozen=True)
 class MEBResult:
     center: np.ndarray
     radius: float
-    support: tuple  # indices of points on the boundary, at most dim+1
+    support: tuple      # indices of the basis points, at most dim+1, increasing
+    multipliers: tuple  # mu_k >= 0 per support point, sum 1, sum mu_k p_k = center
+
+    def remapped(self, kept):
+        """The same ball over the points ``kept`` (increasing indices) of
+        its point set, or None when a support point is not kept."""
+        where = {k: n for n, k in enumerate(kept)}
+        if not all(k in where for k in self.support):
+            return None
+        return MEBResult(center=self.center, radius=self.radius,
+                         support=tuple(where[k] for k in self.support),
+                         multipliers=self.multipliers)
 
 
 @dataclass(frozen=True)
@@ -42,104 +67,139 @@ class InscribedBall:
     halfspace_ok: bool     # touch points not confined to an open half-space
 
 
-def _circumball(points):
-    """Smallest ball with all given points on its boundary, or None.
+@dataclass(frozen=True)
+class _Basis:
+    """Points ``q_0..q_k`` (indices ``index``) and the ball through them
+    centered in their affine hull.  With v_i = q_i - q_0 = sum_j L_ij e_j
+    (``lower`` rows, ``frame`` the orthonormal e_j), the center is
+    q_0 + sum_j y_j e_j, where L y = (|v_i|^2 / 2) puts it as far from
+    every q_i as from q_0."""
 
-    At most d+1 affinely independent points; solved from the linear system
-    ``(c - p0) . (p_k - p0) = |p_k - p0|^2 / 2``.
-    """
-    pts = np.asarray(points, dtype=float)
-    n = len(pts)
-    if n == 0:
-        return np.zeros(pts.shape[1] if pts.ndim == 2 else 3), 0.0
-    if n == 1:
-        return pts[0].copy(), 0.0
-    base = pts[0]
-    rows = pts[1:] - base
-    rhs = 0.5 * np.sum(rows * rows, axis=1)
-    gram = rows @ rows.T
-    try:
-        coef = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
+    index: tuple
+    origin: tuple  # q_0
+    frame: tuple
+    lower: tuple
+    y: tuple
+    center: tuple
+    radius: float
+
+
+def _extend_basis(basis, k, p):
+    """``basis`` (None for the empty one) with point ``k`` at ``p`` added,
+    in O(k d) operations; None when ``p`` is affinely dependent on the
+    basis points."""
+    if basis is None:
+        p = tuple(p)
+        return _Basis(index=(k,), origin=p, frame=(), lower=(), y=(), center=p, radius=0.0)
+    v = [a - b for a, b in zip(p, basis.origin)]
+    vv = sum(x * x for x in v)
+    w, row = v, []
+    for e in basis.frame:  # modified Gram-Schmidt
+        c = sum(a * b for a, b in zip(w, e))
+        row.append(c)
+        w = [a - c * b for a, b in zip(w, e)]
+    ww = sum(x * x for x in w)
+    if ww <= _DEPENDENT * vv:
         return None
-    center = base + coef @ rows
-    return center, float(np.linalg.norm(pts[0] - center))
+    norm = math.sqrt(ww)
+    e = tuple(x / norm for x in w)
+    yk = (0.5 * vv - sum(a * b for a, b in zip(row, basis.y))) / norm
+    center = tuple(c + yk * x for c, x in zip(basis.center, e))
+    return _Basis(index=basis.index + (k,), origin=basis.origin, frame=basis.frame + (e,),
+                  lower=basis.lower + (tuple(row) + (norm,),), y=basis.y + (yk,),
+                  center=center, radius=math.dist(center, basis.origin))
 
 
-def _contains(center, radius, p, slack):
-    return np.linalg.norm(p - center) <= radius + slack
+def _multipliers(basis):
+    """Barycentric coordinates of the basis ball's center over its points:
+    mu = (1 - sum x, x) with L^T x = y, by back substitution."""
+    n = len(basis.y)
+    x = [0.0] * n
+    for i in reversed(range(n)):
+        s = basis.y[i] - sum(basis.lower[t][i] * x[t] for t in range(i + 1, n))
+        x[i] = s / basis.lower[i][i]
+    return [1.0 - math.fsum(x)] + x
 
 
-def _ball_of_boundary(pts, slack):
-    """Smallest ball containing <= d+2 points, by brute force over subsets.
+def _move_to_front_ball(pts, slack):
+    """The last basis of Welzl's move-to-front recursion over the rows of
+    ``pts`` (a list of coordinate lists), in index order; in exact
+    arithmetic its ball is the smallest one holding every point."""
+    dim = len(pts[0])
+    order = list(range(len(pts)))
+    current = None  # the basis whose ball was computed last
 
-    ``NumericError`` when no subset's circumball contains every point."""
-    from itertools import combinations
-
-    n = len(pts)
-    best = None
-    for size in range(1, min(n, pts.shape[1] + 1) + 1):
-        for comb in combinations(range(n), size):
-            cb = _circumball(pts[list(comb)])
-            if cb is None:
+    def mtf(end, basis):
+        # The smallest ball holding pts[order[:end]] with the basis points
+        # on its boundary; each point found outside joins the basis and
+        # moves to the front.
+        nonlocal current
+        for i in range(end):
+            k = order[i]
+            if current is not None and math.dist(pts[k], current.center) <= current.radius + slack:
                 continue
-            center, radius = cb
-            if all(_contains(center, radius, pts[k], slack) for k in range(n)):
-                if best is None or radius < best[1]:
-                    best = (center, radius)
-    if best is None:
-        raise NumericError(
-            f"no circumball of a subset of {n} boundary points contains them all")
-    return best
+            grown = _extend_basis(basis, k, pts[k])
+            if grown is None:
+                continue
+            current = grown
+            if len(grown.index) <= dim:
+                mtf(i, grown)
+            order.insert(0, order.pop(i))
+
+    mtf(len(pts), None)
+    return current
 
 
 def minimal_enclosing_ball(points):
-    """Smallest enclosing ball of points in R^2 or R^3.
+    """Smallest enclosing ball of points in R^d, with its KKT certificate.
 
-    Welzl's move-to-front recursion with a deterministic shuffle; the ball
-    itself is unique, so only support-set ties depend on the ordering.
+    Welzl's move-to-front recursion over the points in index order, each
+    basis solved in closed form by ``_extend_basis``.  A point counts as
+    enclosed within 1e-13 of the largest coordinate magnitude (at least
+    1), so points that near the sphere decide nothing; when that leaves a
+    final basis that does not certify (such points lie on one side of it
+    only), the recursion runs once more at 1e-16, which tells them apart.
+    The support is the final basis and ``multipliers`` its barycentric
+    coordinates.  ``NumericError`` when no basis certifies: a multiplier
+    below ``-MU_TOL``, or a point more than 1e-13 outside the ball.
+    Points appended after the others that the ball of the others holds
+    leave the traversal, and so every bit of the result, unchanged.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[0] == 0:
-        raise InvalidParameterError("minimal_enclosing_ball needs at least one point")
-    if pts.shape[1] not in (2, 3):
-        raise InvalidParameterError(f"points must live in R^2 or R^3, got shape {pts.shape}")
-    dim = pts.shape[1]
-    order = list(range(len(pts)))
-    random.Random(0x5EB).shuffle(order)
-    scale = max(1.0, float(np.max(np.abs(pts))))
-    slack = 1e-13 * scale
-
-    def mtf(pool, boundary):
-        if boundary:
-            center, radius = _ball_of_boundary(pts[list(boundary)], slack)
-        else:
-            center, radius = np.zeros(dim), -1.0
-        if len(boundary) == dim + 1:
-            return center, radius, list(boundary)
-        support = list(boundary)
-        for pos, idx in enumerate(pool):
-            if radius < 0.0 or not _contains(center, radius, pts[idx], slack):
-                center, radius, support = mtf(pool[:pos], boundary + [idx])
-        return center, radius, support
-
-    center, radius, support = mtf(order, [])
-    # Keep only support points genuinely on the boundary.
-    support = tuple(sorted(i for i in support
-                           if abs(np.linalg.norm(pts[i] - center) - radius)
-                           <= 1e-10 * max(1.0, radius)))
-    return MEBResult(center=center, radius=float(radius), support=support)
+    if pts.shape[0] == 0 or pts.ndim != 2 or pts.shape[1] == 0:
+        raise InvalidParameterError(
+            f"minimal_enclosing_ball needs an (m, d) array with m, d >= 1, got shape {pts.shape}")
+    rows = pts.tolist()
+    slack = 1e-13 * max(1.0, float(np.max(np.abs(pts))))
+    for tol in (slack, 1e-3 * slack):
+        basis = _move_to_front_ball(rows, tol)
+        if basis is None:
+            raise NumericError(f"no basis of {len(pts)} points could be formed")
+        mu = _multipliers(basis)
+        center = np.asarray(basis.center)
+        outside = float(np.max(np.linalg.norm(pts - center, axis=1))) - basis.radius
+        if min(mu) >= -MU_TOL and outside <= slack:
+            ranked = sorted(zip(basis.index, mu))
+            return MEBResult(center=center, radius=basis.radius,
+                             support=tuple(k for k, _ in ranked),
+                             multipliers=tuple(m for _, m in ranked))
+    raise NumericError(
+        f"no basis certifies the enclosing ball of {len(pts)} points: basis "
+        f"{basis.index} has multipliers {mu} and leaves a point {outside:.3g} outside")
 
 
 def halfspace_condition(touch_points, o):
     """True iff no open half-space through o contains every touch point.
 
-    Equivalently the origin-shifted directions admit no strictly separating
-    direction; by Gordan duality that is the feasibility of a convex
-    combination of the unit directions summing to zero, checked as a small
-    linear program.  In the plane that holds iff no angular gap between
-    consecutive directions exceeds pi (by ``GAP_TOL``), read off the sorted
-    angles with no LP.
+    Equivalently the unit directions u_i from o to the touch points hold
+    the origin in their convex hull (Gordan).  In the plane that holds iff
+    no angular gap between consecutive directions exceeds pi (by
+    ``GAP_TOL``), read off the sorted angles.  Otherwise it holds iff the
+    minimal enclosing ball of the u_i is centered at the origin (within
+    ``CENTER_TOL``): its center c lies in conv(u_i), so c != 0 when
+    the origin is outside; and if sum mu_i u_i = 0 with mu a convex
+    combination, every ball B(c, rho) holding the u_i has
+    rho^2 >= sum mu_i |u_i - c|^2 = 1 + |c|^2, least at c = 0.
     """
     pts = np.atleast_2d(np.asarray(touch_points, dtype=float))
     o = np.asarray(o, dtype=float)
@@ -151,13 +211,8 @@ def halfspace_condition(touch_points, o):
         angles = np.sort(np.arctan2(dirs[:, 1], dirs[:, 0]))
         gaps = np.diff(angles, append=angles[0] + 2.0 * math.pi)
         return bool(np.max(gaps) <= math.pi + GAP_TOL)
-    dirs = dirs / norms[:, None]
-    n, d = dirs.shape
-    a_eq = np.vstack([dirs.T, np.ones((1, n))])
-    b_eq = np.concatenate([np.zeros(d), [1.0]])
-    res = linprog(c=np.zeros(n), A_eq=a_eq, b_eq=b_eq,
-                  bounds=[(0.0, None)] * n, method="highs")
-    return bool(res.status == 0)
+    ball = minimal_enclosing_ball(dirs / norms[:, None])
+    return bool(np.linalg.norm(ball.center) <= CENTER_TOL)
 
 
 def inscribed_ball(polytope):
@@ -166,8 +221,9 @@ def inscribed_ball(polytope):
     Works on any object exposing ``lam`` and retained ``centers``, and
     reuses the enclosing ball a ``BallPolytope3`` kept from its build; the
     touching set uses the tolerance ``|R - |o - o_i| - r| < 1e-9 * R``.
-    A ``BallPolytope3`` keeps its inscribed ball, so the half-space LP runs
-    once per body.
+    ``halfspace_ok`` is read off the enclosing ball's multipliers, with no
+    LP: its support touches and sum mu_k (o - o_k) = 0 with mu >= 0.
+    A ``BallPolytope3`` keeps its inscribed ball.
     """
     kept = getattr(polytope, "_inscribed", None)
     if kept is not None:
@@ -182,7 +238,11 @@ def _inscribed_ball(polytope):
     lam = polytope.lam
     radius = 1.0 / lam
     centers = np.atleast_2d(np.asarray(polytope.centers, dtype=float))
-    meb = getattr(polytope, "_meb", None) or minimal_enclosing_ball(centers)
+    meb = getattr(polytope, "_meb", None)
+    if meb is None:
+        meb = minimal_enclosing_ball(centers)
+        if isinstance(polytope, bp3.BallPolytope3):
+            object.__setattr__(polytope, "_meb", meb)  # shared with the erosion
     r = radius - meb.radius
     if r <= 0.0:
         raise EmptyBodyError(
@@ -205,10 +265,7 @@ def _inscribed_ball(polytope):
             else:
                 u = sep / ns
             touch_points.append(o + r * u)
-    if len(touching) == 1 and len(centers) == 1:
-        ok = True
-    else:
-        ok = halfspace_condition(np.asarray(touch_points), o)
+    ok = min(meb.multipliers) >= -MU_TOL and set(meb.support) <= set(touching)
     return InscribedBall(center=o, radius=float(r), touching=tuple(touching),
                          touch_points=tuple(np.asarray(p) for p in touch_points),
                          halfspace_ok=ok)

@@ -18,7 +18,9 @@ erosion rows: ``erosion.profile(body, 64)`` (ts, areas, events) and
 dies at t = 13/30, the same three balls in another order, the touching
 body of ``GenSpec(seed=31, m=3, inradius=0.4)``, and the random-center
 bodies of seeds 3 (an edge flip) and 5 (four events, two pairs of them
-under 1e-3 apart) from the erosion tests.  Each polygon row also
+under 1e-3 apart) from the erosion tests.  The inscribed section
+holds ``inradius.inscribed_ball`` of every 3-D body of the list: its
+center and radius (one field), touching set and ``halfspace_ok``.  Each polygon row also
 holds its ``inradius2`` disk and the inradius of the lens of equal
 perimeter; failures are recorded as rows, like build failures.  The
 key-claim section runs ``reduce_to_touching`` and ``key_claim_check`` on
@@ -103,6 +105,16 @@ def fp_erosion(centers):
         "events": [h(t) for t in prof.events],
         "volume": h(erosion.volume_via_profile(body)),
     }
+
+
+def fp_inscribed(lam, centers):
+    def ball():
+        b = inradius.inscribed_ball(bp3.build(lam, centers))
+        # center and radius in one field, so --compare measures the
+        # center's change on the ball's scale
+        return {"ball": [h(x) for x in b.center] + [h(b.radius)],
+                "touching": list(b.touching), "halfspace_ok": b.halfspace_ok}
+    return recorded(ball)
 
 
 def fp_keyclaim(lam, centers):
@@ -252,7 +264,9 @@ def split_samples(row):
 
 
 def compare(old, new):
-    for section in old:
+    for section in old.keys() ^ new.keys():
+        print(f"{section}: only in the {'old' if section in old else 'new'} file")
+    for section in (s for s in old if s in new):
         a_rows, b_rows = old[section], new[section]
         print(f"{section}: {len(a_rows)} rows")
         if len(a_rows) != len(b_rows):
@@ -300,8 +314,10 @@ def main():
         with open(sys.argv[2]) as f_old, open(sys.argv[3]) as f_new:
             compare(json.load(f_old), json.load(f_new))
         return
+    three = bodies3()
     rows = {
-        "3d": [fp3(lam, centers) for lam, centers in bodies3()],
+        "3d": [fp3(lam, centers) for lam, centers in three],
+        "inscribed": [fp_inscribed(lam, centers) for lam, centers in three],
         "2d": [fp2(space, lam, disks) if disks is not None else ["gen", err]
                for space, lam, disks, err in bodies2()],
         "erosion": [fp_erosion(centers) for centers in erosion_bodies()],
