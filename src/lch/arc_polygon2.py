@@ -5,8 +5,21 @@ In the conformal charts fixed by ``model_space`` every supporting region
 the boundary combinatorics reduces to the same circular-interval game as
 in three dimensions: every other region forbids one open arc of each
 candidate circle.  Conformality keeps chart angles equal to metric angles,
-so turning angles are Euclidean; arc lengths integrate the conformal
-factor along the chart circle.
+so turning angles are Euclidean.  Each arc's length is intrinsic to its
+curve, chosen by the disk's kind:
+
+* flat disks: ``r * dphi`` on the chart circle of radius r;
+* geodesic disks of radius rho: ``sn(rho) * theta`` (sn = sin on S^2,
+  sinh on H^2), where theta is the angle the arc subtends at the disk's
+  center C.  On the lifted quadric (``ms.lift``) it is the atan2 of
+  ``det[C, X0, X1]`` and the G-inner product of the lifted endpoints
+  projected off C; a full circle has ``theta = 2 pi``;
+* horocycles and equidistants at lam = tanh(delta): with
+  ``sinh(d / 2) = |z0 - z1| / sqrt((1 - |z0|^2) (1 - |z1|^2))`` for the
+  distance d of the endpoints and ``w = sqrt((1 - lam) (1 + lam))``, the
+  length is ``(2 / w) asinh(w sinh(d / 2))``, and ``2 sinh(d / 2)`` on a
+  horocycle (w = 0).  That is ``cosh(delta) = 1 / w`` times the length of
+  the arc's projection on its base geodesic.
 
 Each disk's chart circle, and the depth of a chart point below the disks'
 boundaries, come from the disk's chart quadratic (``ms.chart_form``), so
@@ -42,7 +55,6 @@ from itertools import combinations
 import numpy as np
 
 from . import model_space as ms
-from . import _gl
 from ._circular import (
     TWO_PI,
     chain_loops,
@@ -273,22 +285,32 @@ class ArcPolygon2:
         return inside if z.ndim > 1 else bool(inside)
 
 
-def _arc_length(space, circle, phi0, phi1):
-    c = space.curvature
-    if c == 0.0:
+def _arc_length(disk, circle, phi0, phi1, full):
+    """Metric length of the chart arc ``phi0 -> phi1`` of the disk's boundary
+    circle, in closed form (module docstring)."""
+    if disk.kind == "euclidean":
         return circle.radius * (phi1 - phi0)
-
-    def length_element(phi):
-        z = circle.center[None, :] + circle.radius * np.stack(
-            [np.cos(phi), np.sin(phi)], axis=1)
-        s = np.sum(z * z, axis=1)
-        if c == -1.0:
-            if np.any(s >= 1.0):
-                raise InvalidParameterError("arc leaves the unit-disk chart")
-            return circle.radius * 2.0 / (1.0 - s)
-        return circle.radius * 2.0 / (1.0 + s)
-
-    return _gl.integrate(length_element, phi0, phi1, 48, 1e-13, 768)
+    c = disk.space.curvature
+    sn = math.sin if c > 0.0 else math.sinh
+    if full:
+        return TWO_PI * sn(disk.radius)
+    (cx, cy), r = circle.center.tolist(), circle.radius
+    ends = [(cx + r * math.cos(phi), cy + r * math.sin(phi)) for phi in (phi0, phi1)]
+    if disk.kind == "geodesic":
+        Y = ms.lift(c, np.array([disk.center, *ends]))  # rows C, X0, X1
+        gram = Y @ (Y * (1.0, 1.0, c)).T
+        # <X0 - c <X0, C> C, X1 - c <X1, C> C>: the ends projected off C
+        dot = gram[1, 2] - c * gram[0, 1] * gram[0, 2]
+        # The chart circle runs clockwise about a center outside it (side -1).
+        theta = math.atan2(circle.side * np.linalg.det(Y), dot)
+        return sn(disk.radius) * (theta % TWO_PI)
+    (x0, y0), (x1, y1) = ends
+    chord = 2.0 * r * math.sin(0.5 * (phi1 - phi0))
+    sinh_half = chord / math.sqrt((1.0 - x0 * x0 - y0 * y0) * (1.0 - x1 * x1 - y1 * y1))
+    if disk.kind == "horo":
+        return 2.0 * sinh_half
+    w = math.sqrt((1.0 - disk.lam) * (1.0 + disk.lam))
+    return 2.0 / w * math.asinh(w * sinh_half)
 
 
 def build2(space, lam, disks):
@@ -336,7 +358,7 @@ def build2(space, lam, disks):
                  full_circle=full,
                  start_vertex=None if full else next(index),
                  end_vertex=None if full else next(index),
-                 length=_arc_length(space, circles[i], s, e))
+                 length=_arc_length(disks[i], circles[i], s, e, full))
             for i, s, e, full in raw]
 
     # Chain into a single counterclockwise boundary loop.

@@ -32,7 +32,6 @@ from .errors import (
     DegenerateBodyError,
     EmptyBodyError,
     InvalidParameterError,
-    TopologyError,
 )
 
 VERTEX_TOL = 1e-9  # relative to the ball radius
@@ -477,13 +476,6 @@ def _build_retained(lam, work, radius):
     return retained, {"centers": work, "facets": tuple(facets),
                       "edges": edges, "vertices": vertices,
                       "pair_sources": [(source, len(pairs))]}
-
-
-def facet_area(polytope, facet):
-    """Area of one facet (cached at build time by the Gauss-Bonnet formula)."""
-    if not facet.boundary_loops and len(polytope.facets) > 1:
-        raise TopologyError("facet has no boundary loops")
-    return facet.area
 
 
 def surface_area(polytope):

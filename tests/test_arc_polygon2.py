@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from lch import _gl
 from lch import arc_polygon2 as ap
 from lch import model_space as ms
 from lch.errors import (
@@ -48,6 +47,16 @@ def mc_area_oracle(poly, n=300_000, seed=0):
         w = (2.0 / (1.0 + s)) ** 2 * member
     vals = w * float(np.prod(hi - lo))
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n))
+
+
+def _assert_turning_area_matches_monte_carlo(space, lam, r0):
+    # area2 is defined by the total-turning identity, so its defect is 0 by
+    # construction; a Monte Carlo area checks the perimeter and angles it uses
+    ang = np.array([0.3, 2.0, 4.4])
+    dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    poly = ap.touching_polygon2(space, lam, r0, dirs)
+    est, se = mc_area_oracle(poly)
+    assert abs(ap.area2(poly) - est) <= 3.0 * se
 
 
 class TestBuildFlat:
@@ -218,10 +227,10 @@ class TestCurved:
 
     @pytest.mark.parametrize("lam,r0", [(2.0, 0.3), (1.0, 0.4), (0.5, 0.35)])
     def test_hyperbolic_total_turning(self, lam, r0):
-        ang = np.array([0.3, 2.0, 4.4])
-        dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        poly = ap.touching_polygon2(HYP, lam, r0, dirs)
-        assert abs(ap.total_turning_defect(poly)) < 1e-8
+        _assert_turning_area_matches_monte_carlo(HYP, lam, r0)
+
+    def test_spherical_total_turning(self):
+        _assert_turning_area_matches_monte_carlo(SPH, 1.0, 0.5)
 
     def test_boundary_curvature_sampled(self):
         # three-point geodesic-triangle oracle: the exterior angle over the
@@ -291,10 +300,79 @@ def _sampled_geodesic_curvature(space, arc, prev_h):
     return exterior / (0.5 * (dab + dbc))
 
 
+_KINDS = [(FLAT, 1.0, "euclidean"), (SPH, 1.0, "geodesic"), (HYP, 2.0, "geodesic"),
+          (HYP, 1.0, "horo"), (HYP, 0.5, "equidistant")]
+
+
+def _reference_length(mp, space, arc):
+    """40-digit quadrature of ``ms.conformal_factor`` along the chart arc."""
+    c = space.curvature
+    with mp.workdps(40):
+        cx, cy = (mp.mpf(float(v)) for v in arc.circle.center)
+        r = mp.mpf(float(arc.circle.radius))
+
+        def element(phi):
+            x, y = cx + r * mp.cos(phi), cy + r * mp.sin(phi)
+            return 2 * r / (1 + c * (x * x + y * y)) if c else r
+
+        return float(mp.quad(element, [mp.mpf(arc.phi_start), mp.mpf(arc.phi_end)]))
+
+
+def _assert_arcs_match_reference(mp, poly):
+    for arc in poly.boundary:
+        ref = _reference_length(mp, poly.space, arc)
+        assert abs(arc.length - ref) <= 1e-13 * ref
+
+
 class TestArcLength:
-    def test_unsettled_interval_is_named(self):
-        with pytest.raises(NumericError, match=r"\[1\.0, 2\.0\]"):
-            _gl.integrate(lambda x: np.sin(300.0 * x), 1.0, 2.0, 16, 1e-12, 64)
+    @pytest.mark.parametrize("space,lam,kind", _KINDS)
+    def test_generator_arcs_match_reference(self, space, lam, kind):
+        from lch import harness
+
+        mp = pytest.importorskip("mpmath")
+        size = ms.classify_umbilical(space, lam).size
+        rng = np.random.default_rng(int(10 * lam) + int(space.curvature) + 11)
+        for seed in range(14):
+            r0 = float(rng.uniform(0.1, 0.9)) * (1.0 if size is None else min(size, 1.0))
+            spec = harness.GenSpec(seed=seed, m=2 + seed % 7, inradius=r0, lam=lam, dim=2,
+                                   curvature=space.curvature)
+            poly = harness.random_polytope(spec)
+            assert {d.kind for d in poly.disks} == {kind}
+            _assert_arcs_match_reference(mp, poly)
+
+    def test_arcs_about_a_center_outside_their_chart_circle(self):
+        # the caps hold the south pole, so their chart circles bound their outsides
+        mp = pytest.importorskip("mpmath")
+        disks = [ap.geodesic_disk(SPH, 1.0, (3.0, 0.0)), ap.geodesic_disk(SPH, 1.0, (2.0, 1.5))]
+        poly = ap.build2(SPH, 1.0, disks)
+        assert [a.circle.side for a in poly.boundary] == [-1, -1]
+        _assert_arcs_match_reference(mp, poly)
+
+    @pytest.mark.parametrize("space,lam,center", [
+        (FLAT, 0.7, (0.3, -0.2)), (SPH, 1.0, (0.05, -0.1)), (SPH, 2.5, (3.0, 0.0)),
+        (SPH, 0.4, (-0.6, 0.9)), (HYP, 2.0, (0.2, 0.1)), (HYP, 1.2, (-0.7, 0.5))])
+    def test_full_circle(self, space, lam, center):
+        disk = (ap.euclidean_disk if space is FLAT else ap.geodesic_disk)(space, lam, center)
+        sn = {0.0: float, 1.0: math.sin, -1.0: math.sinh}[space.curvature]
+        poly = ap.build2(space, lam, [disk])
+        assert poly.boundary[0].full_circle
+        expected = 2.0 * math.pi * sn(disk.radius)
+        assert abs(ap.perimeter2(poly) - expected) <= 1e-15 * expected
+
+    @pytest.mark.parametrize("space,lam", [(SPH, 1.0), (HYP, 2.0), (SPH, 0.3), (HYP, 1.1)])
+    def test_nearly_coincident_disks(self, space, lam):
+        # two arcs, each just short of half a circle
+        mp = pytest.importorskip("mpmath")
+        first = np.array([0.1, 0.05])
+        second = ms.exp_map(space, first, (0.6, 0.8), 1e-6)
+        disks = [ap.geodesic_disk(space, lam, p) for p in (first, second)]
+        poly = ap.build2(space, lam, disks)
+        sn = math.sin if space.curvature > 0.0 else math.sinh
+        half = math.pi * sn(disks[0].radius)
+        assert len(poly.boundary) == 2
+        for arc in poly.boundary:
+            assert 0.0 < half - arc.length <= 1e-6 * half
+        _assert_arcs_match_reference(mp, poly)
 
 
 class TestInradius2:
@@ -459,7 +537,7 @@ class TestLens:
         s = fraction * (1.0 if size is None else size)
         perimeter = ap.lens_perimeter_direct(space, lam, s)
         built = ap.perimeter2(ap.touching_polygon2(space, lam, s, [[1, 0], [-1, 0]]))
-        assert abs(perimeter - built) <= 1e-12 * built
+        assert abs(perimeter - built) <= 1e-13 * built
         assert abs(ap.matched_lens_inradius(space, lam, perimeter) - s) <= 1e-12 * s
 
     def test_perimeter_outside_the_lens_range(self):
