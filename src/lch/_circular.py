@@ -6,7 +6,11 @@ steps, each implemented once here:
 
 * ``feasible_arcs``: every other constraint forbids one open arc of a
   candidate boundary circle; the surviving boundary is the complement of
-  the union of those arcs;
+  the union of those arcs.  A build passes all its circles at once, as
+  ``(circles, constraints)`` arrays of the coefficients ``a, b, d`` of
+  ``a cos(phi) + b sin(phi) <= d``, and every entry is classified in one
+  array pass (``hypot``, ``d / m``, ``arctan2``, ``arccos``); only the
+  union of each circle's forbidden arcs runs per circle;
 * ``cluster_points``: arc endpoints closer than a tolerance merge into
   one vertex;
 * ``chain_loops``: directed arcs chain into closed boundary loops by
@@ -14,12 +18,19 @@ steps, each implemented once here:
 """
 
 import math
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import TopologyError
 
 TWO_PI = 2.0 * math.pi
+# Columns of u and v whose products make u x v = (y z' - z y', z x' - x z', x y' - y x').
+_CROSS_U = np.array([1, 2, 0, 2, 0, 1])
+_CROSS_V = np.array([2, 0, 1, 1, 2, 0])
+# cluster_points measures this many points at a time against the others,
+# which bounds its memory by 3 * 32 * 8 bytes a point.
+_BLOCK_ROWS = 32
 
 
 def complement_of_forbidden(forbidden, eps=1e-12):
@@ -85,67 +96,81 @@ def complement_of_forbidden(forbidden, eps=1e-12):
     return arcs, False
 
 
-def single_constraint_interval(a, b, d, eps=1e-14):
-    """Feasible half-width of ``a*cos(phi) + b*sin(phi) <= d`` on a circle.
+def feasible_arcs(a, b, d, eps=1e-14):
+    """Feasible arcs of circles under constraints ``a cos(phi) + b sin(phi) <= d``.
 
-    Returns ``(kind, center, half_width)`` where ``kind`` is ``"full"``,
-    ``"empty"`` or ``"cut"``.  For ``"cut"`` the *forbidden* open arc is
-    ``(center - half_width, center + half_width)``.
+    ``a``, ``b`` and ``d`` are ``(circles, constraints)`` arrays: entry
+    ``[n, k]`` is constraint k on circle n.  With ``m = hypot(a, b)`` it
+    forbids the open arc ``(atan2(b, a) - acos(d / m), atan2(b, a) +
+    acos(d / m))`` when ``-1 < d / m < 1``.  It holds on the whole circle
+    when ``d / m >= 1``, or ``m <= eps`` and ``d >= -eps`` (so ``d = inf``
+    masks an entry, such as a circle's own ball), and it empties the
+    circle when ``d / m <= -1``, or ``m <= eps`` and ``d < -eps``.
+
+    Every entry is classified in one array pass.  Returns one result per
+    circle: None when an entry empties it, whatever the others hold, and
+    otherwise ``complement_of_forbidden`` of its forbidden arcs, labelled by
+    their column.
     """
-    m = math.hypot(a, b)
-    if m <= eps:
-        return ("full" if d >= -eps else "empty"), 0.0, 0.0
-    ratio = d / m
-    if ratio >= 1.0:
-        return "full", 0.0, 0.0
-    if ratio <= -1.0:
-        return "empty", 0.0, 0.0
-    phi0 = math.atan2(b, a)
-    psi = math.acos(ratio)
-    return "cut", phi0, psi
+    m = np.hypot(a, b)
+    tiny = m <= eps
+    ratio = d / np.where(tiny, 1.0, m)  # d itself where m is tiny
+    dead = np.where(tiny, d < -eps, ratio <= -1.0).any(1).tolist()
+    cut = np.abs(ratio) < 1.0
+    cut &= ~tiny
+    centers = np.arctan2(b, a)[cut].tolist()
+    halves = np.arccos(ratio[cut]).tolist()
+    cols = cut.nonzero()[1].tolist()
+    bounds = [0, *accumulate(cut.sum(1).tolist())]
+    return [None if dead[n] else complement_of_forbidden(
+                zip(centers[lo:hi], halves[lo:hi], cols[lo:hi]))
+            for n, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
 
 
-def feasible_arcs(constraints):
-    """Feasible arcs of a circle under constraints ``a cos(phi) + b sin(phi) <= d``.
+def dot_rows(u, v):
+    """``u . v`` over the last axis of two arrays of 3-vectors, summed in
+    index order like ``np.add.reduce``, which is slow on so short an axis."""
+    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
 
-    ``constraints`` yields ``(a, b, d, label)``; it is consumed lazily and
-    abandoned as soon as one constraint empties the circle, in which case
-    the result is None.  Otherwise returns ``complement_of_forbidden`` of
-    the forbidden arcs, which carry the constraint labels.
-    """
-    forbidden = []
-    for a, b, d, label in constraints:
-        kind, phi0, psi = single_constraint_interval(a, b, d)
-        if kind == "empty":
-            return None
-        if kind == "cut":
-            forbidden.append((phi0, psi, label))
-    return complement_of_forbidden(forbidden)
+
+def cross_rows(u, v):
+    """``u x v`` over the last axis of two arrays of 3-vectors (rows of
+    ``(n, 3)`` arrays, say), with ``np.cross``'s arithmetic and without its
+    overhead."""
+    p = u[..., _CROSS_U] * v[..., _CROSS_V]
+    return p[..., :3] - p[..., 3:]
 
 
 def cluster_points(points, tol):
     """Greedy clustering: each point joins the first representative within tol.
 
     Returns ``(representatives, index)``: the points that opened a
-    cluster, in order, and each input point's cluster number.  Each point
-    is measured against all representatives so far at once.
+    cluster, in order, and each input point's cluster number.  Distances
+    are measured a block of ``_BLOCK_ROWS`` points at a time, each against
+    every point up to the block's end.
     """
-    points = list(points)
+    if len(points) == 0:
+        return [], []
+    coords = np.asarray(points, dtype=float)
     reps, index = [], []
-    if not points:
-        return reps, index
-    coords = np.array(points, dtype=float)
-    rep_coords = np.empty_like(coords)
-    for p, x in zip(points, coords):
-        d = rep_coords[:len(reps)] - x
-        # np.linalg.norm(d, axis=1), bit for bit, without its call overhead
-        near = (np.sqrt(np.add.reduce(d * d, axis=1)) <= tol).nonzero()[0]
-        if near.size:
-            index.append(int(near[0]))
-        else:
-            rep_coords[len(reps)] = x
-            index.append(len(reps))
-            reps.append(p)
+    cluster_of = {}  # representative's point number -> its cluster number
+    for start in range(0, len(coords), _BLOCK_ROWS):
+        # Squared distances summed coordinate by coordinate, the order of
+        # np.linalg.norm(p - q, axis=-1).
+        d2 = 0.0
+        for x, y in zip(coords[start:start + _BLOCK_ROWS].T, coords[:start + _BLOCK_ROWS].T):
+            dx = x[:, None] - y
+            dx *= dx
+            d2 += dx
+        near = np.sqrt(d2, out=d2) <= tol
+        for i, first in enumerate(near.argmax(1).tolist(), start):
+            if first not in cluster_of and first != i:  # its first near point joined another
+                row = near[i - start]
+                first = next((j for j in cluster_of if row[j]), i)
+            if first == i:
+                cluster_of[i] = len(reps)
+                reps.append(points[i])
+            index.append(cluster_of[first])
     return reps, index
 
 

@@ -60,6 +60,7 @@ from ._circular import (
     chain_loops,
     cluster_points,
     complement_of_forbidden,
+    cross_rows,
     feasible_arcs,
 )
 from .errors import (
@@ -330,15 +331,18 @@ def build2(space, lam, disks):
     circles = [chart_circle(d) for d in disks]
     scale = max(c.radius for c in circles)
 
+    # Row i, column j: where circle i leaves disk j (side=+1 wants
+    # |z - c_j|^2 <= r_j^2, side=-1 the reverse); disk i constrains nothing.
+    center = np.array([c.center for c in circles])
+    r = np.array([c.radius for c in circles])
+    side = np.array([float(c.side) for c in circles])
+    dv = center[:, None, :] - center
+    two_r = 2.0 * r[:, None]
+    d = -side * (((dv * dv).sum(2) + (r * r)[:, None]) - r * r)
+    d[np.diag_indices(len(circles))] = math.inf
     raw = []
-    for i, ci in enumerate(circles):
-        # side=+1 wants |z - c_j|^2 <= r_j^2, side=-1 the reverse.
-        offsets = ((ci.center - cj.center, cj, j) for j, cj in enumerate(circles) if j != i)
-        feasible = feasible_arcs(
-            (cj.side * (2.0 * ci.radius * float(dv[0])),
-             cj.side * (2.0 * ci.radius * float(dv[1])),
-             -cj.side * (float(dv @ dv) + ci.radius ** 2 - cj.radius ** 2), j)
-            for dv, cj, j in offsets)
+    for i, feasible in enumerate(feasible_arcs(side * (two_r * dv[..., 0]),
+                                               side * (two_r * dv[..., 1]), d)):
         if feasible is None:
             continue
         arcs, full = feasible
@@ -601,8 +605,8 @@ def _minimax_on_quadric(c, a, b, pool):
             else:
                 d1, e1 = ai - a[rows[:, 1]], b[rows[:, 1]] - b[rows[:, 0]]
                 d2, e2 = ai - a[rows[:, 2]], b[rows[:, 2]] - b[rows[:, 0]]
-                n = np.cross(d1, d2)
-                x0 = ((e1[:, None] * np.cross(d2, n) + e2[:, None] * np.cross(n, d1))
+                n = cross_rows(d1, d2)
+                x0 = ((e1[:, None] * cross_rows(d2, n) + e2[:, None] * cross_rows(n, d1))
                       / np.sum(n * n, axis=1)[:, None])
                 qa = np.sum(n * g * n, axis=1)
                 qb = np.sum(x0 * g * n, axis=1)

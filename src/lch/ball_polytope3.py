@@ -5,7 +5,8 @@ ball has radius ``1/lam``.  The build derives the boundary combinatorics:
 
 * each unordered pair of balls meets (if at all) in a circle; every other
   ball forbids one open arc of that circle, and the surviving closed arcs
-  are the edges of the body;
+  are the edges of the body (one array pass over all candidate pairs and
+  balls, see ``_pair_edges``);
 * arc endpoints, deduplicated spatially, are the vertices;
 * the arcs bounding each sphere's facet chain into closed oriented loops
   (facet on the left, seen from outside).
@@ -27,7 +28,7 @@ from itertools import combinations
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from ._circular import TWO_PI, chain_loops, cluster_points, feasible_arcs
+from ._circular import TWO_PI, chain_loops, cluster_points, cross_rows, dot_rows, feasible_arcs
 from .errors import (
     DegenerateBodyError,
     EmptyBodyError,
@@ -41,6 +42,7 @@ COSPHERICAL_TOL = 1e-12
 # Adjacent hull triangles whose unit normals agree this closely may be one
 # facet that qhull merged and triangulated arbitrarily.
 _FLAT_NORMALS = 1e-6
+_XYZ = np.arange(3)
 
 
 @dataclass(frozen=True)
@@ -156,15 +158,18 @@ def _cross(a, b):
     return (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
 
 
-def orthonormal_frame(axis):
-    """Unit vectors (e1, e2) with e1 x e2 = axis, for a unit axis."""
-    a = np.asarray(axis, dtype=float).tolist()
-    k = min(range(3), key=lambda n: abs(a[n]))
-    e1 = np.array([(n == k) - a[k] * x for n, x in enumerate(a)])
-    # Normalized by BLAS's fused dot, not a scalar sum: the frame fixes the
-    # bits of every arc angle and vertex of the build.
-    e1 /= np.linalg.norm(e1)
-    return e1, np.array(_cross(a, e1.tolist()))
+def orthonormal_frame(axes):
+    """Unit vectors (e1, e2) with e1 x e2 = axis, for a unit axis of shape
+    (3,) or each row of an (n, 3) array; e1 and e2 take the shape of ``axes``.
+
+    e1 is the unit vector of the axis's least component minus its
+    projection on the axis, normalized."""
+    a = np.asarray(axes, dtype=float)
+    rows = a.reshape(-1, 3)
+    unit = np.abs(rows).argmin(1)[:, None] == _XYZ
+    e1 = unit - rows[unit][:, None] * rows
+    e1 /= np.sqrt(dot_rows(e1, e1))[:, None]
+    return e1.reshape(a.shape), cross_rows(rows, e1).reshape(a.shape)
 
 
 def _candidate_pairs(pts, radius):
@@ -224,49 +229,61 @@ def _candidate_pairs(pts, radius):
 
 def _pair_edges(pts, radius, pairs):
     """Feasible arcs of the intersection circles of the center pairs
-    ``pairs``, each cut by every other ball.
+    ``pairs``, each cut by every other ball, in one array pass.
 
-    Returns a list of raw arcs ``(i, j, center, axis, rho, frame, phi_start,
-    phi_end, full, lab_s, lab_e, d)``, with d the distance of centers i, j.
+    Returns ``(circles, raw)``.  ``circles`` holds, per pair, the circle's
+    center, unit axis (from o_i toward o_j), radius, frame e1 and e2, and
+    the distance of the two centers, as arrays over the pairs; ``raw``
+    lists the arcs as ``(i, j, p, phi_start, phi_end, full, lab_s, lab_e)``,
+    with p the pair's row in ``circles``.
     """
-    m = len(pts)
+    ij = np.array(pairs, dtype=int).reshape(-1, 2)
+    oi, oj = pts[ij].transpose(1, 0, 2)
+    dv = oj - oi
+    dist2 = dot_rows(dv, dv)
+    dist = np.sqrt(dist2)
+    axes = dv / dist[:, None]
+    z = 0.5 * (oi + oj)
+    rho = np.sqrt(np.maximum(0.0, radius * radius - 0.25 * dist2))
+    e1, e2 = orthonormal_frame(axes)
+    # Ball k keeps |z + rho (cos phi e1 + sin phi e2) - o_k| <= radius: the
+    # constraint (a, b, d) of row p, column k, formed from v = z - o_k.
+    v = z[:, None, :] - pts
+    two_rho = 2.0 * rho[:, None]
+    a = two_rho * (v @ e1[:, :, None])[..., 0]
+    b = two_rho * (v @ e2[:, :, None])[..., 0]
+    d = (radius * radius - dot_rows(v, v)) - (rho * rho)[:, None]
+    d[np.arange(len(ij))[:, None], ij] = math.inf  # balls i and j constrain nothing
     raw = []
-    for i, j in pairs:
-        dv = pts[j] - pts[i]
-        d = float(np.linalg.norm(dv))
-        axis = dv / d
-        z = 0.5 * (pts[i] + pts[j])
-        rho = math.sqrt(max(0.0, radius * radius - 0.25 * d * d))
-        e1, e2 = orthonormal_frame(axis)
-        # Ball k keeps |z + rho (cos phi e1 + sin phi e2) - o_k| <= radius.
-        offsets = ((z - pts[k], k) for k in range(m) if k != i and k != j)
-        feasible = feasible_arcs(
-            (2.0 * rho * float(e1 @ v), 2.0 * rho * float(e2 @ v),
-             radius * radius - float(v @ v) - rho * rho, k) for v, k in offsets)
+    for p, ((i, j), feasible) in enumerate(zip(pairs, feasible_arcs(a, b, d))):
         if feasible is None:
             continue
         arcs, full = feasible
         if full:
-            raw.append((i, j, z, axis, rho, (e1, e2), 0.0, TWO_PI, True, None, None, d))
+            raw.append((i, j, p, 0.0, TWO_PI, True, None, None))
         else:
-            for (s, e, lab_s, lab_e) in arcs:
-                raw.append((i, j, z, axis, rho, (e1, e2), s, e, False, lab_s, lab_e, d))
-    return raw
+            raw.extend((i, j, p, s, e, False, lab_s, lab_e) for s, e, lab_s, lab_e in arcs)
+    return (z, axes, rho, e1, e2, dist), raw
 
 
-def _collect_vertices(raw, radius):
+def _collect_vertices(circles, raw, radius):
     """Cluster arc endpoints into vertices; returns (vertices, endpoint map)."""
-    ends = [(arc_id, which, (i, j, lab),
-             z + rho * (math.cos(phi) * e1 + math.sin(phi) * e2))
-            for arc_id, (i, j, z, _, rho, (e1, e2), s, e, full, lab_s, lab_e, _) in enumerate(raw)
-            if not full
-            for which, phi, lab in (("s", s, lab_s), ("e", e, lab_e))]
-    positions, index = cluster_points([p for *_, p in ends], VERTEX_TOL * radius)
+    z, _, rho, e1, e2, _ = circles
+    opened = [(arc_id, arc) for arc_id, arc in enumerate(raw) if not arc[5]]
+    if not opened:  # full circles only: no vertex
+        return (), {}
+    # Rows 2n and 2n + 1 are the start and end of the n-th open arc.
+    p = np.repeat(np.array([arc[2] for _, arc in opened], dtype=int), 2)
+    phi = np.array([arc[3:5] for _, arc in opened]).reshape(-1, 1)
+    ends = z[p] + rho[p, None] * (np.cos(phi) * e1[p] + np.sin(phi) * e2[p])
+    positions, index = cluster_points(ends, VERTEX_TOL * radius)
     incidents = [set() for _ in positions]
     endpoint_vertex = {}
-    for (arc_id, which, spheres, _), vid in zip(ends, index):
-        incidents[vid].update(spheres)
-        endpoint_vertex[(arc_id, which)] = vid
+    for (arc_id, (i, j, _, _, _, _, lab_s, lab_e)), vs, ve in zip(opened, index[::2], index[1::2]):
+        incidents[vs].update((i, j, lab_s))
+        incidents[ve].update((i, j, lab_e))
+        endpoint_vertex[(arc_id, "s")] = vs
+        endpoint_vertex[(arc_id, "e")] = ve
     for vid, inc in enumerate(incidents):
         if len(inc) > 3:
             raise DegenerateBodyError(
@@ -276,11 +293,6 @@ def _collect_vertices(raw, radius):
     vertices = tuple(Vertex(position=p, incident=frozenset(inc))
                      for p, inc in zip(positions, incidents))
     return vertices, endpoint_vertex
-
-
-def _frames(edges):
-    """Each edge's circle (axis, e1, e2), as lists."""
-    return [(e.circle_axis.tolist(), e.frame[0].tolist(), e.frame[1].tolist()) for e in edges]
 
 
 def _circle_point(e1, e2, phi):
@@ -429,7 +441,7 @@ def _build_retained(lam, work, radius):
     """Assemble combinatorics, re-running if redundant balls drop out."""
     m = len(work)
     pairs, source = _candidate_pairs(work, radius)
-    raw = _pair_edges(work, radius, pairs)
+    circles, raw = _pair_edges(work, radius, pairs)
     if m >= 2:
         present = set()
         for arc in raw:
@@ -441,20 +453,23 @@ def _build_retained(lam, work, radius):
             poly["pair_sources"].insert(0, (source, len(pairs)))
             return [retained[k] for k in retained_sub], poly
     retained = list(range(m))
-    vertices, endpoint_vertex = _collect_vertices(raw, radius)
+    vertices, endpoint_vertex = _collect_vertices(circles, raw, radius)
 
+    z, axes, rho, e1, e2, dist = circles
+    radii, distances = rho.tolist(), dist.tolist()
     edges = []
-    for arc_id, arc in enumerate(raw):
-        i, j, z, axis, rho, frame, s, e, full, _, _, d = arc
+    for arc_id, (i, j, p, s, e, full, _, _) in enumerate(raw):
+        d = distances[p]
         dihedral = math.acos(min(1.0, max(-1.0, 1.0 - 0.5 * d * d * lam * lam)))
-        edges.append(EdgeArc(pair=(i, j), circle_center=z, circle_axis=axis,
-                             circle_radius=rho, frame=frame, phi_start=s, phi_end=e,
-                             full_circle=full,
+        edges.append(EdgeArc(pair=(i, j), circle_center=z[p], circle_axis=axes[p],
+                             circle_radius=radii[p], frame=(e1[p], e2[p]),
+                             phi_start=s, phi_end=e, full_circle=full,
                              start_vertex=endpoint_vertex.get((arc_id, "s")),
                              end_vertex=endpoint_vertex.get((arc_id, "e")),
                              dihedral=dihedral, center_distance=d))
     edges = tuple(edges)
-    frames = _frames(edges)
+    pair_frames = list(zip(axes.tolist(), e1.tolist(), e2.tolist()))  # (axis, e1, e2) as lists
+    frames = [pair_frames[p] for _, _, p, *_ in raw]
     phis = [(e.phi_start, e.phi_end) for e in edges]
     tangents = _end_tangents(edges, frames, phis)
     positions = [v.position.tolist() for v in vertices]

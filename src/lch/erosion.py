@@ -62,7 +62,7 @@ import numpy as np
 from scipy.integrate import tanhsinh
 
 from . import ball_polytope3 as bp3
-from ._circular import TWO_PI
+from ._circular import TWO_PI, cross_rows, dot_rows
 from .ball_polytope3 import _cross, _dot
 from .errors import EmptyBodyError, InvalidParameterError, NumericError
 from .inradius import minimal_enclosing_ball
@@ -103,18 +103,6 @@ def _full_signature(body):
             sorted((e.pair, () if e.full_circle else (inc[e.start_vertex], inc[e.end_vertex]))
                    for e in body.edges),
             sorted((f.ball_index, len(f.boundary_loops)) for f in body.facets))
-
-
-def _dot3(a, b):
-    """a . b over the last axis of two arrays of 3-vectors (``_dot``'s order)."""
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
-
-
-def _cross3(a, b):
-    """a x b over the last axis of two arrays of 3-vectors (``_cross``'s order)."""
-    ax, ay, az = a[..., 0], a[..., 1], a[..., 2]
-    bx, by, bz = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx], axis=-1)
 
 
 def _row_sums(a):
@@ -214,7 +202,7 @@ class _Piece:
         h = np.sqrt((radius * radius)[:, None] - self.rho2)
         positions = self.c + h[:, :, None] * self.n            # (t, vertex, 3)
         q = positions[:, self.ends] - self.z                    # (t, arc, end, 3)
-        x, y = _dot3(q, self.e1), _dot3(q, self.e2)
+        x, y = dot_rows(q, self.e1), dot_rows(q, self.e2)
         phi = np.arctan2(y, x)
         phi = self.ref + ((phi - self.ref + math.pi) % TWO_PI - math.pi)
         norm = np.sqrt(x * x + y * y)
@@ -224,7 +212,7 @@ class _Piece:
         t_in = self.in_sign * tangents[:, self.in_slot, self.in_end]
         t_out = self.out_sign * tangents[:, self.out_slot, self.out_end]
         normal = (positions[:, self.corner_vertex] - self.corner_center) / radius[:, None, None]
-        turns = np.arctan2(_dot3(_cross3(t_in, t_out), normal), _dot3(t_in, t_out))
+        turns = np.arctan2(dot_rows(cross_rows(t_in, t_out), normal), dot_rows(t_in, t_out))
         kg = lam * (self.kg_full + _row_sums((phi[:, :, 1] - phi[:, :, 0]) * self.half_d))
         return radius * radius * (TWO_PI * self.chi - kg - _row_sums(turns))
 

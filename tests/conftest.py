@@ -128,3 +128,22 @@ def edge_strip_area_quadrature(body, edge, n_phi=200, n_tau=48):
         cross = np.cross(u_phi, u_s)
         total += wt * float(ws_p @ np.linalg.norm(cross, axis=1))
     return 0.25 * edge.arc_angle * total
+
+
+def single_constraint_interval(a, b, d, eps=1e-14):
+    """Scalar reference for one entry of ``_circular.feasible_arcs``: the
+    feasible set of ``a*cos(phi) + b*sin(phi) <= d`` on the circle.
+
+    Returns ``(kind, center, half_width)`` where ``kind`` is ``"full"``,
+    ``"empty"`` or ``"cut"``.  For ``"cut"`` the *forbidden* open arc is
+    ``(center - half_width, center + half_width)``.
+    """
+    m = math.hypot(a, b)
+    if m <= eps:
+        return ("full" if d >= -eps else "empty"), 0.0, 0.0
+    ratio = d / m
+    if ratio >= 1.0:
+        return "full", 0.0, 0.0
+    if ratio <= -1.0:
+        return "empty", 0.0, 0.0
+    return "cut", math.atan2(b, a), math.acos(ratio)

@@ -1,5 +1,6 @@
 """Build combinatorics and exact measures of ball polytopes."""
 
+import functools
 import math
 from itertools import combinations
 
@@ -185,6 +186,80 @@ class TestInvariants:
             report = bp3.validate_lambda_convexity(body, samples=2000, seed=0)
             assert report.passed
             assert report.max_violation < 1e-9
+
+
+@functools.cache
+def metamorphic_bodies():
+    """Generator bodies m = 2..24 and random-center bodies, as (lam, centers)."""
+    bodies = [(1.0, make_body(seed=60 + m, m=m, r0=0.2 + 0.03 * m).centers)
+              for m in range(2, 25)]
+    rng = np.random.default_rng(2025)
+    for m in range(2, 25):
+        u = rng.normal(size=(m, 3))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        lam = float(rng.choice([0.5, 1.0, 2.0]))
+        bodies.append((lam, u * rng.uniform(0.05, 0.9, size=(m, 1)) / lam))
+    return bodies
+
+
+def _rotation(rng):
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q *= np.sign(np.diag(r))
+    if np.linalg.det(q) < 0.0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+def _measures(body):
+    return bp3.surface_area(body), bp3.volume(body)
+
+
+class TestBuildMetamorphic:
+    """Rigid motions, relabelling and a containing ball leave the body alone."""
+
+    @pytest.mark.parametrize("k", range(46))
+    def test_rotation_and_translation(self, k):
+        lam, centers = metamorphic_bodies()[k]
+        rng = np.random.default_rng(k)
+        body = bp3.build(lam, centers)
+        moved = bp3.build(lam, centers @ _rotation(rng).T + rng.uniform(-1.0, 1.0, size=3) / lam)
+        assert moved.combinatorial_signature() == body.combinatorial_signature()
+        for got, want in zip(_measures(moved), _measures(body)):
+            assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("k", range(46))
+    def test_permutation(self, k):
+        lam, centers = metamorphic_bodies()[k]
+        perm = np.random.default_rng(k).permutation(len(centers))
+        body, shuffled = bp3.build(lam, centers), bp3.build(lam, centers[perm])
+        count = lambda b: (len(b.facets), len(b.edges), len(b.vertices),
+                           len(b.build_report.redundant_indices))
+        assert count(shuffled) == count(body)
+        # relabelled by center: the facet areas and the retained balls agree
+        areas = lambda b: {tuple(b.centers[f.ball_index]): f.area for f in b.facets}
+        got, want = areas(shuffled), areas(body)
+        assert got.keys() == want.keys()
+        total = bp3.surface_area(body)
+        assert all(abs(got[c] - want[c]) <= 1e-12 * total for c in want)
+        edges = lambda b: sorted(frozenset(map(tuple, b.centers[list(e.pair)])) for e in b.edges)
+        assert sorted(map(sorted, edges(shuffled))) == sorted(map(sorted, edges(body)))
+        for got, want in zip(_measures(shuffled), _measures(body)):
+            assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("k", range(46))
+    def test_containing_ball_is_redundant(self, k):
+        # a ball around a convex combination of the centers holds the body:
+        # |x - sum w_i o_i| <= sum w_i |x - o_i| <= R
+        lam, centers = metamorphic_bodies()[k]
+        rng = np.random.default_rng(k)
+        body = bp3.build(lam, centers)
+        at = int(rng.integers(0, len(centers) + 1))
+        grown = bp3.build(lam, np.insert(centers, at, rng.dirichlet(np.ones(len(centers))) @ centers,
+                                         axis=0))
+        assert at in grown.build_report.redundant_indices
+        assert grown.combinatorial_signature()[:3] == body.combinatorial_signature()[:3]
+        for got, want in zip(_measures(grown), _measures(body)):
+            assert abs(got - want) <= 1e-12 * want
 
 
 def noisy_touching_centers(seed, m, noise):

@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from conftest import single_constraint_interval
 from lch._circular import (
     TWO_PI,
     chain_loops,
     cluster_points,
     complement_of_forbidden,
+    cross_rows,
     feasible_arcs,
-    single_constraint_interval,
 )
 from lch.errors import TopologyError
 
@@ -71,6 +72,7 @@ def test_random_unions_match_membership_oracle():
 
 
 def test_single_constraint_interval_cases():
+    # the scalar reference the array kernel is tested against
     kind, _, _ = single_constraint_interval(0.0, 0.0, 1.0)
     assert kind == "full"
     kind, _, _ = single_constraint_interval(0.0, 0.0, -1.0)
@@ -82,18 +84,114 @@ def test_single_constraint_interval_cases():
     assert math.isclose(psi, math.pi / 2.0, rel_tol=1e-12)
 
 
-def test_feasible_arcs_empty_constraint_kills_the_circle():
-    # cos(phi) <= -2 holds nowhere; the second constraint is never read
-    def constraints():
-        yield 1.0, 0.0, -2.0, "dead"
-        raise AssertionError("constraints after an emptying one are not consumed")
+def random_entry(rng):
+    """One constraint ``(a, b, d)`` of a kind drawn to cover every branch."""
+    a, b = rng.uniform(-2.0, 2.0, size=2)
+    m = math.hypot(a, b)
+    u = rng.random()
+    if u < 0.55:  # a cut
+        return a, b, m * math.cos(rng.uniform(0.01, math.pi - 0.01))
+    if u < 0.65:  # slack
+        return a, b, m * rng.uniform(1.0, 2.0)
+    if u < 0.70:  # a = b = 0, d >= 0
+        return 0.0, 0.0, float(rng.choice([0.0, rng.uniform(0.0, 1.0)]))
+    if u < 0.72:  # a = b = 0, d < 0
+        return 0.0, 0.0, -rng.uniform(1e-12, 1.0)
+    if u < 0.80:  # |d / m| = 1 exactly: +1 holds, -1 empties
+        # hypot is exact on a scaled (3, 4, 5) triangle, whichever hypot
+        scale = 2.0 ** int(rng.integers(-3, 4)) * rng.choice([-1.0, 1.0], size=2)
+        a, b = (3.0, 4.0) if rng.random() < 0.5 else (4.0, 3.0)
+        return a * scale[0], b * scale[1], float(rng.choice([5.0, -5.0]) * abs(scale[0]))
+    if u < 0.95:  # masked
+        return a, b, math.inf
+    return a, b, -m * rng.uniform(1.0, 2.0)  # empties
 
-    assert feasible_arcs(constraints()) is None
+
+def random_rows(rng, n, width):
+    """``n`` rows of 1..width entries, padded to ``width`` with masked ones."""
+    abd = np.zeros((3, n, width))
+    abd[2] = math.inf
+    for row in range(n):
+        k = int(rng.integers(1, width + 1))
+        cols = rng.choice(width, size=k, replace=False)
+        abd[:, row, cols] = np.array([random_entry(rng) for _ in range(k)]).T
+    return abd
+
+
+def reference_row(a, b, d):
+    """The scalar reference for one row: None if an entry empties the
+    circle, else the complement of its cut arcs, labelled by column."""
+    forbidden = []
+    for col, entry in enumerate(zip(a, b, d)):
+        kind, center, half = single_constraint_interval(*entry)
+        if kind == "empty":
+            return None
+        if kind == "cut":
+            forbidden.append((center, half, col))
+    return complement_of_forbidden(forbidden)
+
+
+def test_feasible_arcs_match_the_scalar_reference():
+    rng = np.random.default_rng(25)
+    a, b, d = random_rows(rng, 2000, 6)
+    results = feasible_arcs(a, b, d)
+    assert len(results) == 2000
+    dead = live = 0
+    for row, got in enumerate(results):
+        ref = reference_row(a[row].tolist(), b[row].tolist(), d[row].tolist())
+        if ref is None:
+            assert got is None
+            dead += 1
+            continue
+        live += 1
+        (arcs, full), (ref_arcs, ref_full) = got, ref
+        assert full == ref_full and len(arcs) == len(ref_arcs)
+        for (s, e, ls, le), (rs, re, rls, rle) in zip(arcs, ref_arcs):
+            assert (ls, le) == (rls, rle)
+            assert abs(s - rs) <= 1e-14 and abs(e - re) <= 1e-14
+    assert dead > 100 and live > 100
+
+
+def test_feasible_arcs_classify_each_entry_like_the_reference():
+    # one entry per row: the row's result names the entry's kind
+    rng = np.random.default_rng(26)
+    entries = [random_entry(rng) for _ in range(2000)]
+    entries += [(0.0, 0.0, 0.0), (0.0, 0.0, -1e-15), (0.0, 0.0, -1e-13),
+                (3.0, 4.0, 5.0), (3.0, 4.0, -5.0), (1e-15, 0.0, 1e-15)]
+    a, b, d = (np.array(x).reshape(-1, 1) for x in zip(*entries))
+    kinds = set()
+    for entry, got in zip(entries, feasible_arcs(a, b, d)):
+        kind, center, half = single_constraint_interval(*entry)
+        kinds.add(kind)
+        if kind == "empty":
+            assert got is None
+        elif kind == "full":
+            assert got == ([], True)
+        else:
+            (arcs, full), (ref, _) = got, complement_of_forbidden([(center, half, 0)])
+            assert not full and len(arcs) == len(ref) == 1
+            (s, e, ls, le), (rs, re, _, _) = arcs[0], ref[0]
+            assert (ls, le) == (0, 0)
+            assert abs(s - rs) <= 1e-14 and abs(e - re) <= 1e-14
+    assert kinds == {"full", "empty", "cut"}
+
+
+def test_feasible_arcs_empty_constraint_kills_the_circle():
+    # whatever else the row holds: cuts, slack, masked or other emptying entries
+    a = np.array([[1.0, 1.0, 0.0, 0.3, 1.0], [0.2, 1.0, 0.0, 0.0, 0.5]])
+    b = np.array([[0.0, 0.5, 0.0, 0.0, 0.0], [0.1, 0.0, 0.0, 0.0, 0.5]])
+    d = np.array([[-2.0, 0.1, 1.0, math.inf, 5.0], [0.0, 0.0, 0.0, math.inf, -1.0]])
+    assert feasible_arcs(a, b, d) == [None, None]
+    d[0, 0] = 2.0
+    first, second = feasible_arcs(a, b, d)
+    assert first is not None and second is None
 
 
 def test_feasible_arcs_without_constraints_is_full_circle():
-    assert feasible_arcs([]) == ([], True)
-    assert feasible_arcs([(0.0, 0.0, 1.0, "slack"), (1.0, 0.0, 2.0, "far")]) == ([], True)
+    empty = np.zeros((2, 0))
+    assert feasible_arcs(empty, empty, empty) == [([], True), ([], True)]
+    a, b, d = np.array([[0.0, 1.0, 0.7]]), np.array([[0.0, 0.0, 0.0]]), np.array([[1.0, 2.0, math.inf]])
+    assert feasible_arcs(a, b, d) == [([], True)]
 
 
 def test_feasible_arcs_match_complement_of_forbidden():
@@ -101,21 +199,22 @@ def test_feasible_arcs_match_complement_of_forbidden():
     rng = np.random.default_rng(11)
     for _ in range(300):
         forbidden = random_forbidden(rng)
-        constraints = []
-        for center, half, label in forbidden:
-            scale = float(rng.uniform(0.5, 2.0))
-            constraints.append((scale * math.cos(center), scale * math.sin(center),
-                                scale * math.cos(half), label))
-        result = feasible_arcs(constraints)
-        assert result == complement_of_forbidden(
-            [single_constraint_interval(a, b, d)[1:] + (label,)
-             for a, b, d, label in constraints])
-        got, full = result
+        scale = rng.uniform(0.5, 2.0, size=len(forbidden))
+        center, half = (np.array(x) for x in list(zip(*forbidden))[:2])
+        [(got, full)] = feasible_arcs((scale * np.cos(center))[None], (scale * np.sin(center))[None],
+                                      (scale * np.cos(half))[None])
         ref, _ = complement_of_forbidden(forbidden)
         assert not full and len(got) == len(ref)
         for (s, e, ls, le), (rs, re, rls, rle) in zip(got, ref):
             assert (ls, le) == (rls, rle)
             assert math.isclose(s, rs, abs_tol=1e-9) and math.isclose(e, re, abs_tol=1e-9)
+
+
+def test_cross_rows_is_np_cross_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for n in (0, 1, 3, 200):
+        u, v = rng.normal(size=(2, n, 3)) * 10.0 ** rng.integers(-8, 8, size=(2, n, 1))
+        assert np.array_equal(cross_rows(u, v), np.cross(u, v).reshape(n, 3))
 
 
 def test_cluster_points_joins_at_exactly_tol():

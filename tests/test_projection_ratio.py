@@ -7,11 +7,11 @@ import pytest
 from scipy.integrate import quad
 from scipy.spatial import SphericalVoronoi
 
-from conftest import make_body
+from conftest import make_body, single_constraint_interval
 from lch import ball_polytope3 as bp3
 from lch import harness
 from lch import projection_ratio as pr
-from lch._circular import TWO_PI, single_constraint_interval
+from lch._circular import TWO_PI
 from lch.errors import InvalidParameterError
 from lch.inradius import inscribed_ball, reduce_to_touching
 

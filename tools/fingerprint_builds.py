@@ -28,7 +28,8 @@ the 240 touching-construction bodies of the 3-D list and records each
 facet's projected area and ratio and the ``at_equality`` flags.
 
 ``--compare`` prints, for each section and each field, the number of rows
-whose non-float content differs and the largest relative difference of
+whose non-float content differs (the floats quoted in a failure's message
+count as floats) and the largest relative difference of
 the floats, measured against the largest magnitude of that field in the
 row (so a vertex coordinate near zero is compared on its polygon's scale).
 Erosion profiles are matched on their shared sample times: the areas are
@@ -37,6 +38,7 @@ counted apart.
 """
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -239,13 +241,22 @@ def bodies2():
     return out
 
 
+# A decimal number with a point or an exponent, as Python prints a float.
+FLOAT_IN_TEXT = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+(?=[eE]))(?:[eE][-+]?\d+)?")
+
+
 def fields(row, path="", out=None):
-    """Row leaves grouped by field path; hex strings become floats."""
+    """Row leaves grouped by field path; hex strings become floats, and so
+    do the floats quoted in a failure's message (a vertex position, say),
+    so that a failure moved by rounding compares as a float difference."""
     out = {} if out is None else out
     if isinstance(row, dict):
         for k, v in row.items():
             fields(v, f"{path}/{k}", out)
     elif isinstance(row, list):
+        if len(row) == 3 and row[0] == "error":
+            row = [row[0], row[1], FLOAT_IN_TEXT.sub("#", row[2]),
+                   *map(float, FLOAT_IN_TEXT.findall(row[2]))]
         for v in row:
             fields(v, path, out)
     else:
