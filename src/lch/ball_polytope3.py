@@ -17,6 +17,10 @@ from the intrinsic Gauss-Bonnet identity: a boundary arc sitting on a cap
 of angular radius psi has constant geodesic curvature cot(psi) and
 contributes ``arc_angle * cos(psi)``; corners contribute turning angles.
 Volumes come from the divergence theorem with closed-form arc integrals.
+The facet stage is one array pass too: ``_facet_measures`` sums each
+arc's ``dphi cos(psi)`` onto both its facets and each corner's turn
+``atan2((t_in x t_out) . n, t_in . t_out)`` onto its facet, and
+``area = R^2 (2 pi chi - both sums)``.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ COSPHERICAL_TOL = 1e-12
 # facet that qhull merged and triangulated arbitrarily.
 _FLAT_NORMALS = 1e-6
 _XYZ = np.arange(3)
+_EYE = np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -79,8 +84,9 @@ class EdgeArc:
         return self.circle_center + self.circle_radius * (math.cos(phi) * e1 + math.sin(phi) * e2)
 
     def tangent_at(self, phi, forward):
-        t = np.array(_cross(self.circle_axis.tolist(),
-                            _circle_point(self.frame[0].tolist(), self.frame[1].tolist(), phi)))
+        """Unit tangent at phi, ``cos(phi) e2 - sin(phi) e1``, negated when not forward."""
+        e1, e2 = self.frame
+        t = math.cos(phi) * e2 - math.sin(phi) * e1
         return t if forward else -t
 
 
@@ -99,9 +105,9 @@ class BuildReport:
     redundant_indices: tuple
     duplicate_indices: tuple
     source_centers: np.ndarray  # the input list, order preserved (for I/O)
-    # Where the first pass, over every kept center, took its candidate
-    # pairs ("hull" or "all", see _candidate_pairs); the pairs tried over
-    # all passes (a pass repeats without the redundant balls).
+    # Where the build took its candidate pairs over every kept center
+    # ("hull" or "all", see _candidate_pairs) and how many: their circles
+    # are computed once, also when redundant balls drop.
     pair_source: str = "all"
     candidate_pairs: int = 0
 
@@ -166,8 +172,8 @@ def orthonormal_frame(axes):
     projection on the axis, normalized."""
     a = np.asarray(axes, dtype=float)
     rows = a.reshape(-1, 3)
-    unit = np.abs(rows).argmin(1)[:, None] == _XYZ
-    e1 = unit - rows[unit][:, None] * rows
+    unit = _EYE[np.abs(rows).argmin(1)]
+    e1 = unit - dot_rows(rows, unit)[:, None] * rows
     e1 /= np.sqrt(dot_rows(e1, e1))[:, None]
     return e1.reshape(a.shape), cross_rows(rows, e1).reshape(a.shape)
 
@@ -227,17 +233,16 @@ def _candidate_pairs(pts, radius):
     return sorted(pairs), "hull"
 
 
-def _pair_edges(pts, radius, pairs):
-    """Feasible arcs of the intersection circles of the center pairs
-    ``pairs``, each cut by every other ball, in one array pass.
+def _pair_circles(pts, radius, ij):
+    """The intersection circles of the center pairs ``ij`` (rows ``(i, j)``)
+    and every ball's constraint on each, as arrays over the pairs.
 
-    Returns ``(circles, raw)``.  ``circles`` holds, per pair, the circle's
-    center, unit axis (from o_i toward o_j), radius, frame e1 and e2, and
-    the distance of the two centers, as arrays over the pairs; ``raw``
-    lists the arcs as ``(i, j, p, phi_start, phi_end, full, lab_s, lab_e)``,
-    with p the pair's row in ``circles``.
+    Returns ``(circles, (a, b, d))``.  ``circles`` holds, per pair, the
+    circle's center, unit axis (from o_i toward o_j), radius, frame e1 and
+    e2, and the distance of the two centers; ball k keeps the point at
+    angle phi of circle p iff ``a[p, k] cos(phi) + b[p, k] sin(phi) <=
+    d[p, k]``, and ``d`` is infinite where k is i or j.
     """
-    ij = np.array(pairs, dtype=int).reshape(-1, 2)
     oi, oj = pts[ij].transpose(1, 0, 2)
     dv = oj - oi
     dist2 = dot_rows(dv, dv)
@@ -254,8 +259,15 @@ def _pair_edges(pts, radius, pairs):
     b = two_rho * (v @ e2[:, :, None])[..., 0]
     d = (radius * radius - dot_rows(v, v)) - (rho * rho)[:, None]
     d[np.arange(len(ij))[:, None], ij] = math.inf  # balls i and j constrain nothing
+    return (z, axes, rho, e1, e2, dist), (a, b, d)
+
+
+def _pair_arcs(ij, a, b, d):
+    """The feasible arcs of ``_pair_circles`` as columns ``(i, j, p, phi_start,
+    phi_end, full, lab_s, lab_e)``: p is the pair's row, the labels are the
+    columns of the balls that end the arc (None on a full circle)."""
     raw = []
-    for p, ((i, j), feasible) in enumerate(zip(pairs, feasible_arcs(a, b, d))):
+    for p, ((i, j), feasible) in enumerate(zip(ij.tolist(), feasible_arcs(a, b, d))):
         if feasible is None:
             continue
         arcs, full = feasible
@@ -263,111 +275,104 @@ def _pair_edges(pts, radius, pairs):
             raw.append((i, j, p, 0.0, TWO_PI, True, None, None))
         else:
             raw.extend((i, j, p, s, e, False, lab_s, lab_e) for s, e, lab_s, lab_e in arcs)
-    return (z, axes, rho, e1, e2, dist), raw
+    return tuple(zip(*raw)) or ((),) * 8
 
 
-def _collect_vertices(circles, raw, radius):
-    """Cluster arc endpoints into vertices; returns (vertices, endpoint map)."""
-    z, _, rho, e1, e2, _ = circles
-    opened = [(arc_id, arc) for arc_id, arc in enumerate(raw) if not arc[5]]
+def _collect_vertices(arcs, points, radius):
+    """The vertices, clustered from the arcs' start and end ``points``, and
+    each arc's (start, end) vertex, (-1, -1) on a full circle."""
+    i, j, _, _, _, full, lab_s, lab_e = arcs
+    ends = [(-1, -1)] * len(full)
+    opened = [n for n, f in enumerate(full) if not f]
     if not opened:  # full circles only: no vertex
-        return (), {}
-    # Rows 2n and 2n + 1 are the start and end of the n-th open arc.
-    p = np.repeat(np.array([arc[2] for _, arc in opened], dtype=int), 2)
-    phi = np.array([arc[3:5] for _, arc in opened]).reshape(-1, 1)
-    ends = z[p] + rho[p, None] * (np.cos(phi) * e1[p] + np.sin(phi) * e2[p])
-    positions, index = cluster_points(ends, VERTEX_TOL * radius)
+        return (), ends
+    # Rows 2k and 2k + 1 are the start and end of the k-th open arc.
+    points = points[opened].reshape(-1, 3)
+    positions, index = cluster_points(points, VERTEX_TOL * radius)
     incidents = [set() for _ in positions]
-    endpoint_vertex = {}
-    for (arc_id, (i, j, _, _, _, _, lab_s, lab_e)), vs, ve in zip(opened, index[::2], index[1::2]):
-        incidents[vs].update((i, j, lab_s))
-        incidents[ve].update((i, j, lab_e))
-        endpoint_vertex[(arc_id, "s")] = vs
-        endpoint_vertex[(arc_id, "e")] = ve
+    for n, vs, ve in zip(opened, index[::2], index[1::2]):
+        ends[n] = (vs, ve)
+        incidents[vs].update((i[n], j[n], lab_s[n]))
+        incidents[ve].update((i[n], j[n], lab_e[n]))
     for vid, inc in enumerate(incidents):
         if len(inc) > 3:
             raise DegenerateBodyError(
                 f"{len(inc)} spheres pass within tolerance of a common point "
                 f"(vertex {vid} at {positions[vid].tolist()})"
             )
-    vertices = tuple(Vertex(position=p, incident=frozenset(inc))
-                     for p, inc in zip(positions, incidents))
-    return vertices, endpoint_vertex
+    vertices = tuple(Vertex(position=x, incident=frozenset(inc))
+                     for x, inc in zip(positions, incidents))
+    return vertices, ends
 
 
-def _circle_point(e1, e2, phi):
-    """Unit direction cos(phi) e1 + sin(phi) e2 of a circle, as a tuple."""
-    c, s = math.cos(phi), math.sin(phi)
-    return (c * e1[0] + s * e2[0], c * e1[1] + s * e2[1], c * e1[2] + s * e2[2])
+def _facet_loops(m, i, j, full, ends):
+    """The boundary loops of facets 0..m-1: arc n, from vertex ``ends[n][0]``
+    to ``ends[n][1]``, is ``(n, True)`` on facet ``i[n]`` (on its left) and
+    ``(n, False)`` on facet ``j[n]``.  Each full circle is a loop of its
+    own; the other arcs, in arc order, are chained end to start."""
+    mine = [[] for _ in range(m)]
+    for n, (left, right) in enumerate(zip(i, j)):
+        mine[left].append((n, True))
+        mine[right].append((n, False))
+    loops = []
+    for sides in mine:
+        closed = tuple((side,) for side in sides if full[side[0]])
+        open_sides = [side for side in sides if not full[side[0]]]
+        chained = chain_loops([ends[n] if fwd else ends[n][::-1] for n, fwd in open_sides])
+        loops.append(closed + tuple(tuple(open_sides[k] for k in loop) for loop in chained))
+    return loops
 
 
-def _unit_tangent(frame, phi):
-    """Unit tangent at phi, toward increasing phi, of the circle with
-    ``frame`` (axis, e1, e2), as a tuple."""
-    axis, e1, e2 = frame
-    tx, ty, tz = _cross(axis, _circle_point(e1, e2, phi))
-    norm = math.sqrt(tx * tx + ty * ty + tz * tz)
-    return (tx / norm, ty / norm, tz / norm)
+def _corner_table(facet_loops, full, ends):
+    """One row per corner of the loops of ``facet_loops``, pairs of a ball
+    index and its facet's loops, as int arrays ``(facet, in_arc, in_end,
+    out_arc, out_end, vertex)``: the arc coming in and the end it meets the
+    corner with (1, phi_end, when forward), the arc going out and its end
+    (0 when forward), and the vertex, from arc n's ``ends[n]``.  Full
+    circles, flagged by ``full``, make no corner."""
+    rows = [(f, arc, fwd, nxt, not nxt_fwd, ends[arc][fwd])
+            for f, loops in facet_loops for loop in loops
+            for (arc, fwd), (nxt, nxt_fwd) in zip(loop, loop[1:] + loop[:1]) if not full[arc]]
+    return np.array(rows, dtype=np.intp).reshape(-1, 6).T
 
 
-def _end_tangents(edges, frames, phis):
-    """Each arc's unit tangents at (phi_start, phi_end), toward increasing
-    phi; None for a full circle."""
-    return [None if e.full_circle else (_unit_tangent(f, s), _unit_tangent(f, t))
-            for e, f, (s, t) in zip(edges, frames, phis)]
+def _facet_measures(r2, cos_psi, sides, arcs, chi, corners, normals):
+    """Areas and vector areas of the facets 0..m-1, m = ``len(chi)`` (their
+    Euler characteristics), in one array pass over arcs and corners.
 
+    Arc n has facet ``sides[n]`` on its left and ``sides[n + arcs]`` on its
+    right; ``arcs`` holds per arc its angle dphi, its circle's center z,
+    unit axis and radius rho, and ``(arcs, 2, 3)`` arrays of the unit
+    directions ``u = cos(phi) e1 + sin(phi) e2`` and tangents ``t =
+    cos(phi) e2 - sin(phi) e1`` (= axis x u) at its two ends.  On a sphere
+    of squared radius ``r2`` the intrinsic Gauss-Bonnet area is
 
-def _facet_area(loops, edges, phis, tangents, positions, center, radius, lam):
-    """Intrinsic Gauss-Bonnet area of one facet on the sphere of ``radius``
-    around ``center``: ``radius^2 (2 pi chi - sum of arc angle * cos(psi) -
-    sum of corner turning angles)``, with cos(psi) = lam d / 2 for an edge
-    whose centers are d apart.
+        A_f = r2 (2 pi chi_f - sum over arcs of dphi cos(psi)
+                             - sum over corners of atan2((t_in x t_out) . n, t_in . t_out)),
 
-    ``edges`` give each edge's pair distance and end vertices,
-    ``phis[e]`` its ``(phi_start, phi_end)``, ``tangents[e]`` its
-    ``_end_tangents``, ``positions[v]`` vertex v and ``center`` the ball's
-    center, as lists.  The build passes its own; an erosion piece passes
-    those of K_t, whose edges keep their circles' axes and frames.
+    one dphi ``cos_psi[n]`` per arc serving both its facets, the tangents
+    along the loop and n a ``corners`` row's outward unit normal in
+    ``normals``.  Each arc's Stokes term ``(rho z x (u_1 - u_0) + rho^2
+    dphi axis) / 2`` is added to its left facet's vector area and
+    subtracted from its right one's.
     """
-    kg_total = 0.0
-    turn_total = 0.0
-    for loop in loops:
-        k = len(loop)
-        for idx, (eidx, forward) in enumerate(loop):
-            edge = edges[eidx]
-            phi_start, phi_end = phis[eidx]
-            cos_psi = 0.5 * lam * edge.center_distance
-            kg_total += (phi_end - phi_start) * cos_psi
-            if not edge.full_circle:
-                nxt_eidx, nxt_forward = loop[(idx + 1) % k]
-                vid = edge.end_vertex if forward else edge.start_vertex
-                t_in = tangents[eidx][1] if forward else [-x for x in tangents[eidx][0]]
-                t_out = (tangents[nxt_eidx][0] if nxt_forward
-                         else [-x for x in tangents[nxt_eidx][1]])
-                normal = [(p - c) / radius for p, c in zip(positions[vid], center)]
-                turn_total += math.atan2(_dot(_cross(t_in, t_out), normal),
-                                         _dot(t_in, t_out))
-    chi = 2 - len(loops)
-    return radius * radius * (TWO_PI * chi - kg_total - turn_total)
-
-
-def _facet_geometry(loops, edges, frames, phis, tangents, positions, center, radius, lam):
-    """Area (intrinsic Gauss-Bonnet) and vector area (Stokes) of one facet."""
-    area = _facet_area(loops, edges, phis, tangents, positions, center, radius, lam)
-    vec = [0.0, 0.0, 0.0]
-    for loop in loops:
-        for eidx, forward in loop:
-            edge = edges[eidx]
-            axis, e1, e2 = frames[eidx]
-            phi_from, phi_to = ((edge.phi_start, edge.phi_end) if forward
-                                else (edge.phi_end, edge.phi_start))
-            chord = [p - q for p, q in zip(_circle_point(e1, e2, phi_to),
-                                           _circle_point(e1, e2, phi_from))]
-            rho = edge.circle_radius
-            sweep = rho * rho * (phi_to - phi_from)
-            vec = [v + 0.5 * (rho * c + sweep * a) for v, c, a in
-                   zip(vec, _cross(edge.circle_center.tolist(), chord), axis)]
-    return area, np.array(vec)
+    m = len(chi)
+    dphi, z, axes, rho, u, t = arcs
+    facet, in_arc, in_end, out_arc, out_end, _ = corners
+    stokes = 0.5 * (rho[:, None] * cross_rows(z, u[:, 1] - u[:, 0])
+                    + (rho * rho * dphi)[:, None] * axes)
+    vector = np.bincount((3 * sides[:, None] + _XYZ).ravel(),
+                         np.concatenate([stokes, -stokes]).ravel(), 3 * m).reshape(m, 3)
+    kg = dphi * cos_psi
+    total = TWO_PI * np.asarray(chi) - np.bincount(sides, np.concatenate([kg, kg]), m)
+    if len(facet):  # no vertex, no corner
+        t_in, t_out = t[in_arc, in_end], t[out_arc, out_end]
+        # A backward arc's tangent points against the loop; the turn changes
+        # sign when exactly one of the two does.
+        sign = np.where(in_end == out_end, -1.0, 1.0)
+        total -= np.bincount(facet, np.arctan2(sign * dot_rows(cross_rows(t_in, t_out), normals),
+                                               sign * dot_rows(t_in, t_out)), m)
+    return r2 * total, vector
 
 
 def build(lam, centers):
@@ -423,12 +428,11 @@ def _rebuild(lam, pts, meb_radius, keep=None, duplicates=(), meb=None):
     retained_local, poly = _build_retained(lam, work, radius)
     redundant_local = [k for k in range(len(work)) if k not in retained_local]
     redundant_orig = tuple(sorted([keep[k] for k in redundant_local] + list(duplicates)))
-    sources = poly["pair_sources"]
     report = BuildReport(redundant_indices=redundant_orig,
                          duplicate_indices=tuple(duplicates),
                          source_centers=pts,
-                         pair_source=sources[0][0],
-                         candidate_pairs=sum(n for _, n in sources))
+                         pair_source=poly["pair_source"],
+                         candidate_pairs=poly["candidate_pairs"])
     redundant_pts = pts[list(redundant_orig)] if redundant_orig else np.zeros((0, 3))
     return BallPolytope3(lam=lam, centers=poly["centers"],
                          redundant_centers=redundant_pts,
@@ -438,59 +442,54 @@ def _rebuild(lam, pts, meb_radius, keep=None, duplicates=(), meb=None):
 
 
 def _build_retained(lam, work, radius):
-    """Assemble combinatorics, re-running if redundant balls drop out."""
-    m = len(work)
+    """Assemble combinatorics.  When balls carry no arc they are redundant:
+    the arcs are cut again on the first pass's rows of the pairs of
+    retained balls and its columns of the retained balls."""
     pairs, source = _candidate_pairs(work, radius)
-    circles, raw = _pair_edges(work, radius, pairs)
-    if m >= 2:
-        present = set()
-        for arc in raw:
-            present.update(arc[:2])
-        retained = sorted(present)
-        if len(retained) < m:
-            sub = work[retained]
-            retained_sub, poly = _build_retained(lam, sub, radius)
-            poly["pair_sources"].insert(0, (source, len(pairs)))
-            return [retained[k] for k in retained_sub], poly
-    retained = list(range(m))
-    vertices, endpoint_vertex = _collect_vertices(circles, raw, radius)
+    ij = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    circles, (a, b, d) = _pair_circles(work, radius, ij)
+    retained, rows = list(range(len(work))), np.arange(len(ij))  # the pass's rows in circles
+    while True:
+        arcs = _pair_arcs(ij, a, b, d)
+        present = sorted(set(arcs[0]) | set(arcs[1]))
+        if len(retained) < 2 or len(present) == len(retained):
+            break
+        number = np.full(len(retained), -1, dtype=np.intp)
+        number[present] = np.arange(len(present))
+        keep = np.flatnonzero((number[ij] >= 0).all(1))
+        ij, rows = number[ij[keep]], rows[keep]
+        a, b, d = (x[keep[:, None], present] for x in (a, b, d))
+        retained = [retained[k] for k in present]
+    work = work[retained]
+    i, j, p, starts, stops, full, _, _ = arcs
+    z, axes, rho, e1, e2, dist = (x[rows[list(p)]] for x in circles)
+    phi = np.array((starts, stops)).reshape(2, -1).T
+    cos, sin = np.cos(phi)[..., None], np.sin(phi)[..., None]
+    # Each arc's unit directions from its circle's center at its two ends.
+    u = cos * e1[:, None] + sin * e2[:, None]
+    vertices, ends = _collect_vertices(arcs, z[:, None] + rho[:, None, None] * u, radius)
+    cos_psi = 0.5 * lam * dist
+    dihedral = 2.0 * np.arcsin(cos_psi)  # cos(dihedral) = 1 - 2 cos_psi^2
+    edges = tuple(EdgeArc(pair=pair, circle_center=zn, circle_axis=axis, circle_radius=r,
+                          frame=frame, phi_start=s, phi_end=e, full_circle=f,
+                          start_vertex=vs if vs >= 0 else None, end_vertex=ve if ve >= 0 else None,
+                          dihedral=g, center_distance=dn)
+                  for pair, zn, axis, r, *frame, s, e, f, (vs, ve), g, dn in zip(
+                      zip(i, j), z, axes, rho.tolist(), e1, e2, starts, stops, full,
+                      ends, dihedral.tolist(), dist.tolist()))
 
-    z, axes, rho, e1, e2, dist = circles
-    radii, distances = rho.tolist(), dist.tolist()
-    edges = []
-    for arc_id, (i, j, p, s, e, full, _, _) in enumerate(raw):
-        d = distances[p]
-        dihedral = math.acos(min(1.0, max(-1.0, 1.0 - 0.5 * d * d * lam * lam)))
-        edges.append(EdgeArc(pair=(i, j), circle_center=z[p], circle_axis=axes[p],
-                             circle_radius=radii[p], frame=(e1[p], e2[p]),
-                             phi_start=s, phi_end=e, full_circle=full,
-                             start_vertex=endpoint_vertex.get((arc_id, "s")),
-                             end_vertex=endpoint_vertex.get((arc_id, "e")),
-                             dihedral=dihedral, center_distance=d))
-    edges = tuple(edges)
-    pair_frames = list(zip(axes.tolist(), e1.tolist(), e2.tolist()))  # (axis, e1, e2) as lists
-    frames = [pair_frames[p] for _, _, p, *_ in raw]
-    phis = [(e.phi_start, e.phi_end) for e in edges]
-    tangents = _end_tangents(edges, frames, phis)
-    positions = [v.position.tolist() for v in vertices]
-
-    facets = []
-    for i in range(m):
-        mine = [(eidx, edges[eidx].pair[0] == i)
-                for eidx in range(len(edges)) if i in edges[eidx].pair]
-        closed = [((eidx, fwd),) for eidx, fwd in mine if edges[eidx].full_circle]
-        open_arcs = [(eidx, fwd) for eidx, fwd in mine if not edges[eidx].full_circle]
-        ends = [(edges[k].start_vertex, edges[k].end_vertex) if fwd
-                else (edges[k].end_vertex, edges[k].start_vertex) for k, fwd in open_arcs]
-        loops = tuple(closed) + tuple(tuple(open_arcs[k] for k in loop)
-                                      for loop in chain_loops(ends))
-        area, vec = _facet_geometry(loops, edges, frames, phis, tangents, positions,
-                                    work[i].tolist(), radius, lam)
-        facets.append(Facet(ball_index=i, boundary_loops=loops, area=area,
-                            vector_area=vec))
-    return retained, {"centers": work, "facets": tuple(facets),
-                      "edges": edges, "vertices": vertices,
-                      "pair_sources": [(source, len(pairs))]}
+    loops = _facet_loops(len(work), i, j, full, ends)
+    corners = _corner_table(enumerate(loops), full, ends)
+    positions = np.array([v.position for v in vertices]).reshape(-1, 3)
+    normals = (positions[corners[5]] - work[corners[0]]) / radius
+    tangents = cos * e2[:, None] - sin * e1[:, None]
+    areas, vectors = _facet_measures(radius * radius, cos_psi, np.array(i + j, dtype=np.intp),
+                                     (phi[:, 1] - phi[:, 0], z, axes, rho, u, tangents),
+                                     [2 - len(f) for f in loops], corners, normals)
+    facets = tuple(Facet(ball_index=k, boundary_loops=f, area=area, vector_area=vec)
+                   for k, (f, area, vec) in enumerate(zip(loops, areas.tolist(), vectors)))
+    return retained, {"centers": work, "facets": facets, "edges": edges, "vertices": vertices,
+                      "pair_source": source, "candidate_pairs": len(pairs)}
 
 
 def surface_area(polytope):

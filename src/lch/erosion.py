@@ -12,13 +12,16 @@ o_i o_j o_k, rho its circumradius, n the triangle's unit normal toward
 the vertex and ``h(t) = sqrt(R_t^2 - rho^2)``.  Edge (i, j) keeps its
 circle's center, axis and frame; its end angles are its vertices' angles
 in that frame.  The area is the build's Gauss-Bonnet sum
-(``ball_polytope3._facet_area``) over all facets at radius R_t,
+(``ball_polytope3._facet_measures``) over all facets at radius R_t,
 ``R_t^2 (2 pi sum(chi) - sum of arc angle * lam d / 2 - sum of corner
 turns)``.  ``_Piece`` compiles it into arrays once per piece (vertex
 circumcenters, normals and rho^2; edge frames, circle centers, reference
-angles and d / 2; one row per corner turn) and evaluates it at a whole
-array of t in one pass: positions, edge angles by ``arctan2`` on the
-reference branch, end tangents, corner turns and the sum.
+angles and d; the build's corner table, ``ball_polytope3._corner_table``)
+and evaluates it at a whole array of t in one pass: each arc end's
+coordinates in its circle's frame (linear in h), edge angles by
+``arctan2`` on the reference branch, corner turns as ``arctan2`` of two
+forms bilinear in the coordinates of the corner's two arc ends, and the
+sum.
 
 The events are the earliest roots of kinetic certificates, in closed form.
 Balls only drop out (a ball containing K_s contains K_t once shrunk by
@@ -63,7 +66,6 @@ from scipy.integrate import tanhsinh
 
 from . import ball_polytope3 as bp3
 from ._circular import TWO_PI, cross_rows, dot_rows
-from .ball_polytope3 import _cross, _dot
 from .errors import EmptyBodyError, InvalidParameterError, NumericError
 from .inradius import minimal_enclosing_ball
 
@@ -122,113 +124,108 @@ class _Piece:
 
     def __init__(self, body, R):
         self.R = R
-        self.centers = body.centers.tolist()
-        self.vertices = []  # (c, n, rho^2, incident spheres)
-        for v in body.vertices:
-            i, j, k = sorted(v.incident)
-            c, n, rho2 = _circumcircle(self.centers[i], self.centers[j], self.centers[k])
-            if _dot(n, [p - q for p, q in zip(v.position.tolist(), c)]) < 0.0:
-                n = [-x for x in n]
-            self.vertices.append((c, n, rho2, v.incident))
-        self.c = np.array([c for c, _, _, _ in self.vertices], dtype=float).reshape(-1, 3)
-        self.n = np.array([n for _, n, _, _ in self.vertices], dtype=float).reshape(-1, 3)
-        self.rho2 = np.array([rho2 for _, _, rho2, _ in self.vertices], dtype=float)
+        # Vertex ijk at c + h n: c the circumcenter of o_i o_j o_k (i < j < k),
+        # n the unit normal toward the vertex, rho^2 the squared circumradius.
+        tri = np.array([sorted(v.incident) for v in body.vertices], dtype=np.intp).reshape(-1, 3)
+        a, b, o = body.centers[tri].transpose(1, 0, 2)
+        u, v = a - o, b - o
+        uv = cross_rows(u, v)
+        s, uu, vv = dot_rows(uv, uv), dot_rows(u, u), dot_rows(v, v)
+        self.c = o + cross_rows(uu[:, None] * v - vv[:, None] * u, uv) / (2.0 * s)[:, None]
+        n = uv / np.sqrt(s)[:, None]
+        positions = np.array([x.position for x in body.vertices]).reshape(-1, 3)
+        self.n = np.where((dot_rows(n, positions - self.c) < 0.0)[:, None], -n, n)
+        self.rho2 = uu * vv * dot_rows(u - v, u - v) / (4.0 * s)
+        # Each vertex's offsets to every center, those of its own three masked.
+        self.offsets = self.c[:, None] - body.centers
+        self.own = np.zeros(self.offsets.shape[:2], dtype=bool)
+        self.own[np.arange(len(tri))[:, None], tri] = True
 
         edges = body.edges
-        arc_ids = [k for k, e in enumerate(edges) if not e.full_circle]
-        slot = {k: s for s, k in enumerate(arc_ids)}
-        arcs = [edges[k] for k in arc_ids]
-        # Per arc, shaped to broadcast against (t, arc, end, 3): frame,
-        # circle center, end angles in the reference body, end vertices.
-        self.e1 = np.array([e.frame[0] for e in arcs]).reshape(-1, 1, 3)
-        self.e2 = np.array([e.frame[1] for e in arcs]).reshape(-1, 1, 3)
-        self.z = np.array([e.circle_center for e in arcs]).reshape(-1, 1, 3)
+        arcs = [e for e in edges if not e.full_circle]
+        e1 = np.array([e.frame[0] for e in arcs]).reshape(-1, 3)
+        e2 = np.array([e.frame[1] for e in arcs]).reshape(-1, 3)
+        z = np.array([e.circle_center for e in arcs]).reshape(-1, 3)
         self.ref = np.array([(e.phi_start, e.phi_end) for e in arcs]).reshape(-1, 2)
         self.ends = np.array([(e.start_vertex, e.end_vertex) for e in arcs],
                              dtype=np.intp).reshape(-1, 2)
+        # An arc end, vertex c + h n, sits at (x, y) = xy0 + h xy1 in its
+        # circle's frame (about the circle's center z).
+        off, n = self.c[self.ends] - z[:, None], self.n[self.ends]
+        frame = np.stack([e1, e2], axis=1)[:, None]          # (arc, 1, 2, 3)
+        self.xy0 = dot_rows(off[:, :, None], frame)          # (arc, end, 2)
+        self.xy1 = dot_rows(n[:, :, None], frame)
 
-        # One row per corner turn: the arc ending at the corner and its end
-        # (1 when the loop runs it forward, else 0), the arc leaving it and
-        # its end (0 when forward), the vertex; and the facet's ball center.
-        corners, centers = [], []
-        uses = [0] * len(edges)  # facet sides of each edge
-        for f in body.facets:
-            for loop in f.boundary_loops:
-                for (eidx, forward), (nxt, nxt_forward) in zip(loop, loop[1:] + loop[:1]):
-                    edge = edges[eidx]
-                    uses[eidx] += 1
-                    if not edge.full_circle:
-                        corners.append((slot[eidx], int(forward), slot[nxt], int(not nxt_forward),
-                                        edge.end_vertex if forward else edge.start_vertex))
-                        centers.append(self.centers[f.ball_index])
-        (self.in_slot, self.in_end, self.out_slot, self.out_end,
-         self.corner_vertex) = np.array(corners, dtype=np.intp).reshape(-1, 5).T
-        # A tangent taken at a backward arc's end points against the loop.
-        self.in_sign = (2.0 * self.in_end - 1.0)[:, None]
-        self.out_sign = (1.0 - 2.0 * self.out_end)[:, None]
-        self.corner_center = np.array(centers, dtype=float).reshape(-1, 3)
+        # The build's corner table, its arcs renumbered to the open arcs.
+        # With tangents cos(phi) e2 - sin(phi) e1 and the facet normal
+        # n = (c + h n_v - o) / R_t, a turn atan2((t_in x t_out) . n,
+        # t_in . t_out) is atan2 of two forms bilinear in the (cos, sin) a
+        # and b of its two arc ends, a (det_form0 + h det_form1) b / R_t and
+        # a dot_form b; both scale alike with a and b, so the ends' (x, y)
+        # serve.
+        full = [e.full_circle for e in edges]
+        facet, in_arc, self.in_end, out_arc, self.out_end, self.corner_vertex = bp3._corner_table(
+            ((f.ball_index, f.boundary_loops) for f in body.facets), full,
+            [(e.start_vertex, e.end_vertex) for e in edges])
+        slot = np.cumsum(np.logical_not(full)) - 1
+        self.in_slot, self.out_slot = slot[in_arc], slot[out_arc]
+        tangent = np.stack([e2, -e1], axis=1)  # t = cos(phi) row 0 + sin(phi) row 1
+        # A tangent taken at a backward arc's end points against the loop;
+        # the turn changes sign when exactly one of the two does.
+        sign = np.where(self.in_end == self.out_end, -1.0, 1.0)[:, None, None]
+        t_in, t_out = tangent[self.in_slot][:, :, None], tangent[self.out_slot][:, None]
+        cross = cross_rows(t_in, t_out)                  # (corner, 2, 2, 3)
+        vertex = self.corner_vertex[:, None, None]
+        offset = self.c[vertex] - body.centers[facet][:, None, None]
+        self.dot_form = (sign * dot_rows(t_in, t_out)).reshape(-1, 4)
+        self.det_form0 = (sign * dot_rows(cross, offset)).reshape(-1, 4)
+        self.det_form1 = (sign * dot_rows(cross, self.n[vertex])).reshape(-1, 4)
 
-        # Geodesic curvature: arc angle times lam d / 2 per facet side; the
-        # full circles' angles are fixed.
-        self.half_d = np.array([0.5 * edges[k].center_distance * uses[k] for k in arc_ids])
-        self.kg_full = sum((e.phi_end - e.phi_start) * 0.5 * e.center_distance * uses[k]
-                           for k, e in enumerate(edges) if e.full_circle)
+        # Geodesic curvature: arc angle times lam d / 2 on each of an edge's
+        # two facets, so lam d per edge; the full circles' angles are fixed.
+        self.d = np.array([e.center_distance for e in arcs])
+        self.kg_full = sum((e.phi_end - e.phi_start) * e.center_distance
+                           for e in edges if e.full_circle)
         self.chi = sum(2 - len(f.boundary_loops) for f in body.facets)
 
     def next_event(self, t0):
         """The earliest certificate root after t0 (infinity if none)."""
-        R, rt2 = self.R, (self.R - t0) ** 2
-        roots = []
-        for c, n, rho2, incident in self.vertices:
-            roots.append(R - math.sqrt(rho2))  # (b)
-            h0 = math.sqrt(rt2 - rho2)
-            for l, o in enumerate(self.centers):
-                if l in incident:
-                    continue
-                w = [p - q for p, q in zip(c, o)]
-                nw = _dot(n, w)
-                if nw != 0.0:
-                    h = (rho2 - _dot(w, w)) / (2.0 * nw)
-                    if 0.0 <= h < h0:
-                        roots.append(R - math.sqrt(h * h + rho2))  # (a)
-        return min((t for t in roots if t > t0), default=math.inf)
+        w = self.offsets
+        nw = dot_rows(self.n[:, None], w)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = (self.rho2[:, None] - dot_rows(w, w)) / (2.0 * nw)
+        h0 = np.sqrt((self.R - t0) ** 2 - self.rho2)[:, None]
+        reach = (nw != 0.0) & (0.0 <= h) & (h < h0) & ~self.own
+        roots = np.concatenate([self.R - np.sqrt(self.rho2),                          # (b)
+                                (self.R - np.sqrt(h * h + self.rho2[:, None]))[reach]])  # (a)
+        later = roots[roots > t0]
+        return float(later.min()) if later.size else math.inf
 
     def area(self, ts):
-        """f(t) at every t of the 1-d array ``ts``: ``_facet_area`` summed
-        over the facets, each t's value independent of the others."""
+        """f(t) at every t of the 1-d array ``ts``: the areas of
+        ``ball_polytope3._facet_measures`` summed over the facets, each t's
+        value independent of the others."""
         ts = np.asarray(ts, dtype=float)
         lam = 1.0 / (self.R - ts)
         radius = 1.0 / lam
-        h = np.sqrt((radius * radius)[:, None] - self.rho2)
-        positions = self.c + h[:, :, None] * self.n            # (t, vertex, 3)
-        q = positions[:, self.ends] - self.z                    # (t, arc, end, 3)
-        x, y = dot_rows(q, self.e1), dot_rows(q, self.e2)
-        phi = np.arctan2(y, x)
+        h = np.sqrt((radius * radius)[:, None] - self.rho2)   # (t, vertex)
+        xy = self.xy0 + h[:, self.ends, None] * self.xy1      # (t, arc, end, 2)
+        phi = np.arctan2(xy[..., 1], xy[..., 0])
         phi = self.ref + ((phi - self.ref + math.pi) % TWO_PI - math.pi)
-        norm = np.sqrt(x * x + y * y)
-        # The unit tangent toward increasing phi: axis x (cos e1 + sin e2)
-        # = cos e2 - sin e1, as e1 x e2 = axis.
-        tangents = ((x / norm)[..., None] * self.e2 - (y / norm)[..., None] * self.e1)
-        t_in = self.in_sign * tangents[:, self.in_slot, self.in_end]
-        t_out = self.out_sign * tangents[:, self.out_slot, self.out_end]
-        normal = (positions[:, self.corner_vertex] - self.corner_center) / radius[:, None, None]
-        turns = np.arctan2(dot_rows(cross_rows(t_in, t_out), normal), dot_rows(t_in, t_out))
-        kg = lam * (self.kg_full + _row_sums((phi[:, :, 1] - phi[:, :, 0]) * self.half_d))
+        a = xy[:, self.in_slot, self.in_end]                   # (t, corner, 2)
+        b = xy[:, self.out_slot, self.out_end]
+        ab = (a[..., :, None] * b[..., None, :]).reshape(len(ts), -1, 4)
+        det = (_row_dots(ab, self.det_form0)
+               + h[:, self.corner_vertex] * _row_dots(ab, self.det_form1))
+        turns = np.arctan2(det / radius[:, None], _row_dots(ab, self.dot_form))
+        kg = lam * (self.kg_full + _row_sums((phi[:, :, 1] - phi[:, :, 0]) * self.d))
         return radius * radius * (TWO_PI * self.chi - kg - _row_sums(turns))
 
 
-def _circumcircle(a, b, o):
-    """Circumcenter, unit normal and squared circumradius of triangle a b o."""
-    u = [p - q for p, q in zip(a, o)]
-    v = [p - q for p, q in zip(b, o)]
-    uv = _cross(u, v)
-    s = _dot(uv, uv)
-    uu, vv = _dot(u, u), _dot(v, v)
-    off = _cross([uu * y - vv * x for x, y in zip(u, v)], uv)
-    wd = [x - y for x, y in zip(u, v)]
-    return ([q + x / (2.0 * s) for q, x in zip(o, off)],
-            [x / math.sqrt(s) for x in uv],
-            uu * vv * _dot(wd, wd) / (4.0 * s))
+def _row_dots(ab, coef):
+    """``sum_k ab[t, c, k] coef[c, k]`` for the four products of a corner."""
+    p = ab * coef
+    return (p[..., 0] + p[..., 1]) + (p[..., 2] + p[..., 3])
 
 
 class _Erosion:

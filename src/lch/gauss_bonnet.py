@@ -8,8 +8,15 @@ areas must add up to the full sphere:
   ``lam^2 * sum(areas)``;
 * an edge's normals sweep a strip of width equal to the dihedral angle,
   of area ``2 * (lam * length) * tan(dihedral / 2)``;
-* a vertex contributes the geodesic polygon spanned by its facet normals,
-  measured by spherical excess.
+* a vertex contributes the spherical polygon spanned by its facet
+  normals.  A built vertex is trivalent: its spheres are the two of an
+  arc's circle and the one whose constraint ends the arc, and the build
+  raises ``DegenerateBodyError`` when more than three meet.  So the
+  polygon is a triangle of unit normals a, b, c, of area ``2 atan2(|a .
+  (b x c)|, 1 + a.b + b.c + c.a)`` (Van Oosterom & Strackee, IEEE Trans.
+  Biomed. Eng. 30, 1983).
+
+``gb_total`` computes the edge and vertex parts as arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball_polytope3 import _cross, _dot
+from ._circular import cross_rows, dot_rows
 from .errors import DegenerateBodyError, InvalidParameterError
 
 FOUR_PI = 4.0 * math.pi
@@ -40,75 +47,61 @@ class GBReport:
         return self.grand_total - FOUR_PI
 
 
+def _edge_images(edges, lam):
+    """Normal-strip areas of ``edges``, as an array."""
+    dihedral = np.array([e.dihedral for e in edges])
+    length = np.array([e.length for e in edges])
+    wide = np.flatnonzero(dihedral >= math.pi)
+    if wide.size:
+        raise InvalidParameterError(f"dihedral angle {dihedral[wide[0]]} must be below pi")
+    return 2.0 * (lam * length) * np.tan(0.5 * dihedral)
+
+
+def _vertex_images(polytope, vertices):
+    """Normal-cone solid angles of ``vertices``, as an array.
+
+    ``InvalidParameterError`` for a vertex without exactly three facets of
+    the body, ``DegenerateBodyError`` for coincident or coplanar normals.
+    """
+    incident = [sorted(v.incident) for v in vertices]
+    for inc in incident:
+        if len(inc) != 3:
+            raise InvalidParameterError(f"vertex needs 3 incident facets, got {len(inc)}")
+    missing = {i for inc in incident for i in inc} - {f.ball_index for f in polytope.facets}
+    if missing:
+        raise InvalidParameterError(f"vertex references missing facet {min(missing)}")
+    balls = np.array(incident, dtype=np.intp).reshape(-1, 3)
+    positions = np.array([v.position for v in vertices]).reshape(-1, 1, 3)
+    normals = positions - polytope.centers[balls]          # (vertex, facet, 3)
+    normals /= np.sqrt(dot_rows(normals, normals))[..., None]
+    a, b, c = normals.transpose(1, 0, 2)
+    excess = 2.0 * np.arctan2(np.abs(dot_rows(a, cross_rows(b, c))),
+                              1.0 + dot_rows(a, b) + dot_rows(b, c) + dot_rows(c, a))
+    # 0 for coincident or coplanar normals within a half-plane, 2 pi for
+    # coplanar normals spread beyond one: neither is a vertex of a body.
+    flat = np.flatnonzero(~((excess > 0.0) & (excess < 2.0 * math.pi)))
+    if flat.size:
+        raise DegenerateBodyError(
+            f"the facet normals at vertex {vertices[flat[0]].position.tolist()} "
+            "are coincident or coplanar")
+    return excess
+
+
 def edge_spherical_image(edge, lam):
     """Normal-strip area of one edge on the unit sphere of directions."""
-    if edge.dihedral >= math.pi:
-        raise InvalidParameterError(f"dihedral angle {edge.dihedral} must be below pi")
-    return 2.0 * (lam * edge.length) * math.tan(0.5 * edge.dihedral)
-
-
-def _unit(a):
-    norm = math.sqrt(_dot(a, a))
-    return [x / norm for x in a]
-
-
-def vertex_normals(polytope, vertex):
-    """Outward facet normals at a vertex, ordered cyclically.
-
-    The normals are sorted by angle around their spherical centroid; for
-    the non-degenerate (trivalent) vertices produced by the build this
-    fixes a simple convex spherical polygon.
-    """
-    r = polytope.radius
-    idx = {f.ball_index: k for k, f in enumerate(polytope.facets)}
-    position = vertex.position.tolist()
-    normals = []
-    for i in sorted(vertex.incident):
-        if i not in idx:
-            raise InvalidParameterError(f"vertex references missing facet {i}")
-        normals.append(_unit([(p - c) / r for p, c in
-                              zip(position, polytope.centers[i].tolist())]))
-    total = [sum(n[c] for n in normals) for c in range(3)]
-    if math.sqrt(_dot(total, total)) < 1e-12:
-        raise DegenerateBodyError("vertex normals have no well-defined centroid")
-    centroid = _unit(total)
-    n0 = normals[0]
-    along = _dot(n0, centroid)
-    e1 = _unit([a - along * c for a, c in zip(n0, centroid)])
-    e2 = _cross(centroid, e1)
-    ang = [math.atan2(_dot(n, e2), _dot(n, e1)) for n in normals]
-    return np.array([normals[k] for k in sorted(range(len(normals)), key=ang.__getitem__)])
+    return float(_edge_images([edge], lam)[0])
 
 
 def vertex_spherical_image(polytope, vertex):
-    """Area of the normal-cone polygon at a vertex (spherical excess)."""
-    normals = vertex_normals(polytope, vertex).tolist()
-    k = len(normals)
-    if k < 3:
-        raise InvalidParameterError(f"vertex needs >= 3 incident facets, got {k}")
-    angle_sum = 0.0
-    for a in range(k):
-        prev_n = normals[(a - 1) % k]
-        this_n = normals[a]
-        next_n = normals[(a + 1) % k]
-        pp, pn = _dot(prev_n, this_n), _dot(next_n, this_n)
-        u = [p - pp * t for p, t in zip(prev_n, this_n)]
-        w = [q - pn * t for q, t in zip(next_n, this_n)]
-        nu, nw = math.sqrt(_dot(u, u)), math.sqrt(_dot(w, w))
-        if nu < 1e-14 or nw < 1e-14:
-            raise DegenerateBodyError("coincident normals at a vertex")
-        angle_sum += math.acos(min(1.0, max(-1.0, _dot(u, w) / (nu * nw))))
-    excess = angle_sum - (k - 2) * math.pi
-    if excess <= 0.0:
-        raise DegenerateBodyError("vertex normals are not in convex position")
-    return excess
+    """Area of the normal-cone triangle at a vertex (its solid angle)."""
+    return float(_vertex_images(polytope, [vertex])[0])
 
 
 def gb_total(polytope):
     """The three spherical-image components; their sum must be 4*pi."""
     lam = polytope.lam
     facet_total = lam * lam * sum(f.area for f in polytope.facets)
-    edge_total = sum(edge_spherical_image(e, lam) for e in polytope.edges)
-    vertex_total = sum(vertex_spherical_image(polytope, v) for v in polytope.vertices)
+    edge_total = _edge_images(polytope.edges, lam).sum()
+    vertex_total = _vertex_images(polytope, polytope.vertices).sum()
     return GBReport(facet_total=float(facet_total), edge_total=float(edge_total),
                     vertex_total=float(vertex_total))

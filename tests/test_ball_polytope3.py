@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_body, mc_facet_area
+from conftest import make_body, mc_facet_area, slice_facet_area
 from lch import ball_polytope3 as bp3
 from lch import harness
 from lch.errors import DegenerateBodyError, EmptyBodyError, InvalidParameterError
@@ -260,6 +260,25 @@ class TestBuildMetamorphic:
         assert grown.combinatorial_signature()[:3] == body.combinatorial_signature()[:3]
         for got, want in zip(_measures(grown), _measures(body)):
             assert abs(got - want) <= 1e-12 * want
+
+
+class TestFacetAreaOracle:
+    """Facet areas against ``slice_facet_area``, which integrates each
+    facet's slices and shares no arithmetic with the Gauss-Bonnet sums."""
+
+    @pytest.mark.parametrize("k", range(46))
+    def test_facet_areas(self, k):
+        lam, centers = metamorphic_bodies()[k]
+        body = bp3.build(lam, centers)
+        if k >= 23:  # random centers: not cospherical, so every pair is tried
+            assert body.build_report.pair_source == "all"
+        for f in body.facets:
+            assert abs(f.area - slice_facet_area(body, f.ball_index)) <= 1e-12 * f.area
+
+    def test_lens_caps(self):
+        body = lens()
+        for f in body.facets:
+            assert math.isclose(slice_facet_area(body, f.ball_index), math.pi, rel_tol=1e-14)
 
 
 def noisy_touching_centers(seed, m, noise):

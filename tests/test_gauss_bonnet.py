@@ -1,14 +1,21 @@
 """Facet, edge, and vertex spherical images summing to the full sphere."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from conftest import edge_strip_area_quadrature, make_body, support_assignment_counts
+from conftest import (
+    edge_strip_area_quadrature,
+    gb_total_reference,
+    make_body,
+    support_assignment_counts,
+    vertex_image_reference,
+)
 from lch import ball_polytope3 as bp3
 from lch import gauss_bonnet as gb
-from lch.errors import InvalidParameterError
+from lch.errors import DegenerateBodyError, InvalidParameterError
 
 FOUR_PI = 4.0 * math.pi
 LENS = [[0.0, 0.0, -0.5], [0.0, 0.0, 0.5]]
@@ -75,9 +82,49 @@ class TestVertexImage:
                           incident=frozenset({0, 1}))
         with pytest.raises(InvalidParameterError):
             gb.vertex_spherical_image(body, fake)
+        with pytest.raises(InvalidParameterError, match="3 incident facets"):
+            gb.gb_total(dataclasses.replace(body, vertices=(body.vertices[0], fake)))
+
+    def test_against_scalar_reference(self):
+        body = make_body(seed=2, m=9, r0=0.35)
+        for v in body.vertices:
+            assert math.isclose(gb.vertex_spherical_image(body, v),
+                                vertex_image_reference(body, v), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("position", [(0.0, 0.0, 0.0), (5.0, 0.0, 0.0)])
+    def test_coplanar_normals_raise(self, position):
+        # The centers lie in z = 0, so a point of that plane sees coplanar
+        # normals: spread over more than a half-plane at the origin
+        # (solid angle 2 pi), within one far out (solid angle 0).
+        body = symmetric_triple()
+        fake = bp3.Vertex(position=np.array(position), incident=frozenset({0, 1, 2}))
+        with pytest.raises(DegenerateBodyError, match="coplanar"):
+            gb.vertex_spherical_image(body, fake)
+        with pytest.raises(DegenerateBodyError):
+            gb.gb_total(dataclasses.replace(body, vertices=(fake,) + body.vertices))
+
+
+class TestEdgeErrors:
+    def test_straight_dihedral_raises(self):
+        body = bp3.build(1.0, LENS)
+        flat = dataclasses.replace(body.edges[0], dihedral=math.pi)
+        with pytest.raises(InvalidParameterError, match="below pi"):
+            gb.edge_spherical_image(flat, 1.0)
+        with pytest.raises(InvalidParameterError, match="below pi"):
+            gb.gb_total(dataclasses.replace(body, edges=(flat,)))
 
 
 class TestTotal:
+    def test_matches_scalar_reference(self):
+        # 230 generator bodies, m = 2..24 ten times each.
+        rng = np.random.default_rng(26)
+        for k in range(230):
+            body = make_body(seed=7000 + k, m=2 + k % 23, r0=float(rng.uniform(0.15, 0.8)))
+            rep = gb.gb_total(body)
+            for got, want in zip((rep.facet_total, rep.edge_total, rep.vertex_total),
+                                 gb_total_reference(body)):
+                assert abs(got - want) <= 1e-12 * abs(want)
+
     def test_ball(self):
         rep = gb.gb_total(bp3.build(1.0, [[0, 0, 0]]))
         assert math.isclose(rep.facet_total, FOUR_PI, rel_tol=1e-14)

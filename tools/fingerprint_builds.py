@@ -11,7 +11,9 @@ m = 2..24; bodies with duplicate, near-duplicate and redundant centers;
 touching bodies with m = 5..24 whose centers are moved radially by a
 relative 0 to 1e-3, on both sides of the cosphericity tolerance of the
 hull candidate pairs; four centers near one circle of their common
-sphere; and centers within ~1e-13 of a plane), 150 polygons of each of
+sphere; and centers within ~1e-13 of a plane), each with its facets'
+areas and vector areas and the three components of its
+``gauss_bonnet.gb_total``, 150 polygons of each of
 the five lambda-disk kinds, and six
 erosion rows: ``erosion.profile(body, 64)`` (ts, areas, events) and
 ``erosion.volume_via_profile`` of a lens, the lens plus a ball whose facet
@@ -46,6 +48,7 @@ import numpy as np
 from lch import arc_polygon2 as ap
 from lch import ball_polytope3 as bp3
 from lch import erosion
+from lch import gauss_bonnet as gb
 from lch import harness
 from lch import inradius
 from lch import model_space as ms
@@ -65,6 +68,7 @@ def fp3(lam, centers):
         "sig": repr(b.combinatorial_signature()),
         "loops": [repr(f.boundary_loops) for f in b.facets],
         "facet_areas": [h(f.area) for f in b.facets],
+        "vector_areas": [[h(x) for x in f.vector_area] for f in b.facets],
         "area": h(bp3.surface_area(b)),
         "volume": h(bp3.volume(b)),
         "report": [list(r.redundant_indices), list(r.duplicate_indices),
@@ -72,7 +76,15 @@ def fp3(lam, centers):
         "vertices": [[h(v) for v in x.position] + sorted(x.incident) for x in b.vertices],
         "edges": [[e.pair, h(e.phi_start), h(e.phi_end), e.start_vertex, e.end_vertex]
                   for e in b.edges],
+        "gb_total": recorded(gb_components, b),
     }
+
+
+def gb_components(body):
+    """``gauss_bonnet.gb_total``'s three components, one field each."""
+    rep = gb.gb_total(body)
+    return {"facet": h(rep.facet_total), "edge": h(rep.edge_total),
+            "vertex": h(rep.vertex_total)}
 
 
 def recorded(f, *args):
