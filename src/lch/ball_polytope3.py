@@ -6,7 +6,8 @@ ball has radius ``1/lam``.  The build derives the boundary combinatorics:
 * each unordered pair of balls meets (if at all) in a circle; every other
   ball forbids one open arc of that circle, and the surviving closed arcs
   are the edges of the body (one array pass over all candidate pairs and
-  balls, see ``_pair_edges``);
+  the balls that may cut them, see ``_candidate_pairs``, ``_pair_circles``
+  and ``_pair_arcs``);
 * arc endpoints, deduplicated spatially, are the vertices;
 * the arcs bounding each sphere's facet chain into closed oriented loops
   (facet on the left, seen from outside).
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, repeat
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -47,6 +48,7 @@ COSPHERICAL_TOL = 1e-12
 # facet that qhull merged and triangulated arbitrarily.
 _FLAT_NORMALS = 1e-6
 _XYZ = np.arange(3)
+_EDGE_SLOTS = np.array([[1, 2], [2, 0], [0, 1]])  # the edge opposite each slot of a triangle
 _EYE = np.eye(3)
 
 
@@ -179,31 +181,70 @@ def orthonormal_frame(axes):
 
 
 def _candidate_pairs(pts, radius):
-    """The center pairs ``(i, j)``, i < j, that may carry an edge, in
-    lexicographic order, and their source, ``"hull"`` or ``"all"``.
+    """The center pairs that may carry an edge and the balls that may cut
+    their circles: ``(ij, cols, source)``.  ``ij`` is an ``(n, 2)`` array
+    of pairs ``(i, j)``, i < j, in lexicographic order; ``cols`` is an
+    ``(n, 2)`` array of the two balls ``k < l`` that may cut row p's
+    circle, or None when every ball may; ``source`` is ``"hull"`` or
+    ``"all"``.
 
     An edge (i, j) has a point at distance R from o_i and o_j and at most
     R from every other center: the ball of radius R around it holds every
     center and has o_i, o_j on its sphere.  When the centers lie on one
     sphere, the two spheres meet in a circle whose plane has every other
     center on one side, so (i, j) is an edge of the centers' convex hull
-    (the ball hull of Bezdek, Langi, Naszodi & Papez, DCG 38, 2007).
+    (the ball hull of Bezdek, Langi, Naszodi & Papez, DCG 38, 2007).  By
+    the same duality the vertex of hull triangle ijk is the point at
+    distance R from o_i, o_j and o_k on the inner side of that face, and
+    it lies strictly inside every other ball; so the arc of edge (i, j)
+    runs between the vertices of its two triangles ijk and ijl, and balls
+    k and l are the only ones that cut it.
 
-    The hull edges are the candidates for m >= 5 cospherical centers:
-    centered, scaled to unit size and lifted to (p, |p|^2), the centered
-    lifted rows have smallest singular value at most ``COSPHERICAL_TOL``
-    = 1e-12 times the largest, and the sphere of that singular vector has
-    radius below R (a near-planar set fits a plane instead).  Qhull
-    triangulates merged near-coplanar facets arbitrarily, so every vertex
-    pair of two adjacent hull triangles whose unit normals agree within
-    1e-6 is a candidate too.  All pairs are candidates for m <= 4,
-    centers that are not cospherical, a ``QhullError`` and a hull with
-    fewer than m vertices.
+    So for the hull of ``_cospherical_hull`` the candidates are its
+    edges, each cut by the third vertices of its two triangles.  Qhull
+    triangulates merged near-coplanar facets arbitrarily, so when two
+    adjacent hull triangles have unit normals within 1e-6, their two
+    unshared vertices are a candidate pair too and every ball may cut
+    every candidate.  Without that hull all pairs are candidates, each
+    cut by every ball.
+    """
+    hull = _cospherical_hull(pts, radius)
+    if hull is None:
+        every = np.array(list(combinations(range(len(pts)), 2)), dtype=np.intp)
+        return every.reshape(-1, 2), None, "all"
+    tri, across = hull.simplices, hull.neighbors
+    # Slot s of triangle f holds vertex k of the edge opposite it, shared
+    # with triangle across[f, s], whose third vertex l is its vertex sum
+    # less the edge's.  Rows (i, j, k, l), each edge from its lower triangle:
+    total = tri.sum(1)
+    rows = np.concatenate([tri[:, _EDGE_SLOTS], tri[..., None],
+                           (total[across] - total[:, None] + tri)[..., None]], axis=2)
+    once = np.arange(len(tri))[:, None] < across
+    rows = rows[once]
+    rows[:, :2].sort(1)
+    rows[:, 2:].sort(1)
+    normals = hull.equations[:, :3]
+    flat = np.linalg.norm(normals[:, None, :] - normals[across], axis=2)[once] <= _FLAT_NORMALS
+    if flat.any():
+        return np.unique(np.vstack([rows[:, :2], rows[flat, 2:]]), axis=0), None, "hull"
+    rows = rows[np.lexsort(rows[:, 1::-1].T)]
+    return rows[:, :2], rows[:, 2:], "hull"
+
+
+def _cospherical_hull(pts, radius):
+    """The ``ConvexHull`` of m >= 5 cospherical centers, all of them its
+    vertices, or None.
+
+    Cospherical means: centered, scaled to unit size and lifted to
+    (p, |p|^2), the centered lifted rows have smallest singular value at
+    most ``COSPHERICAL_TOL`` = 1e-12 times the largest, and the sphere of
+    that singular vector has radius below R (a near-planar set fits a
+    plane instead).  None also for a ``QhullError`` and a hull with fewer
+    than m vertices.
     """
     m = len(pts)
-    every = list(combinations(range(m), 2))
     if m <= 4:
-        return every, "all"
+        return None
     q = pts - pts.mean(axis=0)
     scale = float(np.max(np.linalg.norm(q, axis=1)))
     q /= scale
@@ -215,33 +256,25 @@ def _candidate_pairs(pts, radius):
     # -a / 2w with squared radius mean_sq + |a|^2 / 4w^2, in units of scale.
     if (sv[-1] > COSPHERICAL_TOL * sv[0]
             or float(a @ a) >= 4.0 * w * w * ((radius / scale) ** 2 - mean_sq)):
-        return every, "all"
+        return None
     try:
         hull = ConvexHull(pts)
     except QhullError:
-        return every, "all"
-    if len(hull.vertices) < m:
-        return every, "all"
-    simplices = hull.simplices.tolist()
-    pairs = {pair for tri in simplices for pair in combinations(sorted(tri), 2)}
-    normals = hull.equations[:, :3]
-    flat = np.linalg.norm(normals[:, None, :] - normals[hull.neighbors], axis=2) <= _FLAT_NORMALS
-    for f, k in zip(*np.nonzero(flat)):
-        g = int(hull.neighbors[f, k])
-        if g > f:
-            pairs.update(combinations(sorted(set(simplices[f]) | set(simplices[g])), 2))
-    return sorted(pairs), "hull"
+        return None
+    return hull if len(hull.vertices) == m else None
 
 
-def _pair_circles(pts, radius, ij):
+def _pair_circles(pts, radius, ij, cols):
     """The intersection circles of the center pairs ``ij`` (rows ``(i, j)``)
-    and every ball's constraint on each, as arrays over the pairs.
+    and the constraints of the balls ``cols`` (every ball when None) on
+    each, as arrays over the pairs.
 
     Returns ``(circles, (a, b, d))``.  ``circles`` holds, per pair, the
     circle's center, unit axis (from o_i toward o_j), radius, frame e1 and
-    e2, and the distance of the two centers; ball k keeps the point at
-    angle phi of circle p iff ``a[p, k] cos(phi) + b[p, k] sin(phi) <=
-    d[p, k]``, and ``d`` is infinite where k is i or j.
+    e2, and the distance of the two centers; the ball of column c (ball
+    c, or ``cols[p, c]``) keeps the point at angle phi of circle p iff
+    ``a[p, c] cos(phi) + b[p, c] sin(phi) <= d[p, c]``, and ``d`` is
+    infinite where that ball is i or j.
     """
     oi, oj = pts[ij].transpose(1, 0, 2)
     dv = oj - oi
@@ -253,28 +286,32 @@ def _pair_circles(pts, radius, ij):
     e1, e2 = orthonormal_frame(axes)
     # Ball k keeps |z + rho (cos phi e1 + sin phi e2) - o_k| <= radius: the
     # constraint (a, b, d) of row p, column k, formed from v = z - o_k.
-    v = z[:, None, :] - pts
+    v = z[:, None, :] - (pts if cols is None else pts[cols])
     two_rho = 2.0 * rho[:, None]
     a = two_rho * (v @ e1[:, :, None])[..., 0]
     b = two_rho * (v @ e2[:, :, None])[..., 0]
     d = (radius * radius - dot_rows(v, v)) - (rho * rho)[:, None]
-    d[np.arange(len(ij))[:, None], ij] = math.inf  # balls i and j constrain nothing
+    if cols is None:
+        d[np.arange(len(ij))[:, None], ij] = math.inf  # balls i and j constrain nothing
     return (z, axes, rho, e1, e2, dist), (a, b, d)
 
 
-def _pair_arcs(ij, a, b, d):
+def _pair_arcs(ij, cols, a, b, d):
     """The feasible arcs of ``_pair_circles`` as columns ``(i, j, p, phi_start,
     phi_end, full, lab_s, lab_e)``: p is the pair's row, the labels are the
-    columns of the balls that end the arc (None on a full circle)."""
+    balls that end the arc, through ``cols`` as in ``_pair_circles`` (None
+    on a full circle)."""
     raw = []
-    for p, ((i, j), feasible) in enumerate(zip(ij.tolist(), feasible_arcs(a, b, d))):
+    balls = repeat(range(d.shape[1])) if cols is None else cols.tolist()
+    for p, ((i, j), ball, feasible) in enumerate(zip(ij.tolist(), balls, feasible_arcs(a, b, d))):
         if feasible is None:
             continue
         arcs, full = feasible
         if full:
             raw.append((i, j, p, 0.0, TWO_PI, True, None, None))
         else:
-            raw.extend((i, j, p, s, e, False, lab_s, lab_e) for s, e, lab_s, lab_e in arcs)
+            raw.extend((i, j, p, s, e, False, ball[lab_s], ball[lab_e])
+                       for s, e, lab_s, lab_e in arcs)
     return tuple(zip(*raw)) or ((),) * 8
 
 
@@ -444,13 +481,13 @@ def _rebuild(lam, pts, meb_radius, keep=None, duplicates=(), meb=None):
 def _build_retained(lam, work, radius):
     """Assemble combinatorics.  When balls carry no arc they are redundant:
     the arcs are cut again on the first pass's rows of the pairs of
-    retained balls and its columns of the retained balls."""
-    pairs, source = _candidate_pairs(work, radius)
-    ij = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-    circles, (a, b, d) = _pair_circles(work, radius, ij)
+    retained balls, and on its columns of the retained balls; explicit
+    columns keep their width, a dropped ball's entries masked by d = inf."""
+    ij, cols, source = _candidate_pairs(work, radius)
+    circles, (a, b, d) = _pair_circles(work, radius, ij, cols)
     retained, rows = list(range(len(work))), np.arange(len(ij))  # the pass's rows in circles
     while True:
-        arcs = _pair_arcs(ij, a, b, d)
+        arcs = _pair_arcs(ij, cols, a, b, d)
         present = sorted(set(arcs[0]) | set(arcs[1]))
         if len(retained) < 2 or len(present) == len(retained):
             break
@@ -458,7 +495,11 @@ def _build_retained(lam, work, radius):
         number[present] = np.arange(len(present))
         keep = np.flatnonzero((number[ij] >= 0).all(1))
         ij, rows = number[ij[keep]], rows[keep]
-        a, b, d = (x[keep[:, None], present] for x in (a, b, d))
+        if cols is None:
+            a, b, d = (x[keep[:, None], present] for x in (a, b, d))
+        else:  # a dropped ball's entries constrain nothing
+            cols = number[cols[keep]]
+            a, b, d = a[keep], b[keep], np.where(cols < 0, math.inf, d[keep])
         retained = [retained[k] for k in present]
     work = work[retained]
     i, j, p, starts, stops, full, _, _ = arcs
@@ -489,7 +530,7 @@ def _build_retained(lam, work, radius):
     facets = tuple(Facet(ball_index=k, boundary_loops=f, area=area, vector_area=vec)
                    for k, (f, area, vec) in enumerate(zip(loops, areas.tolist(), vectors)))
     return retained, {"centers": work, "facets": facets, "edges": edges, "vertices": vertices,
-                      "pair_source": source, "candidate_pairs": len(pairs)}
+                      "pair_source": source, "candidate_pairs": len(circles[0])}
 
 
 def surface_area(polytope):

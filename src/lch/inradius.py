@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul, sub
 
 import numpy as np
 
@@ -67,21 +68,23 @@ class InscribedBall:
     halfspace_ok: bool     # touch points not confined to an open half-space
 
 
-@dataclass(frozen=True)
 class _Basis:
     """Points ``q_0..q_k`` (indices ``index``) and the ball through them
     centered in their affine hull.  With v_i = q_i - q_0 = sum_j L_ij e_j
     (``lower`` rows, ``frame`` the orthonormal e_j), the center is
     q_0 + sum_j y_j e_j, where L y = (|v_i|^2 / 2) puts it as far from
-    every q_i as from q_0."""
+    every q_i as from q_0.  Never changed after it is made."""
 
-    index: tuple
-    origin: tuple  # q_0
-    frame: tuple
-    lower: tuple
-    y: tuple
-    center: tuple
-    radius: float
+    __slots__ = ("index", "origin", "frame", "lower", "y", "center", "radius")
+
+    def __init__(self, index, origin, frame, lower, y, center, radius):
+        self.index = index
+        self.origin = origin  # q_0
+        self.frame = frame
+        self.lower = lower
+        self.y = y
+        self.center = center
+        self.radius = radius
 
 
 def _extend_basis(basis, k, p):
@@ -90,24 +93,24 @@ def _extend_basis(basis, k, p):
     basis points."""
     if basis is None:
         p = tuple(p)
-        return _Basis(index=(k,), origin=p, frame=(), lower=(), y=(), center=p, radius=0.0)
-    v = [a - b for a, b in zip(p, basis.origin)]
-    vv = sum(x * x for x in v)
+        return _Basis((k,), p, (), (), (), p, 0.0)
+    v = list(map(sub, p, basis.origin))
+    vv = sum(map(mul, v, v))
     w, row = v, []
     for e in basis.frame:  # modified Gram-Schmidt
-        c = sum(a * b for a, b in zip(w, e))
+        c = sum(map(mul, w, e))
         row.append(c)
         w = [a - c * b for a, b in zip(w, e)]
-    ww = sum(x * x for x in w)
+    ww = sum(map(mul, w, w))
     if ww <= _DEPENDENT * vv:
         return None
     norm = math.sqrt(ww)
-    e = tuple(x / norm for x in w)
-    yk = (0.5 * vv - sum(a * b for a, b in zip(row, basis.y))) / norm
-    center = tuple(c + yk * x for c, x in zip(basis.center, e))
-    return _Basis(index=basis.index + (k,), origin=basis.origin, frame=basis.frame + (e,),
-                  lower=basis.lower + (tuple(row) + (norm,),), y=basis.y + (yk,),
-                  center=center, radius=math.dist(center, basis.origin))
+    e = tuple([x / norm for x in w])
+    yk = (0.5 * vv - sum(map(mul, row, basis.y))) / norm
+    center = tuple([c + yk * x for c, x in zip(basis.center, e)])
+    return _Basis(basis.index + (k,), basis.origin, basis.frame + (e,),
+                  basis.lower + (tuple(row) + (norm,),), basis.y + (yk,),
+                  center, math.dist(center, basis.origin))
 
 
 def _multipliers(basis):
@@ -249,26 +252,19 @@ def _inscribed_ball(polytope):
             f"enclosing radius {meb.radius:.12g} leaves no inscribed ball (R = {radius:.12g})"
         )
     o = meb.center
-    touching = []
-    touch_points = []
-    for i, oc in enumerate(centers):
-        gap = abs(radius - float(np.linalg.norm(o - oc)) - r)
-        if gap < TOUCH_TOL * radius:
-            touching.append(i)
-            sep = o - oc
-            ns = np.linalg.norm(sep)
-            if ns < 1e-14:
-                # Single-ball body: the facet touches everywhere; pick a
-                # representative direction.
-                u = np.zeros_like(o)
-                u[-1] = 1.0
-            else:
-                u = sep / ns
-            touch_points.append(o + r * u)
+    sep = o - centers
+    # Each row's np.linalg.norm: the same BLAS dot, one row per matrix product.
+    dist = np.sqrt((sep[:, None, :] @ sep[:, :, None])[:, 0, 0])
+    touching = np.flatnonzero(np.abs(radius - dist - r) < TOUCH_TOL * radius)
+    single = dist[touching] < 1e-14
+    u = sep[touching] / np.where(single, 1.0, dist[touching])[:, None]
+    # Single-ball body: the facet touches everywhere; pick a representative
+    # direction.
+    u[single] = np.eye(len(o))[-1]
+    touching = tuple(touching.tolist())
     ok = min(meb.multipliers) >= -MU_TOL and set(meb.support) <= set(touching)
-    return InscribedBall(center=o, radius=float(r), touching=tuple(touching),
-                         touch_points=tuple(np.asarray(p) for p in touch_points),
-                         halfspace_ok=ok)
+    return InscribedBall(center=o, radius=float(r), touching=touching,
+                         touch_points=tuple(o + r * u), halfspace_ok=ok)
 
 
 def reduce_to_touching(polytope):

@@ -308,6 +308,18 @@ def redundant_and_duplicate_centers(k):
     return np.asarray(rows)[rng.permutation(len(rows))]
 
 
+def supporting_ball_centers(seed):
+    """A touching body's centers and, last, a ball of radius R that
+    supports the body at one of its vertices: it is centered at distance R
+    from the vertex, against a convex combination of the facet normals
+    there, so its sphere passes through the vertex and it holds the body."""
+    body = make_body(seed=seed, m=4 + seed % 5, r0=0.35)
+    vertex = body.vertices[seed % len(body.vertices)]
+    normals = vertex.position - body.centers[sorted(vertex.incident)]
+    mean = np.random.default_rng(seed).dirichlet(np.ones(3)) @ normals
+    return np.vstack([body.centers, vertex.position - body.radius * mean / np.linalg.norm(mean)])
+
+
 def build_outcome(lam, centers):
     """Everything the candidate pairs may affect, as exact strings, or the
     error type."""
@@ -324,24 +336,37 @@ def build_outcome(lam, centers):
             body.build_report.redundant_indices)
 
 
+def every_pair(pts):
+    return np.array(list(combinations(range(len(pts)), 2)), dtype=np.intp).reshape(-1, 2)
+
+
 def all_pairs_outcome(monkeypatch, lam, centers):
+    """``build_outcome`` of the full arrangement: every pair, cut by every ball."""
     with monkeypatch.context() as patch:
-        patch.setattr(bp3, "_candidate_pairs",
-                      lambda pts, radius: (list(combinations(range(len(pts)), 2)), "all"))
+        patch.setattr(bp3, "_candidate_pairs", lambda pts, radius: (every_pair(pts), None, "all"))
         return build_outcome(lam, centers)
 
 
 class TestCandidatePairs:
-    """Hull candidate pairs give the very build that all pairs give."""
+    """Hull candidate pairs, each cut by the balls of its two hull
+    triangles only, give the very build that all pairs cut by all balls
+    give."""
 
-    def test_touching_bodies_take_the_hull(self):
+    def test_touching_bodies_take_the_hull(self, monkeypatch):
+        widths = []
+        real = bp3.feasible_arcs
+        monkeypatch.setattr(bp3, "feasible_arcs",
+                            lambda a, b, d: widths.append(d.shape) or real(a, b, d))
         for m in range(2, 25):
             for seed in (1, 2):
+                widths.clear()
                 report = make_body(seed=seed, m=m, r0=0.2 + 0.03 * m).build_report
                 assert report.pair_source == ("hull" if m >= 5 else "all")
                 assert report.candidate_pairs <= m * (m - 1) // 2
                 if m >= 6:
                     assert report.candidate_pairs < m * (m - 1) // 2
+                # One pass; from m = 5 on, two cutting balls per hull edge.
+                assert widths == [(report.candidate_pairs, 2 if m >= 5 else m)]
 
     @pytest.mark.parametrize("noise", [0.0, 1e-15, 1e-13, 1e-12, 1e-9, 1e-6, 1e-3])
     def test_noisy_touching_bodies(self, monkeypatch, noise):
@@ -349,7 +374,7 @@ class TestCandidatePairs:
         for m in range(5, 25):
             centers = noisy_touching_centers(seed=m, m=m, noise=noise)
             assert build_outcome(1.0, centers) == all_pairs_outcome(monkeypatch, 1.0, centers)
-            sources.add(bp3._candidate_pairs(centers, 1.0)[1])
+            sources.add(bp3._candidate_pairs(centers, 1.0)[2])
         # Both sides of the cosphericity tolerance are exercised.
         if noise <= 1e-13:
             assert sources == {"hull"}
@@ -360,10 +385,12 @@ class TestCandidatePairs:
     def test_near_cocircular_centers(self, monkeypatch, eps):
         centers = near_cocircular_centers(eps)
         assert build_outcome(1.0, centers) == all_pairs_outcome(monkeypatch, 1.0, centers)
-        pairs, source = bp3._candidate_pairs(centers, 1.0)
+        pairs, cols, source = bp3._candidate_pairs(centers, 1.0)
         assert source == "hull"
+        pairs = set(map(tuple, pairs.tolist()))
         if abs(eps) <= 1e-6:  # the four make one flat facet: both diagonals are tried
             assert (0, 2) in pairs and (1, 3) in pairs
+            assert cols is None  # and every ball cuts every pair
 
     def test_redundant_and_duplicate_centers(self, monkeypatch):
         for k in range(16):
@@ -371,6 +398,27 @@ class TestCandidatePairs:
             got = build_outcome(1.0, centers)
             assert not isinstance(got, type)
             assert got == all_pairs_outcome(monkeypatch, 1.0, centers)
+
+    def test_explicit_columns_drop_redundant_balls(self, monkeypatch):
+        # Every pair with every other ball as its explicit columns: the
+        # redundant balls drop by masking their entries, not by slicing
+        # columns out, and the build is the full arrangement's.  A ball
+        # supporting the body at a vertex often ends arcs in the first
+        # pass and drops; with its entries left in, its label would too.
+        def explicit(pts, radius):
+            ij = every_pair(pts)
+            cols = [[k for k in range(len(pts)) if k not in pair] for pair in ij.tolist()]
+            return ij, np.array(cols, dtype=np.intp).reshape(len(ij), len(pts) - 2), "all"
+
+        cases = [redundant_and_duplicate_centers(k) for k in range(16)]
+        cases += [supporting_ball_centers(seed) for seed in range(16)]
+        for centers in cases:
+            full = all_pairs_outcome(monkeypatch, 1.0, centers)
+            assert not isinstance(full, type)
+            assert full[-1]  # a ball dropped
+            with monkeypatch.context() as patch:
+                patch.setattr(bp3, "_candidate_pairs", explicit)
+                assert build_outcome(1.0, centers) == full
 
     def test_near_planar_centers_take_all_pairs(self, monkeypatch):
         # Centers in convex position within ~1e-13 of a plane pass the
@@ -383,5 +431,5 @@ class TestCandidatePairs:
             radii = rng.uniform(0.3, 0.6, m)
             centers = np.column_stack([radii * np.cos(angles), radii * np.sin(angles),
                                        1e-13 * rng.standard_normal(m)])
-            assert bp3._candidate_pairs(centers, 1.0)[1] == "all"
+            assert bp3._candidate_pairs(centers, 1.0)[1:] == (None, "all")
             assert build_outcome(1.0, centers) == all_pairs_outcome(monkeypatch, 1.0, centers)
