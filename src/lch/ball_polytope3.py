@@ -19,9 +19,13 @@ of angular radius psi has constant geodesic curvature cot(psi) and
 contributes ``arc_angle * cos(psi)``; corners contribute turning angles.
 Volumes come from the divergence theorem with closed-form arc integrals.
 The facet stage is one array pass too: ``_facet_measures`` sums each
-arc's ``dphi cos(psi)`` onto both its facets and each corner's turn
-``atan2((t_in x t_out) . n, t_in . t_out)`` onto its facet, and
-``area = R^2 (2 pi chi - both sums)``.
+arc's ``dphi cos(psi)`` onto both its facets, and the Gauss-Bonnet
+kernel ``_gauss_bonnet_areas`` sums each corner's turn ``atan2((t_in x
+t_out) . n, t_in . t_out)`` onto its facet, ``area = R^2 (2 pi chi -
+both sums)``.  The kernel has two callers: this build, and
+``projection_ratio``, whose projected facets are spherical polygons
+with great-circle sides (no geodesic curvature), measured over the
+build's own ``_corner_table``.
 """
 
 from __future__ import annotations
@@ -152,18 +156,6 @@ class BallPolytope3:
         return (len(self.facets), len(self.edges), len(self.vertices),
                 tuple(sorted(f.ball_index for f in self.facets)),
                 tuple(sorted(e.pair for e in self.edges)))
-
-
-def _dot(a, b):
-    """a . b for two 3-sequences of floats."""
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _cross(a, b):
-    """a x b for two 3-sequences of floats, as a tuple (np.cross's rounding)."""
-    ax, ay, az = a
-    bx, by, bz = b
-    return (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
 
 
 def orthonormal_frame(axes):
@@ -373,6 +365,31 @@ def _corner_table(facet_loops, full, ends):
     return np.array(rows, dtype=np.intp).reshape(-1, 6).T
 
 
+def _gauss_bonnet_areas(r2, chi, corners, t_in, t_out, normals, kg=0.0):
+    """Intrinsic Gauss-Bonnet areas of the regions 0..m-1, m = ``len(chi)``
+    (their Euler characteristics), on spheres of squared radius ``r2``:
+
+        A_f = r2 (2 pi chi_f - kg_f
+                  - sum over corners of atan2((t_in x t_out) . n, t_in . t_out)),
+
+    ``kg`` the boundary arcs' total geodesic curvature per region (0 on
+    great circles).  Row c of the ``_corner_table`` ``corners`` is a
+    corner of region ``corners[0][c]``; ``t_in[c]`` and ``t_out[c]`` are
+    its two arcs' tangents in their sense of increasing phi and
+    ``normals[c]`` the outward unit normal there.
+    """
+    m = len(chi)
+    total = TWO_PI * np.asarray(chi) - kg
+    facet, _, in_end, _, out_end, _ = corners
+    if len(facet):  # no vertex, no corner
+        # A backward arc's tangent points against the loop; the turn changes
+        # sign when exactly one of the two does.
+        sign = np.where(in_end == out_end, -1.0, 1.0)
+        total -= np.bincount(facet, np.arctan2(sign * dot_rows(cross_rows(t_in, t_out), normals),
+                                               sign * dot_rows(t_in, t_out)), m)
+    return r2 * total
+
+
 def _facet_measures(r2, cos_psi, sides, arcs, chi, corners, normals):
     """Areas and vector areas of the facets 0..m-1, m = ``len(chi)`` (their
     Euler characteristics), in one array pass over arcs and corners.
@@ -381,35 +398,23 @@ def _facet_measures(r2, cos_psi, sides, arcs, chi, corners, normals):
     right; ``arcs`` holds per arc its angle dphi, its circle's center z,
     unit axis and radius rho, and ``(arcs, 2, 3)`` arrays of the unit
     directions ``u = cos(phi) e1 + sin(phi) e2`` and tangents ``t =
-    cos(phi) e2 - sin(phi) e1`` (= axis x u) at its two ends.  On a sphere
-    of squared radius ``r2`` the intrinsic Gauss-Bonnet area is
-
-        A_f = r2 (2 pi chi_f - sum over arcs of dphi cos(psi)
-                             - sum over corners of atan2((t_in x t_out) . n, t_in . t_out)),
-
-    one dphi ``cos_psi[n]`` per arc serving both its facets, the tangents
-    along the loop and n a ``corners`` row's outward unit normal in
-    ``normals``.  Each arc's Stokes term ``(rho z x (u_1 - u_0) + rho^2
-    dphi axis) / 2`` is added to its left facet's vector area and
-    subtracted from its right one's.
+    cos(phi) e2 - sin(phi) e1`` (= axis x u) at its two ends.  The areas
+    are ``_gauss_bonnet_areas`` with one geodesic curvature dphi
+    ``cos_psi[n]`` per arc serving both its facets.  Each arc's Stokes
+    term ``(rho z x (u_1 - u_0) + rho^2 dphi axis) / 2`` is added to its
+    left facet's vector area and subtracted from its right one's.
     """
     m = len(chi)
     dphi, z, axes, rho, u, t = arcs
-    facet, in_arc, in_end, out_arc, out_end, _ = corners
+    _, in_arc, in_end, out_arc, out_end, _ = corners
     stokes = 0.5 * (rho[:, None] * cross_rows(z, u[:, 1] - u[:, 0])
                     + (rho * rho * dphi)[:, None] * axes)
     vector = np.bincount((3 * sides[:, None] + _XYZ).ravel(),
                          np.concatenate([stokes, -stokes]).ravel(), 3 * m).reshape(m, 3)
     kg = dphi * cos_psi
-    total = TWO_PI * np.asarray(chi) - np.bincount(sides, np.concatenate([kg, kg]), m)
-    if len(facet):  # no vertex, no corner
-        t_in, t_out = t[in_arc, in_end], t[out_arc, out_end]
-        # A backward arc's tangent points against the loop; the turn changes
-        # sign when exactly one of the two does.
-        sign = np.where(in_end == out_end, -1.0, 1.0)
-        total -= np.bincount(facet, np.arctan2(sign * dot_rows(cross_rows(t_in, t_out), normals),
-                                               sign * dot_rows(t_in, t_out)), m)
-    return r2 * total, vector
+    areas = _gauss_bonnet_areas(r2, chi, corners, t[in_arc, in_end], t[out_arc, out_end],
+                                normals, np.bincount(sides, np.concatenate([kg, kg]), m))
+    return areas, vector
 
 
 def build(lam, centers):

@@ -13,8 +13,7 @@ Chart conventions (fixed here once for the whole package):
   the south pole), conformal factor ``2 / (1 + |z|^2)``.
 
 In all three charts every curve of constant geodesic curvature is a
-Euclidean circle or line.  Only ``|c| in {0, 1}`` carry a metric layer;
-general curvature is handled by rescaling lengths by ``length_scale(c)``.
+Euclidean circle or line.
 
 Every lambda-disk is the sublevel set of one chart quadratic
 (``chart_form``).  With ``W(z) = 1 + c |z|^2`` the signed distance from a
@@ -104,18 +103,6 @@ class UmbilicalClass:
 
     kind: str
     size: float | None = None
-
-
-def length_scale(c):
-    """Factor converting lengths in the unit-curvature model to M^n(c).
-
-    Statements about curvature ``c != 0`` are scale-covariant: a
-    configuration in ``M^n(sign(c))`` maps to ``M^n(c)`` by multiplying
-    every length by ``1/sqrt(|c|)`` (and curvature bounds by ``sqrt(|c|)``).
-    """
-    if c == 0.0:
-        return 1.0
-    return 1.0 / math.sqrt(abs(c))
 
 
 def _clamped(x, lo=-1.0, hi=1.0):

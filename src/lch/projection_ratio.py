@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ball_polytope3 as bp3
-from ._circular import TWO_PI
+from ._circular import cross_rows, dot_rows
 from .errors import InvalidParameterError
 from .inradius import inscribed_ball
 
@@ -99,42 +99,73 @@ def projected_facet_area(polytope, chart, facet=None):
     """Area of the facet's radial projection on the inscribed sphere.
 
     The projection is a spherical polygon with great-circle sides (see the
-    module docstring), so Gauss-Bonnet gives
-    ``r^2 (2 pi (2 - #loops) - sum of exterior angles)``.  The side of edge
-    (i, j) lies in the plane through o with normal ``circle_axis``, negated
-    where the loop runs the edge backward; the exterior angle at a vertex v
-    is the signed angle, about u = (v - o)/|v - o|, from the incoming
-    side's normal to the outgoing side's.  A full circle adds no angle.
-    ``InvalidParameterError`` when an edge plane misses o by more than
-    ``1e-9 R``, that is, when the neighbouring ball does not touch the
-    inscribed ball too.
+    module docstring), measured by ``_facet_projections``.
+    ``InvalidParameterError`` when an edge plane of the facet misses o by
+    more than ``1e-9 R``, that is, when the neighbouring ball does not
+    touch the inscribed ball too.
     """
     if facet is None:
         facet = polytope.facets[chart.facet_index]
-    o = chart.center.tolist()
-    tol = 1e-9 * polytope.radius
-    turn = 0.0
-    for loop in facet.boundary_loops:
-        normals = []
-        for eidx, forward in loop:
-            edge = polytope.edges[eidx]
-            axis = edge.circle_axis.tolist()
-            miss = bp3._dot([c - x for c, x in zip(edge.circle_center.tolist(), o)], axis)
-            if abs(miss) > tol:
-                raise InvalidParameterError(
-                    f"the plane of edge {eidx} misses the inscribed center by {miss!r}, "
-                    f"so one of balls {edge.pair} does not touch the inscribed ball")
-            normals.append(axis if forward else [-x for x in axis])
-        for idx, (eidx, forward) in enumerate(loop):
-            edge = polytope.edges[eidx]
-            if edge.full_circle:
-                continue
-            vid = edge.end_vertex if forward else edge.start_vertex
-            u = [p - c for p, c in zip(polytope.vertices[vid].position.tolist(), o)]
-            n_in, n_out = normals[idx], normals[(idx + 1) % len(loop)]
-            turn += math.atan2(bp3._dot(bp3._cross(n_in, n_out), u) / math.sqrt(bp3._dot(u, u)),
-                               bp3._dot(n_in, n_out))
-    return chart.inradius ** 2 * (TWO_PI * (2 - len(facet.boundary_loops)) - turn)
+    areas, _ = _facet_projections(polytope, chart.center, chart.inradius, [facet])
+    return float(areas[0])
+
+
+def _facet_projections(polytope, center, inradius, facets):
+    """Projected areas and natural-extension flags of ``facets``, for the
+    inscribed ball of center ``o`` and radius r, in one array pass.
+
+    The projected side of edge (i, j) lies on the great circle in the plane
+    through o with normal ``circle_axis``; at a corner vertex v, with u =
+    (v - o)/|v - o|, its tangent in the sense of increasing phi is
+    ``circle_axis x u``.  So the area is the build's Gauss-Bonnet kernel
+    ``ball_polytope3._gauss_bonnet_areas`` on the inscribed sphere, over
+    the facets' corner table, with no geodesic curvature and normals u:
+    ``r^2 (2 pi (2 - #loops) - sum of the turns)``.  A full circle makes no
+    corner.  ``InvalidParameterError`` when the plane of an edge of these
+    facets misses o by more than ``1e-9 R``.
+
+    Facet i is a natural extension when it has a boundary and each of its
+    edge circles lies in the equatorial plane through o of its touch axis
+    a_i = (o - o_i)/|o - o_i|: the circle's center z is within ``1e-8 R``
+    of it, ``|(z - o) . a_i|``, and its tilt moves its rim by at most
+    ``1e-8 R``, ``rho |a_i x circle_axis|``.  Each edge is tested against
+    the axes of both its facets.
+    """
+    edges = polytope.edges
+    pair = np.array([e.pair for e in edges], dtype=np.intp).reshape(-1, 2)
+    z = np.array([e.circle_center for e in edges]).reshape(-1, 3) - center
+    axes = np.array([e.circle_axis for e in edges]).reshape(-1, 3)
+    rho = np.array([e.circle_radius for e in edges])
+    balls = np.array([f.ball_index for f in facets], dtype=np.intp)
+    mine = np.zeros(len(polytope.centers), dtype=bool)
+    mine[balls] = True
+    miss = dot_rows(z, axes)
+    far = np.flatnonzero(mine[pair].any(1) & (np.abs(miss) > 1e-9 * polytope.radius))
+    if far.size:
+        n = far[0]
+        raise InvalidParameterError(
+            f"the plane of edge {n} misses the inscribed center by {float(miss[n])!r}, "
+            f"so one of balls {edges[n].pair} does not touch the inscribed ball")
+
+    touch = center - polytope.centers[pair]  # (edge, side, 3)
+    touch /= np.sqrt(dot_rows(touch, touch))[..., None]
+    slack = 1e-8 * polytope.radius
+    tilt = cross_rows(touch, axes[:, None])
+    off_plane = ((np.abs(dot_rows(z[:, None], touch)) > slack)
+                 | (rho[:, None] * np.sqrt(dot_rows(tilt, tilt)) > slack))
+    natural = np.bincount(pair.ravel(), off_plane.ravel(), len(polytope.centers)) == 0
+
+    loops = [f.boundary_loops for f in facets]
+    chi = np.array([2 - len(f) for f in loops], dtype=np.intp)
+    corners = bp3._corner_table(enumerate(loops), [e.full_circle for e in edges],
+                                [(e.start_vertex, e.end_vertex) for e in edges])
+    positions = np.array([v.position for v in polytope.vertices]).reshape(-1, 3)
+    u = positions[corners[5]] - center
+    u /= np.sqrt(dot_rows(u, u))[:, None]
+    areas = bp3._gauss_bonnet_areas(inradius * inradius, chi, corners,
+                                    cross_rows(axes[corners[1]], u),
+                                    cross_rows(axes[corners[3]], u), u)
+    return areas, natural[balls] & (chi < 2)
 
 
 @dataclass(frozen=True)
@@ -158,14 +189,11 @@ def _require_all_touching(polytope):
 def claim3_check(polytope, rel_tol=1e-5):
     """Projected facet areas must tile the inscribed sphere exactly."""
     ball = _require_all_touching(polytope)
-    areas = []
-    for f in polytope.facets:
-        chart = chart_for_facet(polytope, f.ball_index, ball)
-        areas.append(projected_facet_area(polytope, chart, f))
+    areas, _ = _facet_projections(polytope, ball.center, ball.radius, polytope.facets)
     sphere = FOUR_PI * ball.radius ** 2
-    total = float(sum(areas))
+    total = float(areas.sum())
     rel = abs(total - sphere) / sphere
-    return Claim3Report(projected_areas=tuple(areas), total=total,
+    return Claim3Report(projected_areas=tuple(areas.tolist()), total=total,
                         sphere_area=sphere, rel_defect=rel, passed=rel <= rel_tol)
 
 
@@ -176,10 +204,7 @@ def ratio_F(lam, r):
     """
     if lam <= 0.0 or r <= 0.0 or r * lam > 1.0 + 1e-12:
         raise InvalidParameterError(f"need 0 < r*lam <= 1, got lam={lam}, r={r}")
-    from .reference_bodies import lens3_from_inradius
-
-    lens = lens3_from_inradius(lam, min(r, 1.0 / lam))
-    return (lens.surface_area / 2.0) / (2.0 * math.pi * r * r)
+    return 1.0 / (lam * min(r, 1.0 / lam))
 
 
 @dataclass(frozen=True)
@@ -194,42 +219,20 @@ class KeyClaimReport:
     passed: bool
 
 
-def _is_natural_extension(polytope, chart, facet, tol=1e-8):
-    """True when the facet boundary lies in the equatorial plane through o:
-    every edge circle's center lies within ``tol * R`` of that plane, and
-    its tilt against the plane moves its rim by at most ``tol * R``."""
-    slack = tol * polytope.radius
-    o, axis = chart.center.tolist(), chart.axis.tolist()
-    for loop in facet.boundary_loops:
-        for eidx, _ in loop:
-            edge = polytope.edges[eidx]
-            height = bp3._dot([c - x for c, x in zip(edge.circle_center.tolist(), o)], axis)
-            tilt = bp3._cross(axis, edge.circle_axis.tolist())
-            if abs(height) > slack or edge.circle_radius * math.sqrt(bp3._dot(tilt, tilt)) > slack:
-                return False
-    return bool(facet.boundary_loops)
-
-
 def key_claim_check(polytope, tol=1e-5):
     """Per-facet ratio bound |F_i| / |projected F_i| <= F, with equality
     exactly for full natural radial extensions (lens facets)."""
     ball = _require_all_touching(polytope)
     bound = ratio_F(polytope.lam, ball.radius)
-    ratios = []
-    flags = []
-    projected_sum = 0.0
-    for f in polytope.facets:
-        chart = chart_for_facet(polytope, f.ball_index, ball)
-        proj = projected_facet_area(polytope, chart, f)
-        projected_sum += proj
-        ratios.append(f.area / proj)
-        flags.append(_is_natural_extension(polytope, chart, f))
-    max_ratio = max(ratios)
+    projected, natural = _facet_projections(polytope, ball.center, ball.radius, polytope.facets)
+    ratios = np.array([f.area for f in polytope.facets]) / projected
+    max_ratio = float(ratios.max())
+    projected_sum = float(projected.sum())
     area = bp3.surface_area(polytope)
     reconstructed = bound * projected_sum
     passed = (max_ratio <= bound + tol) and (area <= reconstructed * (1.0 + 1e-6))
-    return KeyClaimReport(ratios=tuple(ratios), bound=bound,
-                          at_equality=tuple(flags), max_ratio=max_ratio,
+    return KeyClaimReport(ratios=tuple(ratios.tolist()), bound=bound,
+                          at_equality=tuple(natural.tolist()), max_ratio=max_ratio,
                           projected_total=projected_sum,
                           reconstructed_bound=reconstructed,
                           surface_area=area, passed=passed)

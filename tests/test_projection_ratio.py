@@ -100,6 +100,39 @@ class TestProjectedAreas:
         with pytest.raises(InvalidParameterError):
             pr.chart_for_facet(body, 2)
 
+    @pytest.mark.parametrize("seed, m, r0", [(71, 8, 0.45), (73, 10, 0.35), (74, 6, 0.5)])
+    def test_touching_is_required_per_facet(self, seed, m, r0):
+        # a ball that strictly holds the inscribed ball keeps it, and with
+        # it every touch direction: the facets it does not border keep
+        # their projected areas, and those it borders raise
+        body = reduce_to_touching(make_body(seed=seed, m=m, r0=r0))
+        ball = inscribed_ball(body)
+        before = [pr.projected_facet_area(body, pr.chart_for_facet(body, f.ball_index, ball), f)
+                  for f in body.facets]
+        total = pr.key_claim_check(body).projected_total
+        assert abs(sum(before) - total) <= 1e-13 * total
+
+        far = max((v.position for v in body.vertices),
+                  key=lambda x: float(np.linalg.norm(x - ball.center)))
+        u = (far - ball.center) / np.linalg.norm(far - ball.center)
+        new = len(body.centers)
+        cut = bp3.build(body.lam, np.vstack([body.centers,
+                                             ball.center - 0.9 * (body.radius - ball.radius) * u]))
+        assert cut.build_report.redundant_indices == ()
+        cut_ball = inscribed_ball(cut)
+        assert cut_ball.touching == ball.touching
+        assert cut_ball.radius == pytest.approx(ball.radius, rel=1e-12)
+        adjacent = {k for e in cut.edges if new in e.pair for k in e.pair} - {new}
+        assert adjacent and len(adjacent) < new
+        for f in cut.facets[:new]:
+            chart = pr.chart_for_facet(cut, f.ball_index, cut_ball)
+            if f.ball_index in adjacent:
+                with pytest.raises(InvalidParameterError, match="does not touch"):
+                    pr.projected_facet_area(cut, chart, f)
+            else:
+                area = pr.projected_facet_area(cut, chart, f)
+                assert abs(area - before[f.ball_index]) <= 1e-12 * before[f.ball_index]
+
 
 class TestRadialExtent:
     # Along the meridian u(t) = cos(t) a + sin(t) w of the touch axis a,
@@ -252,6 +285,17 @@ class TestRatioF:
             pr.ratio_F(1.0, 1.5)
         with pytest.raises(InvalidParameterError):
             pr.ratio_F(1.0, 0.0)
+
+    def test_matches_the_matched_lens(self):
+        # half the boundary of the lens of inradius r over 2 pi r^2
+        from lch.reference_bodies import lens3_from_inradius
+
+        for lam in (0.25, 0.5, 1.0, 2.0, 3.7, 10.0):
+            for t in np.linspace(0.02, 1.0, 50):
+                r = t / lam
+                lens = lens3_from_inradius(lam, r)
+                reference = (lens.surface_area / 2.0) / (2.0 * math.pi * r * r)
+                assert abs(pr.ratio_F(lam, r) - reference) <= 1e-14 * reference
 
 
 class TestKeyClaim:

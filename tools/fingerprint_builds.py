@@ -12,8 +12,11 @@ touching bodies with m = 5..24 whose centers are moved radially by a
 relative 0 to 1e-3, on both sides of the cosphericity tolerance of the
 hull candidate pairs; four centers near one circle of their common
 sphere; and centers within ~1e-13 of a plane), each with its facets'
-areas and vector areas and the three components of its
-``gauss_bonnet.gb_total``, 150 polygons of each of
+areas and vector areas, the three components of its
+``gauss_bonnet.gb_total`` and its build report (redundant and duplicate
+indices, source centers, and the ``pair_source`` and ``candidate_pairs``
+of its candidate pairs, so a change in which pairs a build takes shows
+too), 150 polygons of each of
 the five lambda-disk kinds, and six
 erosion rows: ``erosion.profile(body, 64)`` (ts, areas, events) and
 ``erosion.volume_via_profile`` of a lens, the lens plus a ball whose facet
@@ -72,7 +75,8 @@ def fp3(lam, centers):
         "area": h(bp3.surface_area(b)),
         "volume": h(bp3.volume(b)),
         "report": [list(r.redundant_indices), list(r.duplicate_indices),
-                   [h(v) for v in np.ravel(r.source_centers)]],
+                   [h(v) for v in np.ravel(r.source_centers)],
+                   r.pair_source, r.candidate_pairs],
         "vertices": [[h(v) for v in x.position] + sorted(x.incident) for x in b.vertices],
         "edges": [[e.pair, h(e.phi_start), h(e.phi_end), e.start_vertex, e.end_vertex]
                   for e in b.edges],
