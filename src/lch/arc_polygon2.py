@@ -69,6 +69,7 @@ from .errors import (
     NonCompactError,
     NumericError,
     TopologyError,
+    check_lam,
 )
 
 _VERTEX_TOL = 1e-9
@@ -324,8 +325,7 @@ def build2(space, lam, disks):
     disks = tuple(disks)
     if not disks:
         raise InvalidParameterError("need at least one disk")
-    if lam <= 0.0:
-        raise InvalidParameterError(f"lam must be positive, got {lam}")
+    check_lam(lam)
     space.require_metric_layer()
     _check_compact(space, disks)
     circles = [chart_circle(d) for d in disks]

@@ -26,13 +26,22 @@ both sums)``.  The kernel has two callers: this build, and
 ``projection_ratio``, whose projected facets are spherical polygons
 with great-circle sides (no geodesic curvature), measured over the
 build's own ``_corner_table``.
+
+The build keeps its arrays on the body, in the private ``_tables``
+(``_Tables``: per edge its pair, circle, frame, end angles, end vertices
+and center distance; per vertex its position and ball triple; the corner
+table; per facet its Euler characteristic), and the ``EdgeArc`` and
+``Vertex`` fields are rows of them.  ``erosion`` and ``projection_ratio``
+read these arrays, so each build computes its corner table once;
+``gauss_bonnet`` reads the objects.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -42,6 +51,7 @@ from .errors import (
     DegenerateBodyError,
     EmptyBodyError,
     InvalidParameterError,
+    check_lam,
 )
 
 VERTEX_TOL = 1e-9  # relative to the ball radius
@@ -106,6 +116,27 @@ class Facet:
     vector_area: np.ndarray
 
 
+class _Tables(NamedTuple):
+    """A build's arrays, kept on its body: one row per edge, vertex, corner
+    or facet, in the order of ``edges``, ``vertices`` and ``facets``.  The
+    ``EdgeArc`` and ``Vertex`` arrays are rows of these."""
+
+    pair: np.ndarray       # (edges, 2) balls i < j
+    z: np.ndarray          # (edges, 3) circle centers
+    axes: np.ndarray       # (edges, 3) unit circle axes
+    rho: np.ndarray        # (edges,) circle radii
+    e1: np.ndarray         # (edges, 3) the circle frames, e1 x e2 = axis
+    e2: np.ndarray         # (edges, 3)
+    phi: np.ndarray        # (edges, 2) phi_start, phi_end
+    full: np.ndarray       # (edges,) full-circle flags
+    ends: np.ndarray       # (edges, 2) start and end vertices, -1 on a full circle
+    dist: np.ndarray       # (edges,) center distances |o_i - o_j|
+    positions: np.ndarray  # (vertices, 3)
+    triples: np.ndarray    # (vertices, 3) each vertex's balls, sorted
+    corners: np.ndarray    # (6, corners) the _corner_table of the facets' loops
+    chi: np.ndarray        # (facets,) Euler characteristics, 2 - #loops
+
+
 @dataclass(frozen=True)
 class BuildReport:
     redundant_indices: tuple
@@ -134,6 +165,8 @@ class BallPolytope3:
     # when a support ball dropped, until ``inradius`` or ``erosion`` solves
     # it once and keeps it.
     _meb: object = field(default=None, compare=False, repr=False)
+    # The build's ``_Tables``, which ``erosion`` and ``projection_ratio`` read.
+    _tables: object = field(default=None, compare=False, repr=False)
     # The body's ``inradius.InscribedBall``, kept by its first computation.
     _inscribed: object = field(default=None, init=False, compare=False, repr=False)
     # The body's ``erosion._Erosion`` (its event schedule), kept by its first use.
@@ -308,17 +341,16 @@ def _pair_arcs(ij, cols, a, b, d):
 
 
 def _collect_vertices(arcs, points, radius):
-    """The vertices, clustered from the arcs' start and end ``points``, and
-    each arc's (start, end) vertex, (-1, -1) on a full circle."""
+    """The vertices, clustered from the arcs' start and end ``points``, as
+    ``(vertices, positions, triples, ends)``: the ``Vertex`` objects, their
+    ``(n, 3)`` positions and sorted ball triples, and each arc's (start,
+    end) vertex, (-1, -1) on a full circle."""
     i, j, _, _, _, full, lab_s, lab_e = arcs
     ends = [(-1, -1)] * len(full)
     opened = [n for n, f in enumerate(full) if not f]
-    if not opened:  # full circles only: no vertex
-        return (), ends
     # Rows 2k and 2k + 1 are the start and end of the k-th open arc.
-    points = points[opened].reshape(-1, 3)
-    positions, index = cluster_points(points, VERTEX_TOL * radius)
-    incidents = [set() for _ in positions]
+    reps, index = cluster_points(points[opened].reshape(-1, 3), VERTEX_TOL * radius)
+    incidents = [set() for _ in reps]
     for n, vs, ve in zip(opened, index[::2], index[1::2]):
         ends[n] = (vs, ve)
         incidents[vs].update((i[n], j[n], lab_s[n]))
@@ -327,11 +359,13 @@ def _collect_vertices(arcs, points, radius):
         if len(inc) > 3:
             raise DegenerateBodyError(
                 f"{len(inc)} spheres pass within tolerance of a common point "
-                f"(vertex {vid} at {positions[vid].tolist()})"
+                f"(vertex {vid} at {reps[vid].tolist()})"
             )
+    positions = np.array(reps).reshape(-1, 3)
     vertices = tuple(Vertex(position=x, incident=frozenset(inc))
                      for x, inc in zip(positions, incidents))
-    return vertices, ends
+    triples = np.fromiter(chain.from_iterable(incidents), np.intp, 3 * len(incidents))
+    return vertices, positions, np.sort(triples.reshape(-1, 3)), ends
 
 
 def _facet_loops(m, i, j, full, ends):
@@ -352,15 +386,14 @@ def _facet_loops(m, i, j, full, ends):
     return loops
 
 
-def _corner_table(facet_loops, full, ends):
-    """One row per corner of the loops of ``facet_loops``, pairs of a ball
-    index and its facet's loops, as int arrays ``(facet, in_arc, in_end,
-    out_arc, out_end, vertex)``: the arc coming in and the end it meets the
-    corner with (1, phi_end, when forward), the arc going out and its end
-    (0 when forward), and the vertex, from arc n's ``ends[n]``.  Full
-    circles, flagged by ``full``, make no corner."""
+def _corner_table(loops, full, ends):
+    """One row per corner of facet f's ``loops[f]``, as int arrays
+    ``(facet, in_arc, in_end, out_arc, out_end, vertex)``: the arc coming
+    in and the end it meets the corner with (1, phi_end, when forward), the
+    arc going out and its end (0 when forward), and the vertex, from arc
+    n's ``ends[n]``.  Full circles, flagged by ``full``, make no corner."""
     rows = [(f, arc, fwd, nxt, not nxt_fwd, ends[arc][fwd])
-            for f, loops in facet_loops for loop in loops
+            for f, facet_loops in enumerate(loops) for loop in facet_loops
             for (arc, fwd), (nxt, nxt_fwd) in zip(loop, loop[1:] + loop[:1]) if not full[arc]]
     return np.array(rows, dtype=np.intp).reshape(-1, 6).T
 
@@ -424,8 +457,7 @@ def build(lam, centers):
     the build report.  Raises ``EmptyBodyError`` for empty intersections and
     ``DegenerateBodyError`` for empty-interior or vertex-degenerate input.
     """
-    if lam <= 0.0:
-        raise InvalidParameterError(f"lam must be positive, got {lam}")
+    check_lam(lam)
     pts = np.atleast_2d(np.asarray(centers, dtype=float))
     if pts.shape[0] < 1 or pts.shape[1] != 3:
         raise InvalidParameterError(f"centers must be an (m, 3) array, got {pts.shape}")
@@ -467,26 +499,27 @@ def _rebuild(lam, pts, meb_radius, keep=None, duplicates=(), meb=None):
     if keep is None:
         keep = list(range(len(pts)))
     work = pts[keep]
-    retained_local, poly = _build_retained(lam, work, radius)
+    retained_local, (source, candidates), parts = _build_retained(lam, work, radius)
     redundant_local = [k for k in range(len(work)) if k not in retained_local]
     redundant_orig = tuple(sorted([keep[k] for k in redundant_local] + list(duplicates)))
     report = BuildReport(redundant_indices=redundant_orig,
                          duplicate_indices=tuple(duplicates),
                          source_centers=pts,
-                         pair_source=poly["pair_source"],
-                         candidate_pairs=poly["candidate_pairs"])
+                         pair_source=source,
+                         candidate_pairs=candidates)
     redundant_pts = pts[list(redundant_orig)] if redundant_orig else np.zeros((0, 3))
-    return BallPolytope3(lam=lam, centers=poly["centers"],
-                         redundant_centers=redundant_pts,
-                         facets=poly["facets"], edges=poly["edges"],
-                         vertices=poly["vertices"], build_report=report,
-                         _meb=meb.remapped(retained_local) if meb and redundant_local else meb)
+    return BallPolytope3(lam=lam, redundant_centers=redundant_pts, build_report=report,
+                         _meb=meb.remapped(retained_local) if meb and redundant_local else meb,
+                         **parts)
 
 
 def _build_retained(lam, work, radius):
-    """Assemble combinatorics.  When balls carry no arc they are redundant:
-    the arcs are cut again on the first pass's rows of the pairs of
-    retained balls, and on its columns of the retained balls; explicit
+    """Assemble combinatorics: ``(retained, (pair_source, candidate_pairs),
+    fields)``, the retained balls, the ``BuildReport`` entries of the
+    candidate pairs, and the body's ``centers``, ``facets``, ``edges``,
+    ``vertices`` and ``_tables``.  When balls carry no arc they are
+    redundant: the arcs are cut again on the first pass's rows of the pairs
+    of retained balls, and on its columns of the retained balls; explicit
     columns keep their width, a dropped ball's entries masked by d = inf."""
     ij, cols, source = _candidate_pairs(work, radius)
     circles, (a, b, d) = _pair_circles(work, radius, ij, cols)
@@ -513,7 +546,8 @@ def _build_retained(lam, work, radius):
     cos, sin = np.cos(phi)[..., None], np.sin(phi)[..., None]
     # Each arc's unit directions from its circle's center at its two ends.
     u = cos * e1[:, None] + sin * e2[:, None]
-    vertices, ends = _collect_vertices(arcs, z[:, None] + rho[:, None, None] * u, radius)
+    vertices, positions, triples, ends = _collect_vertices(
+        arcs, z[:, None] + rho[:, None, None] * u, radius)
     cos_psi = 0.5 * lam * dist
     dihedral = 2.0 * np.arcsin(cos_psi)  # cos(dihedral) = 1 - 2 cos_psi^2
     edges = tuple(EdgeArc(pair=pair, circle_center=zn, circle_axis=axis, circle_radius=r,
@@ -525,17 +559,21 @@ def _build_retained(lam, work, radius):
                       ends, dihedral.tolist(), dist.tolist()))
 
     loops = _facet_loops(len(work), i, j, full, ends)
-    corners = _corner_table(enumerate(loops), full, ends)
-    positions = np.array([v.position for v in vertices]).reshape(-1, 3)
+    corners = _corner_table(loops, full, ends)
+    chi = np.array([2 - len(f) for f in loops], dtype=np.intp)
+    sides = np.array(i + j, dtype=np.intp)  # each arc's left facet, then each arc's right
     normals = (positions[corners[5]] - work[corners[0]]) / radius
     tangents = cos * e2[:, None] - sin * e1[:, None]
-    areas, vectors = _facet_measures(radius * radius, cos_psi, np.array(i + j, dtype=np.intp),
+    areas, vectors = _facet_measures(radius * radius, cos_psi, sides,
                                      (phi[:, 1] - phi[:, 0], z, axes, rho, u, tangents),
-                                     [2 - len(f) for f in loops], corners, normals)
+                                     chi, corners, normals)
     facets = tuple(Facet(ball_index=k, boundary_loops=f, area=area, vector_area=vec)
                    for k, (f, area, vec) in enumerate(zip(loops, areas.tolist(), vectors)))
-    return retained, {"centers": work, "facets": facets, "edges": edges, "vertices": vertices,
-                      "pair_source": source, "candidate_pairs": len(circles[0])}
+    tables = _Tables(sides.reshape(2, -1).T, z, axes, rho, e1, e2, phi, np.array(full, dtype=bool),
+                     np.fromiter(chain.from_iterable(ends), np.intp, 2 * len(ends)).reshape(-1, 2),
+                     dist, positions, triples, corners, chi)
+    return retained, (source, len(circles[0])), {
+        "centers": work, "facets": facets, "edges": edges, "vertices": vertices, "_tables": tables}
 
 
 def surface_area(polytope):

@@ -14,10 +14,12 @@ circle's center, axis and frame; its end angles are its vertices' angles
 in that frame.  The area is the build's Gauss-Bonnet sum
 (``ball_polytope3._facet_measures``) over all facets at radius R_t,
 ``R_t^2 (2 pi sum(chi) - sum of arc angle * lam d / 2 - sum of corner
-turns)``.  ``_Piece`` compiles it into arrays once per piece (vertex
-circumcenters, normals and rho^2; edge frames, circle centers, reference
-angles and d; the build's corner table, ``ball_polytope3._corner_table``)
-and evaluates it at a whole array of t in one pass: each arc end's
+turns)``.  ``_Piece`` compiles it into arrays once per piece, from the
+arrays the build kept on the body (``ball_polytope3._Tables``): vertex
+circumcenters, normals and rho^2 from the vertices' ball triples and
+positions; the open arcs' frames, circle centers, reference angles, end
+vertices and d; the build's corner table and Euler characteristics.  It
+evaluates the area at a whole array of t in one pass: each arc end's
 coordinates in its circle's frame (linear in h), edge angles by
 ``arctan2`` on the reference branch, corner turns as ``arctan2`` of two
 forms bilinear in the coordinates of the corner's two arc ends, and the
@@ -117,38 +119,34 @@ def _row_sums(a):
 class _Piece:
     """K_t in closed form for t between two events, from one body inside.
 
-    ``R`` is the radius of the uneroded balls.  The body's facets, edges
-    and vertices are compiled into arrays; full-circle edges keep their
-    angles and only add a constant to the geodesic-curvature sum.
+    ``R`` is the radius of the uneroded balls.  The body's build arrays
+    (its ``_tables``) are compiled into the piece's; full-circle edges keep
+    their angles and only add a constant to the geodesic-curvature sum.
     """
 
     def __init__(self, body, R):
         self.R = R
+        tables = body._tables
         # Vertex ijk at c + h n: c the circumcenter of o_i o_j o_k (i < j < k),
         # n the unit normal toward the vertex, rho^2 the squared circumradius.
-        tri = np.array([sorted(v.incident) for v in body.vertices], dtype=np.intp).reshape(-1, 3)
+        tri = tables.triples
         a, b, o = body.centers[tri].transpose(1, 0, 2)
         u, v = a - o, b - o
         uv = cross_rows(u, v)
         s, uu, vv = dot_rows(uv, uv), dot_rows(u, u), dot_rows(v, v)
         self.c = o + cross_rows(uu[:, None] * v - vv[:, None] * u, uv) / (2.0 * s)[:, None]
         n = uv / np.sqrt(s)[:, None]
-        positions = np.array([x.position for x in body.vertices]).reshape(-1, 3)
-        self.n = np.where((dot_rows(n, positions - self.c) < 0.0)[:, None], -n, n)
+        self.n = np.where((dot_rows(n, tables.positions - self.c) < 0.0)[:, None], -n, n)
         self.rho2 = uu * vv * dot_rows(u - v, u - v) / (4.0 * s)
         # Each vertex's offsets to every center, those of its own three masked.
         self.offsets = self.c[:, None] - body.centers
         self.own = np.zeros(self.offsets.shape[:2], dtype=bool)
         self.own[np.arange(len(tri))[:, None], tri] = True
 
-        edges = body.edges
-        arcs = [e for e in edges if not e.full_circle]
-        e1 = np.array([e.frame[0] for e in arcs]).reshape(-1, 3)
-        e2 = np.array([e.frame[1] for e in arcs]).reshape(-1, 3)
-        z = np.array([e.circle_center for e in arcs]).reshape(-1, 3)
-        self.ref = np.array([(e.phi_start, e.phi_end) for e in arcs]).reshape(-1, 2)
-        self.ends = np.array([(e.start_vertex, e.end_vertex) for e in arcs],
-                             dtype=np.intp).reshape(-1, 2)
+        full = tables.full
+        opened = np.logical_not(full)
+        e1, e2, z = tables.e1[opened], tables.e2[opened], tables.z[opened]
+        self.ref, self.ends = tables.phi[opened], tables.ends[opened]
         # An arc end, vertex c + h n, sits at (x, y) = xy0 + h xy1 in its
         # circle's frame (about the circle's center z).
         off, n = self.c[self.ends] - z[:, None], self.n[self.ends]
@@ -163,11 +161,8 @@ class _Piece:
         # and b of its two arc ends, a (det_form0 + h det_form1) b / R_t and
         # a dot_form b; both scale alike with a and b, so the ends' (x, y)
         # serve.
-        full = [e.full_circle for e in edges]
-        facet, in_arc, self.in_end, out_arc, self.out_end, self.corner_vertex = bp3._corner_table(
-            ((f.ball_index, f.boundary_loops) for f in body.facets), full,
-            [(e.start_vertex, e.end_vertex) for e in edges])
-        slot = np.cumsum(np.logical_not(full)) - 1
+        facet, in_arc, self.in_end, out_arc, self.out_end, self.corner_vertex = tables.corners
+        slot = np.cumsum(opened) - 1
         self.in_slot, self.out_slot = slot[in_arc], slot[out_arc]
         tangent = np.stack([e2, -e1], axis=1)  # t = cos(phi) row 0 + sin(phi) row 1
         # A tangent taken at a backward arc's end points against the loop;
@@ -183,10 +178,10 @@ class _Piece:
 
         # Geodesic curvature: arc angle times lam d / 2 on each of an edge's
         # two facets, so lam d per edge; the full circles' angles are fixed.
-        self.d = np.array([e.center_distance for e in arcs])
-        self.kg_full = sum((e.phi_end - e.phi_start) * e.center_distance
-                           for e in edges if e.full_circle)
-        self.chi = sum(2 - len(f.boundary_loops) for f in body.facets)
+        self.d = tables.dist[opened]
+        dphi = tables.phi[:, 1] - tables.phi[:, 0]
+        self.kg_full = float(np.sum(dphi[full] * tables.dist[full]))
+        self.chi = int(tables.chi.sum())
 
     def next_event(self, t0):
         """The earliest certificate root after t0 (infinity if none)."""
@@ -512,13 +507,8 @@ def expansion_check(polytope, t=1e-2):
     coefficients = tuple(rem / tk ** 2 for rem, tk in zip(remainders, ts))
     if all(abs(rem) <= 1e-11 * beta_sum for rem in remainders):
         passed = True  # remainder identically zero (the ball)
-    else:
-        ratios_ok = []
-        for c_prev, c_next in zip(coefficients, coefficients[1:]):
-            if abs(c_next) < 1e-14:
-                ratios_ok.append(False)
-            else:
-                ratios_ok.append(abs(c_prev / c_next - 1.0) <= 0.25)
-        passed = all(ratios_ok)
+    else:  # each halving keeps the coefficient within 25%
+        passed = all(abs(c_next) >= 1e-14 and abs(c_prev / c_next - 1.0) <= 0.25
+                     for c_prev, c_next in zip(coefficients, coefficients[1:]))
     return ExpansionReport(ts=ts, remainders=remainders,
                            coefficients=coefficients, passed=passed)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the domain check of
+the curvature bound lam that every entry point taking it makes."""
+
+import math
 
 
 class LchError(Exception):
@@ -32,3 +35,9 @@ class GenerationError(LchError):
 
 class NumericError(LchError):
     """A quadrature or root-finding routine failed to converge."""
+
+
+def check_lam(lam):
+    """``InvalidParameterError`` unless lam is positive and finite (NaN is not)."""
+    if not 0.0 < lam < math.inf:
+        raise InvalidParameterError(f"lam must be positive and finite, got {lam}")

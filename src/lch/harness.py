@@ -21,7 +21,7 @@ from . import ball_polytope3 as bp3
 from . import erosion
 from . import gauss_bonnet as gb
 from . import model_space as ms
-from .errors import GenerationError, InvalidParameterError, LchError
+from .errors import GenerationError, InvalidParameterError, LchError, check_lam
 from .inradius import halfspace_condition, inscribed_ball, verify_reverse_inradius
 from .reference_bodies import lens3_volume_from_area
 
@@ -49,8 +49,7 @@ class GenSpec:
             raise InvalidParameterError(f"dim must be 2 or 3, got {self.dim}")
         if self.dim == 3 and self.curvature != 0.0:
             raise InvalidParameterError("3-D bodies are Euclidean only")
-        if self.lam <= 0.0:
-            raise InvalidParameterError(f"lam must be positive, got {self.lam}")
+        check_lam(self.lam)
         space = ms.ModelSpace(self.dim, self.curvature)
         if self.dim == 2:
             space.require_metric_layer()

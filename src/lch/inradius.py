@@ -29,7 +29,6 @@ from .errors import EmptyBodyError, InvalidParameterError, NumericError
 from . import ball_polytope3 as bp3
 
 TOUCH_TOL = 1e-9  # relative to the ball radius
-GAP_TOL = 1e-9  # radians past pi that a planar angular gap may reach
 # How far from the origin the enclosing-ball center of unit directions may
 # lie when their hull still counts as holding the origin.
 CENTER_TOL = 1e-9
@@ -195,11 +194,9 @@ def halfspace_condition(touch_points, o):
     """True iff no open half-space through o contains every touch point.
 
     Equivalently the unit directions u_i from o to the touch points hold
-    the origin in their convex hull (Gordan).  In the plane that holds iff
-    no angular gap between consecutive directions exceeds pi (by
-    ``GAP_TOL``), read off the sorted angles.  Otherwise it holds iff the
-    minimal enclosing ball of the u_i is centered at the origin (within
-    ``CENTER_TOL``): its center c lies in conv(u_i), so c != 0 when
+    the origin in their convex hull (Gordan), in any dimension.  That holds
+    iff the minimal enclosing ball of the u_i is centered at the origin
+    (within ``CENTER_TOL``): its center c lies in conv(u_i), so c != 0 when
     the origin is outside; and if sum mu_i u_i = 0 with mu a convex
     combination, every ball B(c, rho) holding the u_i has
     rho^2 >= sum mu_i |u_i - c|^2 = 1 + |c|^2, least at c = 0.
@@ -210,10 +207,6 @@ def halfspace_condition(touch_points, o):
     norms = np.linalg.norm(dirs, axis=1)
     if np.any(norms < 1e-14):
         raise InvalidParameterError("touch points must be distinct from the center")
-    if dirs.shape[1] == 2:
-        angles = np.sort(np.arctan2(dirs[:, 1], dirs[:, 0]))
-        gaps = np.diff(angles, append=angles[0] + 2.0 * math.pi)
-        return bool(np.max(gaps) <= math.pi + GAP_TOL)
     ball = minimal_enclosing_ball(dirs / norms[:, None])
     return bool(np.linalg.norm(ball.center) <= CENTER_TOL)
 

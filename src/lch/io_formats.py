@@ -3,7 +3,9 @@
 Version tag ``lch-1``.  Three-dimensional bodies carry a curvature bound
 and ball centers; two-dimensional bodies carry either the Euclidean
 shorthand (disk centers) or a list of typed supporting disks.  Numbers
-round-trip IEEE doubles; the order of centers/disks is preserved.
+round-trip IEEE doubles; the order of centers/disks is preserved.  A
+missing, mistyped, non-numeric or non-finite field raises
+``InvalidParameterError`` naming it.
 """
 
 from __future__ import annotations
@@ -29,16 +31,31 @@ def _field(data, name, kinds):
     return value
 
 
-def _points(data, name, width):
-    raw = _field(data, name, list)
+def _number(data, key, name=None):
+    """The optional finite number ``data[key]``, 0.0 when absent; ``name``
+    names the field in errors (``key`` by default)."""
     try:
-        pts = np.asarray(raw, dtype=float)
+        value = float(data.get(key, 0.0))
+    except (TypeError, ValueError):
+        value = np.nan
+    if not np.isfinite(value):
+        raise InvalidParameterError(f'field "{name or key}" must be a finite number')
+    return value
+
+
+def _points(data, key, shape, name=None):
+    """``data[key]``, a list, as a float array of ``shape`` (-1: any length)
+    with finite entries; ``name`` names the field in errors (``key`` by
+    default)."""
+    name = name or key
+    try:
+        pts = np.asarray(_field(data, key, list), dtype=float)
     except (TypeError, ValueError) as exc:
         raise InvalidParameterError(f'field "{name}" must be numeric') from exc
-    if pts.ndim != 2 or pts.shape[1] != width or not np.all(np.isfinite(pts)):
-        raise InvalidParameterError(
-            f'field "{name}" must be a list of finite {width}-vectors'
-        )
+    if (pts.ndim != len(shape) or any(s not in (-1, n) for s, n in zip(shape, pts.shape))
+            or not np.all(np.isfinite(pts))):
+        size = " x ".join(map(str, shape)).replace("-1", "n")
+        raise InvalidParameterError(f'field "{name}" must hold {size} finite numbers')
     return pts
 
 
@@ -75,21 +92,21 @@ def body_from_dict(data):
     if not isinstance(data, dict):
         raise InvalidParameterError("body file must hold a JSON object")
     lam = _field(data, "lambda", (int, float))
-    if lam <= 0.0:
-        raise InvalidParameterError('field "lambda" must be positive')
+    if isinstance(lam, bool) or not 0.0 < lam < np.inf:
+        raise InvalidParameterError('field "lambda" must be a positive finite number')
     dim = _field(data, "dim", int)
     if dim == 3:
-        return bp3.build(float(lam), _points(data, "centers", 3))
+        return bp3.build(float(lam), _points(data, "centers", (-1, 3)))
     if dim != 2:
         raise InvalidParameterError(f'field "dim" must be 2 or 3, got {dim}')
-    curvature = float(data.get("curvature", 0.0))
+    curvature = _number(data, "curvature")
     space = ms.ModelSpace(2, curvature)
     if "centers" in data:
         if curvature != 0.0:
             raise InvalidParameterError(
                 'field "centers" is the flat shorthand; curved bodies need "disks"'
             )
-        centers = _points(data, "centers", 2)
+        centers = _points(data, "centers", (-1, 2))
         disks = [ap.euclidean_disk(space, float(lam), c) for c in centers]
         return ap.build2(space, float(lam), disks)
     raw_disks = _field(data, "disks", list)
@@ -99,25 +116,17 @@ def body_from_dict(data):
             raise InvalidParameterError(f'field "disks[{k}]" needs a "kind"')
         kind = entry["kind"]
         if kind in ("geodesic", "euclidean"):
-            center = np.asarray(_field(entry, "center", list), dtype=float)
-            if center.shape != (2,) or not np.all(np.isfinite(center)):
-                raise InvalidParameterError(f'field "disks[{k}].center" must be a 2-vector')
+            center = _points(entry, "center", (2,), f"disks[{k}].center")
             if curvature == 0.0:
                 disks.append(ap.euclidean_disk(space, float(lam), center))
             else:
                 disks.append(ap.geodesic_disk(space, float(lam), center))
         elif kind == "horo":
-            ideal = np.asarray(_field(entry, "ideal", list), dtype=float)
-            if ideal.shape != (2,):
-                raise InvalidParameterError(f'field "disks[{k}].ideal" must be a 2-vector')
+            ideal = _points(entry, "ideal", (2,), f"disks[{k}].ideal")
             disks.append(ap.horodisk(space, float(lam), ideal,
-                                     level=float(entry.get("level", 0.0))))
+                                     level=_number(entry, "level", f"disks[{k}].level")))
         elif kind == "equidistant":
-            geo = _field(entry, "geodesic", list)
-            if len(geo) != 2:
-                raise InvalidParameterError(
-                    f'field "disks[{k}].geodesic" must hold two points'
-                )
+            geo = _points(entry, "geodesic", (2, 2), f"disks[{k}].geodesic")
             disks.append(ap.equidistant_domain(space, float(lam), geo[0], geo[1]))
         else:
             raise InvalidParameterError(f'field "disks[{k}].kind" is unknown: {kind!r}')

@@ -62,7 +62,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_lam
 
 # Umbilical-class tags.
 EUCLIDEAN_SPHERE = "euclidean_sphere"
@@ -122,8 +122,7 @@ def classify_umbilical(space, lam):
     geodesic spheres; negative curvature splits at ``lam = sqrt(-c)`` into
     geodesic spheres, horospheres and equidistants.
     """
-    if lam <= 0.0:
-        raise InvalidParameterError(f"lam must be positive, got {lam}")
+    check_lam(lam)
     c = space.curvature
     if c == 0.0:
         return UmbilicalClass(EUCLIDEAN_SPHERE, 1.0 / lam)

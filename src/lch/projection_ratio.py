@@ -9,8 +9,9 @@ body whose balls all touch, every projected edge is a great-circle arc,
 and the radial projection of facet i onto the inscribed sphere is the
 spherical polygon ``{u : u . (o_j - o_i) >= 0 for all j}``: the spherical
 Voronoi cell of the touch direction ``(o - o_i) / e`` among all the touch
-directions.  ``projected_facet_area`` measures it by Gauss-Bonnet and
-requires that precondition of every edge of the facet.
+directions.  ``projected_facet_area`` measures it by Gauss-Bonnet, over
+the facet's rows of the corner table the build kept on the body (its
+``_tables``), and requires that precondition of every edge of the facet.
 
 The area-element pullback of the projection restricted to the supporting
 sphere is ``g(t) = rho(t)^2 / (r^2 cos beta)`` with ``rho`` the ray length
@@ -104,25 +105,27 @@ def projected_facet_area(polytope, chart, facet=None):
     more than ``1e-9 R``, that is, when the neighbouring ball does not
     touch the inscribed ball too.
     """
-    if facet is None:
-        facet = polytope.facets[chart.facet_index]
-    areas, _ = _facet_projections(polytope, chart.center, chart.inradius, [facet])
+    ball = chart.facet_index if facet is None else facet.ball_index
+    areas, _ = _facet_projections(polytope, chart.center, chart.inradius, [ball])
     return float(areas[0])
 
 
-def _facet_projections(polytope, center, inradius, facets):
-    """Projected areas and natural-extension flags of ``facets``, for the
-    inscribed ball of center ``o`` and radius r, in one array pass.
+def _facet_projections(polytope, center, inradius, balls):
+    """Projected areas and natural-extension flags of the facets of
+    ``balls`` (an index array, or ``slice(None)`` for all), for the
+    inscribed ball of center ``o`` and radius r, in one array pass over the
+    build's ``_tables``.
 
     The projected side of edge (i, j) lies on the great circle in the plane
     through o with normal ``circle_axis``; at a corner vertex v, with u =
     (v - o)/|v - o|, its tangent in the sense of increasing phi is
     ``circle_axis x u``.  So the area is the build's Gauss-Bonnet kernel
     ``ball_polytope3._gauss_bonnet_areas`` on the inscribed sphere, over
-    the facets' corner table, with no geodesic curvature and normals u:
-    ``r^2 (2 pi (2 - #loops) - sum of the turns)``.  A full circle makes no
-    corner.  ``InvalidParameterError`` when the plane of an edge of these
-    facets misses o by more than ``1e-9 R``.
+    the rows of these facets in the build's corner table, with no geodesic
+    curvature and normals u: ``r^2 (2 pi (2 - #loops) - sum of the
+    turns)``.  A full circle makes no corner.  ``InvalidParameterError``
+    when the plane of an edge of these facets misses o by more than
+    ``1e-9 R``.
 
     Facet i is a natural extension when it has a boundary and each of its
     edge circles lies in the equatorial plane through o of its touch axis
@@ -131,12 +134,9 @@ def _facet_projections(polytope, center, inradius, facets):
     ``1e-8 R``, ``rho |a_i x circle_axis|``.  Each edge is tested against
     the axes of both its facets.
     """
-    edges = polytope.edges
-    pair = np.array([e.pair for e in edges], dtype=np.intp).reshape(-1, 2)
-    z = np.array([e.circle_center for e in edges]).reshape(-1, 3) - center
-    axes = np.array([e.circle_axis for e in edges]).reshape(-1, 3)
-    rho = np.array([e.circle_radius for e in edges])
-    balls = np.array([f.ball_index for f in facets], dtype=np.intp)
+    tables = polytope._tables
+    pair, axes, rho = tables.pair, tables.axes, tables.rho
+    z = tables.z - center
     mine = np.zeros(len(polytope.centers), dtype=bool)
     mine[balls] = True
     miss = dot_rows(z, axes)
@@ -145,7 +145,7 @@ def _facet_projections(polytope, center, inradius, facets):
         n = far[0]
         raise InvalidParameterError(
             f"the plane of edge {n} misses the inscribed center by {float(miss[n])!r}, "
-            f"so one of balls {edges[n].pair} does not touch the inscribed ball")
+            f"so one of balls {tuple(pair[n].tolist())} does not touch the inscribed ball")
 
     touch = center - polytope.centers[pair]  # (edge, side, 3)
     touch /= np.sqrt(dot_rows(touch, touch))[..., None]
@@ -155,17 +155,15 @@ def _facet_projections(polytope, center, inradius, facets):
                  | (rho[:, None] * np.sqrt(dot_rows(tilt, tilt)) > slack))
     natural = np.bincount(pair.ravel(), off_plane.ravel(), len(polytope.centers)) == 0
 
-    loops = [f.boundary_loops for f in facets]
-    chi = np.array([2 - len(f) for f in loops], dtype=np.intp)
-    corners = bp3._corner_table(enumerate(loops), [e.full_circle for e in edges],
-                                [(e.start_vertex, e.end_vertex) for e in edges])
-    positions = np.array([v.position for v in polytope.vertices]).reshape(-1, 3)
-    u = positions[corners[5]] - center
+    # Only the facets asked for keep their corners; the kernel sums over
+    # all facets, and the others' areas (no corner, no meaning) are dropped.
+    corners = tables.corners[:, mine[tables.corners[0]]]
+    u = tables.positions[corners[5]] - center
     u /= np.sqrt(dot_rows(u, u))[:, None]
-    areas = bp3._gauss_bonnet_areas(inradius * inradius, chi, corners,
+    areas = bp3._gauss_bonnet_areas(inradius * inradius, tables.chi, corners,
                                     cross_rows(axes[corners[1]], u),
                                     cross_rows(axes[corners[3]], u), u)
-    return areas, natural[balls] & (chi < 2)
+    return areas[balls], natural[balls] & (tables.chi[balls] < 2)
 
 
 @dataclass(frozen=True)
@@ -189,7 +187,7 @@ def _require_all_touching(polytope):
 def claim3_check(polytope, rel_tol=1e-5):
     """Projected facet areas must tile the inscribed sphere exactly."""
     ball = _require_all_touching(polytope)
-    areas, _ = _facet_projections(polytope, ball.center, ball.radius, polytope.facets)
+    areas, _ = _facet_projections(polytope, ball.center, ball.radius, slice(None))
     sphere = FOUR_PI * ball.radius ** 2
     total = float(areas.sum())
     rel = abs(total - sphere) / sphere
@@ -202,7 +200,7 @@ def ratio_F(lam, r):
 
     Scale-invariant: equals ``1 / (lam * r)``; tends to 1 in the ball limit.
     """
-    if lam <= 0.0 or r <= 0.0 or r * lam > 1.0 + 1e-12:
+    if not (lam > 0.0 and 0.0 < r * lam <= 1.0 + 1e-12):  # NaN fails too
         raise InvalidParameterError(f"need 0 < r*lam <= 1, got lam={lam}, r={r}")
     return 1.0 / (lam * min(r, 1.0 / lam))
 
@@ -224,7 +222,7 @@ def key_claim_check(polytope, tol=1e-5):
     exactly for full natural radial extensions (lens facets)."""
     ball = _require_all_touching(polytope)
     bound = ratio_F(polytope.lam, ball.radius)
-    projected, natural = _facet_projections(polytope, ball.center, ball.radius, polytope.facets)
+    projected, natural = _facet_projections(polytope, ball.center, ball.radius, slice(None))
     ratios = np.array([f.area for f in polytope.facets]) / projected
     max_ratio = float(ratios.max())
     projected_sum = float(projected.sum())

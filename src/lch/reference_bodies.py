@@ -20,7 +20,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import gammaln
 
-from .errors import InvalidParameterError, NumericError
+from .errors import InvalidParameterError, NumericError, check_lam
 
 FOUR_PI = 4.0 * math.pi
 
@@ -61,8 +61,9 @@ def lens3_measures(lam, alpha):
     two-cap sum and the quadratic-in-area form
     ``A^2 lam (12 pi - A lam^2) / (96 pi^2)``.
     """
-    if lam <= 0.0 or not 0.0 < alpha <= 0.5 * math.pi:
-        raise InvalidParameterError(f"need lam > 0 and alpha in (0, pi/2], got {lam}, {alpha}")
+    check_lam(lam)
+    if not 0.0 < alpha <= 0.5 * math.pi:
+        raise InvalidParameterError(f"need alpha in (0, pi/2], got {alpha}")
     lens = LensParam(lam=lam, alpha=alpha)
     return lens.surface_area, lens.volume, lens.inradius
 
@@ -219,8 +220,7 @@ def lens_nd_log_measures(n, h2):
 
 def spindle_measures(n, lam, h1):
     """Surface area and volume of the spindle in R^n (general curvature)."""
-    if lam <= 0.0:
-        raise InvalidParameterError(f"lam must be positive, got {lam}")
+    check_lam(lam)
     log_a, log_v = spindle_log_measures(n, h1)
     return (math.exp(log_a - (n - 1) * math.log(lam)),
             math.exp(log_v - n * math.log(lam)))
@@ -228,8 +228,7 @@ def spindle_measures(n, lam, h1):
 
 def lens_nd_measures(n, lam, h2):
     """Surface area and volume of the two-cap lens in R^n (general curvature)."""
-    if lam <= 0.0:
-        raise InvalidParameterError(f"lam must be positive, got {lam}")
+    check_lam(lam)
     log_a, log_v = lens_nd_log_measures(n, h2)
     return (math.exp(log_a - (n - 1) * math.log(lam)),
             math.exp(log_v - n * math.log(lam)))

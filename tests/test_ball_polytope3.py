@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import make_body, mc_facet_area, slice_facet_area
 from lch import ball_polytope3 as bp3
-from lch import harness
+from lch import erosion, harness, inradius, projection_ratio
 from lch.errors import DegenerateBodyError, EmptyBodyError, InvalidParameterError
 
 FOUR_PI = 4.0 * math.pi
@@ -433,3 +433,57 @@ class TestCandidatePairs:
                                        1e-13 * rng.standard_normal(m)])
             assert bp3._candidate_pairs(centers, 1.0)[1:] == (None, "all")
             assert build_outcome(1.0, centers) == all_pairs_outcome(monkeypatch, 1.0, centers)
+
+
+class TestBuildTables:
+    """A body's ``_tables`` are the build's arrays: the objects read their
+    rows, and the erosion pieces and the projected facets read the
+    build's one corner table."""
+
+    @pytest.mark.parametrize("m", range(2, 25))
+    def test_objects_are_rows_of_the_tables(self, m):
+        body = harness.random_polytope(harness.GenSpec(seed=400 + m, m=m, inradius=0.35))
+        t = body._tables
+        assert (len(t.pair), len(t.positions), len(t.chi)) == (
+            len(body.edges), len(body.vertices), len(body.facets))
+        for n, e in enumerate(body.edges):
+            assert e.pair == tuple(t.pair[n].tolist())
+            for got, row in [(e.circle_center, t.z), (e.circle_axis, t.axes),
+                             (e.frame[0], t.e1), (e.frame[1], t.e2)]:
+                assert np.array_equal(got, row[n]) and np.shares_memory(got, row)
+            assert (e.circle_radius, e.center_distance) == (t.rho[n], t.dist[n])
+            assert (e.phi_start, e.phi_end, e.full_circle) == (*t.phi[n].tolist(), t.full[n])
+            ends = [None if v < 0 else v for v in t.ends[n].tolist()]
+            assert [e.start_vertex, e.end_vertex] == ends
+        for k, v in enumerate(body.vertices):
+            assert np.array_equal(v.position, t.positions[k])
+            assert np.shares_memory(v.position, t.positions)
+            assert t.triples[k].tolist() == sorted(v.incident)
+        assert t.chi.tolist() == [2 - len(f.boundary_loops) for f in body.facets]
+        corners = bp3._corner_table([f.boundary_loops for f in body.facets],
+                                    [e.full_circle for e in body.edges],
+                                    [(e.start_vertex, e.end_vertex) for e in body.edges])
+        assert np.array_equal(t.corners, corners)
+
+    @staticmethod
+    def keyclaim():
+        centers = harness.random_polytope(harness.GenSpec(seed=1008, m=8, inradius=0.4)).centers
+        projection_ratio.key_claim_check(inradius.reduce_to_touching(bp3.build(1.0, centers)))
+
+    @staticmethod
+    def erode():
+        body = bp3.build(1.0, [[0.0, 0.0, 0.5], [0.0, 0.0, -0.5], [0.3, 0.0, 0.0]])
+        erosion.profile(body, 64)
+        erosion.volume_via_profile(body)
+
+    @pytest.mark.parametrize("run", ["keyclaim", "erode"])
+    def test_one_corner_table_per_build(self, monkeypatch, run):
+        calls = dict.fromkeys(["_corner_table", "_build_retained"], 0)
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(bp3, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(bp3, name, counted)
+        getattr(self, run)()
+        assert calls["_build_retained"] >= 1
+        assert calls["_corner_table"] == calls["_build_retained"]

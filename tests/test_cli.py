@@ -10,7 +10,10 @@ from lch import cli
 from lch import io_formats
 from lch import ball_polytope3 as bp3
 from lch import arc_polygon2 as ap
+from lch import harness
 from lch import model_space as ms
+from lch import projection_ratio as pr
+from lch import reference_bodies as ref
 from lch.errors import InvalidParameterError
 
 
@@ -65,6 +68,32 @@ class TestBodyFiles:
         assert run(["measure", str(bad)]) == 2
         assert '"lambda"' in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lam", ["NaN", "Infinity", "true"])
+    def test_lambda_must_be_a_positive_finite_number(self, tmp_path, capsys, lam):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"version": "lch-1", "lambda": %s, "dim": 3, '
+                       '"centers": [[0, 0, 0.3], [0, 0, -0.3]]}' % lam)
+        assert run(["measure", str(bad)]) == 2
+        assert '"lambda"' in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fields, named", [
+        ({"curvature": "abc", "centers": [[-0.5, 0], [0.5, 0]]}, '"curvature"'),
+        ({"curvature": -1.0, "disks": [{"kind": "horo", "ideal": [1, 0], "level": "abc"}]},
+         '"disks[0].level"'),
+        ({"curvature": -1.0, "disks": [{"kind": "horo", "ideal": [1, 0], "level": math.nan}]},
+         '"disks[0].level"'),
+        ({"curvature": -1.0, "disks": [{"kind": "horo", "ideal": [math.nan, 0]}]},
+         '"disks[0].ideal"'),
+        ({"lambda": 0.5, "curvature": -1.0,
+          "disks": [{"kind": "equidistant", "geodesic": [["a", 0], [1, 0]]}]},
+         '"disks[0].geodesic"'),
+    ])
+    def test_bad_number_field_exits_2(self, tmp_path, capsys, fields, named):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"version": "lch-1", "lambda": 1.0, "dim": 2, **fields}))
+        assert run(["measure", str(bad)]) == 2
+        assert named in capsys.readouterr().err
+
     def test_missing_file_exits_2(self):
         assert run(["measure", "/nonexistent/file.json"]) == 2
 
@@ -86,6 +115,26 @@ class TestBodyFiles:
         body = io_formats.load_body(str(path))
         assert isinstance(body, ap.ArcPolygon2)
         assert len(body.boundary) == 2
+
+
+class TestNonFiniteLambda:
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_every_entry_point_raises(self, lam):
+        flat = ms.ModelSpace(2, 0.0)
+        for call in (lambda: bp3.build(lam, [[0, 0, 0.3], [0, 0, -0.3]]),
+                     lambda: ap.build2(flat, lam, [ap.euclidean_disk(flat, 1.0, [0.0, 0.0])]),
+                     lambda: ms.classify_umbilical(flat, lam),
+                     lambda: harness.GenSpec(seed=0, m=4, inradius=0.3, lam=lam).validate(),
+                     lambda: ref.lens3_measures(lam, 0.5),
+                     lambda: ref.spindle_measures(3, lam, 0.5),
+                     lambda: ref.lens_nd_measures(3, lam, 0.5),
+                     lambda: pr.ratio_F(lam, 0.5)):
+            with pytest.raises(InvalidParameterError):
+                call()
+
+    def test_spindle_exits_2(self, capsys):
+        assert run(["spindle", "--dim", "3", "--h1", "0.5", "--lambda", "nan"]) == 2
+        assert "finite" in capsys.readouterr().err
 
 
 class TestVerify2D:

@@ -39,7 +39,10 @@ the floats, measured against the largest magnitude of that field in the
 row (so a vertex coordinate near zero is compared on its polygon's scale).
 Erosion profiles are matched on their shared sample times: the areas are
 compared at those times, and the sample times only one side has are
-counted apart.
+counted apart.  It exits 1 when the files differ beyond rounding: a
+section or row count differs, a row differs in a non-float field, a
+sample time is not shared, or a float differs by more than ``FLOAT_REL``
+= 1e-12 relative; otherwise 0.
 """
 import json
 import math
@@ -257,6 +260,8 @@ def bodies2():
     return out
 
 
+# The largest relative float difference of two builds that agree.
+FLOAT_REL = 1e-12
 # A decimal number with a point or an exponent, as Python prints a float.
 FLOAT_IN_TEXT = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+(?=[eE]))(?:[eE][-+]?\d+)?")
 
@@ -291,6 +296,9 @@ def split_samples(row):
 
 
 def compare(old, new):
+    """Print the differences of two fingerprints; True when they agree (see
+    the module docstring)."""
+    agree = old.keys() == new.keys()
     for section in old.keys() ^ new.keys():
         print(f"{section}: only in the {'old' if section in old else 'new'} file")
     for section in (s for s in old if s in new):
@@ -298,6 +306,7 @@ def compare(old, new):
         print(f"{section}: {len(a_rows)} rows")
         if len(a_rows) != len(b_rows):
             print(f"  row counts differ: {len(a_rows)} vs {len(b_rows)}")
+            agree = False
             continue
         stats = {}  # field -> [rows with non-float differences, max relative float difference]
         unshared = 0  # profile sample times only one side has
@@ -328,19 +337,22 @@ def compare(old, new):
                 if scale > 0.0:
                     stat[1] = max(stat[1], max(abs(x - y) for x, y in zip(xa, xb)) / scale)
             stats.setdefault("all fields", [0, 0.0])[0] += differs
+        stats.setdefault("all fields", [0, 0.0])  # also for a section without rows
         stats["all fields"][1] = max(rel for _, rel in stats.values())
         for path, (rows, rel) in sorted(stats.items()):
             print(f"  {path}: {rows} rows differ in non-float fields; "
                   f"max relative float difference {rel:.3g}")
         if any(isinstance(r, dict) and "ts" in r for r in a_rows + b_rows):
             print(f"  sample times not shared: {unshared}")
+        agree &= unshared == 0 and all(rows == 0 and rel <= FLOAT_REL
+                                       for rows, rel in stats.values())
+    return agree
 
 
 def main():
     if sys.argv[1:2] == ["--compare"]:
         with open(sys.argv[2]) as f_old, open(sys.argv[3]) as f_new:
-            compare(json.load(f_old), json.load(f_new))
-        return
+            return 0 if compare(json.load(f_old), json.load(f_new)) else 1
     three = bodies3()
     rows = {
         "3d": [fp3(lam, centers) for lam, centers in three],
@@ -355,4 +367,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
