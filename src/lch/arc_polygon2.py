@@ -79,6 +79,13 @@ _VERTEX_TOL = 1e-9
 # Supporting lambda-disks
 # ---------------------------------------------------------------------------
 
+def _finite(*values):
+    """True iff every number of ``values``, nested tuples included, is
+    finite; None (an unused field) counts as finite."""
+    return all(_finite(*v) if isinstance(v, tuple) else v is None or math.isfinite(v)
+               for v in values)
+
+
 @dataclass(frozen=True)
 class LambdaDisk2:
     """One supporting region of boundary curvature lam in M^2(c).
@@ -98,8 +105,17 @@ class LambdaDisk2:
     geodesic: tuple | None = None
     offset: float | None = None
 
+    def __post_init__(self):
+        """``InvalidParameterError`` unless lam passes ``check_lam`` and every
+        coordinate and number of the disk is finite."""
+        check_lam(self.lam)
+        for name in ("center", "radius", "ideal", "level", "geodesic", "offset"):
+            if not _finite(getattr(self, name)):
+                raise InvalidParameterError(f"the {self.kind} disk's {name} must be finite")
+
 
 def euclidean_disk(space, lam, center):
+    check_lam(lam)
     if space.curvature != 0.0:
         raise InvalidParameterError("euclidean disks need curvature 0")
     return LambdaDisk2(space=space, lam=lam, kind="euclidean",

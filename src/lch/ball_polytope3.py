@@ -27,20 +27,23 @@ both sums)``.  The kernel has two callers: this build, and
 with great-circle sides (no geodesic curvature), measured over the
 build's own ``_corner_table``.
 
-The build keeps its arrays on the body, in the private ``_tables``
-(``_Tables``: per edge its pair, circle, frame, end angles, end vertices
-and center distance; per vertex its position and ball triple; the corner
-table; per facet its Euler characteristic), and the ``EdgeArc`` and
-``Vertex`` fields are rows of them.  ``erosion`` and ``projection_ratio``
-read these arrays, so each build computes its corner table once;
-``gauss_bonnet`` reads the objects.
+The build's arrays are the body: ``_Tables`` holds per edge its pair,
+circle, frame, end angles, end vertices and center distance; per vertex
+its position and ball triple; the corner table; and per facet its Euler
+characteristic, loops, area and vector area.  Every measure reads them
+(``surface_area``, ``volume``, ``_edge_tan_terms``, ``gauss_bonnet``,
+``erosion``, ``projection_ratio``).  The ``EdgeArc``, ``Vertex`` and
+``Facet`` objects of ``BallPolytope3.edges``, ``.vertices`` and
+``.facets`` are views made from the rows on first access, their arrays
+rows of the tables.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, combinations, repeat
+from functools import cached_property
+from itertools import combinations, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -117,24 +120,26 @@ class Facet:
 
 
 class _Tables(NamedTuple):
-    """A build's arrays, kept on its body: one row per edge, vertex, corner
-    or facet, in the order of ``edges``, ``vertices`` and ``facets``.  The
-    ``EdgeArc`` and ``Vertex`` arrays are rows of these."""
+    """A built body: one row per edge, vertex, corner or facet, in the
+    order of ``edges``, ``vertices`` and ``facets``, whose objects are
+    views of these rows."""
 
-    pair: np.ndarray       # (edges, 2) balls i < j
-    z: np.ndarray          # (edges, 3) circle centers
-    axes: np.ndarray       # (edges, 3) unit circle axes
-    rho: np.ndarray        # (edges,) circle radii
-    e1: np.ndarray         # (edges, 3) the circle frames, e1 x e2 = axis
-    e2: np.ndarray         # (edges, 3)
-    phi: np.ndarray        # (edges, 2) phi_start, phi_end
-    full: np.ndarray       # (edges,) full-circle flags
-    ends: np.ndarray       # (edges, 2) start and end vertices, -1 on a full circle
-    dist: np.ndarray       # (edges,) center distances |o_i - o_j|
-    positions: np.ndarray  # (vertices, 3)
-    triples: np.ndarray    # (vertices, 3) each vertex's balls, sorted
-    corners: np.ndarray    # (6, corners) the _corner_table of the facets' loops
-    chi: np.ndarray        # (facets,) Euler characteristics, 2 - #loops
+    pair: np.ndarray         # (edges, 2) balls i < j
+    z: np.ndarray            # (edges, 3) circle centers
+    axes: np.ndarray         # (edges, 3) unit circle axes
+    rho: np.ndarray          # (edges,) circle radii
+    e1: np.ndarray           # (edges, 3) the circle frames, e1 x e2 = axis
+    e2: np.ndarray           # (edges, 3)
+    phi: np.ndarray          # (edges, 2) phi_start, phi_end
+    ends: np.ndarray         # (edges, 2) start and end vertices, -1 on a full circle (no end)
+    dist: np.ndarray         # (edges,) center distances |o_i - o_j|
+    positions: np.ndarray    # (vertices, 3)
+    triples: np.ndarray      # (vertices, 3) each vertex's balls, sorted
+    corners: np.ndarray      # (6, corners) the _corner_table of the facets' loops
+    chi: np.ndarray          # (facets,) Euler characteristics, 2 - #loops
+    loops: tuple             # per facet, its ``Facet.boundary_loops``
+    area: np.ndarray         # (facets,)
+    vector_area: np.ndarray  # (facets, 3)
 
 
 @dataclass(frozen=True)
@@ -151,21 +156,18 @@ class BuildReport:
 
 @dataclass(frozen=True)
 class BallPolytope3:
-    """Immutable after build; all derived combinatorics is precomputed."""
+    """Immutable after build; the build's ``_Tables`` are the body."""
 
     lam: float
     centers: np.ndarray           # retained centers, shape (m, 3)
     redundant_centers: np.ndarray  # shape (k, 3); their balls contain the body
-    facets: tuple
-    edges: tuple
-    vertices: tuple
     build_report: BuildReport = field(repr=False)
     # The minimal enclosing ball of ``centers`` (an ``inradius.MEBResult``):
     # the build's, its support remapped past dropped redundant balls; None
     # when a support ball dropped, until ``inradius`` or ``erosion`` solves
     # it once and keeps it.
     _meb: object = field(default=None, compare=False, repr=False)
-    # The build's ``_Tables``, which ``erosion`` and ``projection_ratio`` read.
+    # The build's ``_Tables``, which every measure reads.
     _tables: object = field(default=None, compare=False, repr=False)
     # The body's ``inradius.InscribedBall``, kept by its first computation.
     _inscribed: object = field(default=None, init=False, compare=False, repr=False)
@@ -182,13 +184,36 @@ class BallPolytope3:
             return self.centers
         return np.vstack([self.centers, self.redundant_centers])
 
+    @cached_property
+    def edges(self):
+        """The ``EdgeArc`` of each edge row of ``_tables``, made on first access."""
+        t = self._tables
+        starts, ends = ([None if v < 0 else v for v in col] for col in t.ends.T.tolist())
+        dihedral = 2.0 * np.arcsin(0.5 * self.lam * t.dist)  # cos(dihedral) = 1 - 2 (lam d / 2)^2
+        # The fields in EdgeArc's order; a full circle is an edge without end vertices.
+        return tuple(map(EdgeArc, map(tuple, t.pair.tolist()), t.z, t.axes, t.rho.tolist(),
+                         zip(t.e1, t.e2), *t.phi.T.tolist(), [s is None for s in starts],
+                         starts, ends, dihedral.tolist(), t.dist.tolist()))
+
+    @cached_property
+    def vertices(self):
+        """The ``Vertex`` of each vertex row of ``_tables``, made on first access."""
+        t = self._tables
+        return tuple(map(Vertex, t.positions, map(frozenset, t.triples.tolist())))
+
+    @cached_property
+    def facets(self):
+        """The ``Facet`` of each facet row of ``_tables``, made on first access."""
+        t = self._tables
+        return tuple(map(Facet, range(len(t.loops)), t.loops, t.area.tolist(), t.vector_area))
+
     def combinatorial_signature(self):
         """Hashable summary of the boundary structure: the counts, the
         facets' balls and the edges' ball pairs, so an edge flip (edge
         (i, j) dies as edge (k, l) is born) changes it too."""
-        return (len(self.facets), len(self.edges), len(self.vertices),
-                tuple(sorted(f.ball_index for f in self.facets)),
-                tuple(sorted(e.pair for e in self.edges)))
+        m, t = len(self.centers), self._tables
+        return (m, len(t.pair), len(t.positions), tuple(range(m)),
+                tuple(sorted(map(tuple, t.pair.tolist()))))
 
 
 def orthonormal_frame(axes):
@@ -324,7 +349,7 @@ def _pair_circles(pts, radius, ij, cols):
 def _pair_arcs(ij, cols, a, b, d):
     """The feasible arcs of ``_pair_circles`` as columns ``(i, j, p, phi_start,
     phi_end, full, lab_s, lab_e)``: p is the pair's row, the labels are the
-    balls that end the arc, through ``cols`` as in ``_pair_circles`` (None
+    balls that end the arc, through ``cols`` as in ``_pair_circles`` (-1
     on a full circle)."""
     raw = []
     balls = repeat(range(d.shape[1])) if cols is None else cols.tolist()
@@ -333,7 +358,7 @@ def _pair_arcs(ij, cols, a, b, d):
             continue
         arcs, full = feasible
         if full:
-            raw.append((i, j, p, 0.0, TWO_PI, True, None, None))
+            raw.append((i, j, p, 0.0, TWO_PI, True, -1, -1))
         else:
             raw.extend((i, j, p, s, e, False, ball[lab_s], ball[lab_e])
                        for s, e, lab_s, lab_e in arcs)
@@ -342,30 +367,31 @@ def _pair_arcs(ij, cols, a, b, d):
 
 def _collect_vertices(arcs, points, radius):
     """The vertices, clustered from the arcs' start and end ``points``, as
-    ``(vertices, positions, triples, ends)``: the ``Vertex`` objects, their
-    ``(n, 3)`` positions and sorted ball triples, and each arc's (start,
-    end) vertex, (-1, -1) on a full circle."""
+    ``(positions, triples, ends)``: their ``(n, 3)`` positions and sorted
+    ball triples, and each arc's (start, end) vertex, (-1, -1) on a full
+    circle.
+
+    Each arc end lies on its arc's two balls and on the ball that ends
+    it; ``DegenerateBodyError`` when the ends of one vertex name more
+    than three balls."""
     i, j, _, _, _, full, lab_s, lab_e = arcs
-    ends = [(-1, -1)] * len(full)
-    opened = [n for n, f in enumerate(full) if not f]
+    opened = np.flatnonzero(np.logical_not(full))
     # Rows 2k and 2k + 1 are the start and end of the k-th open arc.
     reps, index = cluster_points(points[opened].reshape(-1, 3), VERTEX_TOL * radius)
-    incidents = [set() for _ in reps]
-    for n, vs, ve in zip(opened, index[::2], index[1::2]):
-        ends[n] = (vs, ve)
-        incidents[vs].update((i[n], j[n], lab_s[n]))
-        incidents[ve].update((i[n], j[n], lab_e[n]))
-    for vid, inc in enumerate(incidents):
-        if len(inc) > 3:
-            raise DegenerateBodyError(
-                f"{len(inc)} spheres pass within tolerance of a common point "
-                f"(vertex {vid} at {reps[vid].tolist()})"
-            )
-    positions = np.array(reps).reshape(-1, 3)
-    vertices = tuple(Vertex(position=x, incident=frozenset(inc))
-                     for x, inc in zip(positions, incidents))
-    triples = np.fromiter(chain.from_iterable(incidents), np.intp, 3 * len(incidents))
-    return vertices, positions, np.sort(triples.reshape(-1, 3)), ends
+    index = np.array(index, dtype=np.intp)
+    i, j, lab_s, lab_e = np.array((i, j, lab_s, lab_e), dtype=np.intp)[:, opened]
+    balls = np.sort(np.stack([i.repeat(2), j.repeat(2), np.stack([lab_s, lab_e], 1).ravel()], 1))
+    triples = np.empty((len(reps), 3), dtype=np.intp)
+    triples[index] = balls
+    other = index[(triples[index] != balls).any(1)]
+    if other.size:
+        vid = other.min()
+        raise DegenerateBodyError(
+            f"{np.unique(balls[index == vid]).size} spheres pass within tolerance of a common "
+            f"point (vertex {vid} at {reps[vid].tolist()})")
+    ends = np.full((len(full), 2), -1, dtype=np.intp)
+    ends[opened] = index.reshape(-1, 2)
+    return np.array(reps).reshape(-1, 3), triples, ends
 
 
 def _facet_loops(m, i, j, full, ends):
@@ -516,11 +542,11 @@ def _rebuild(lam, pts, meb_radius, keep=None, duplicates=(), meb=None):
 def _build_retained(lam, work, radius):
     """Assemble combinatorics: ``(retained, (pair_source, candidate_pairs),
     fields)``, the retained balls, the ``BuildReport`` entries of the
-    candidate pairs, and the body's ``centers``, ``facets``, ``edges``,
-    ``vertices`` and ``_tables``.  When balls carry no arc they are
-    redundant: the arcs are cut again on the first pass's rows of the pairs
-    of retained balls, and on its columns of the retained balls; explicit
-    columns keep their width, a dropped ball's entries masked by d = inf."""
+    candidate pairs, and the body's ``centers`` and ``_tables``.  When
+    balls carry no arc they are redundant: the arcs are cut again on the
+    first pass's rows of the pairs of retained balls, and on its columns
+    of the retained balls; explicit columns keep their width, a dropped
+    ball's entries masked by d = inf."""
     ij, cols, source = _candidate_pairs(work, radius)
     circles, (a, b, d) = _pair_circles(work, radius, ij, cols)
     retained, rows = list(range(len(work))), np.arange(len(ij))  # the pass's rows in circles
@@ -546,39 +572,25 @@ def _build_retained(lam, work, radius):
     cos, sin = np.cos(phi)[..., None], np.sin(phi)[..., None]
     # Each arc's unit directions from its circle's center at its two ends.
     u = cos * e1[:, None] + sin * e2[:, None]
-    vertices, positions, triples, ends = _collect_vertices(
-        arcs, z[:, None] + rho[:, None, None] * u, radius)
-    cos_psi = 0.5 * lam * dist
-    dihedral = 2.0 * np.arcsin(cos_psi)  # cos(dihedral) = 1 - 2 cos_psi^2
-    edges = tuple(EdgeArc(pair=pair, circle_center=zn, circle_axis=axis, circle_radius=r,
-                          frame=frame, phi_start=s, phi_end=e, full_circle=f,
-                          start_vertex=vs if vs >= 0 else None, end_vertex=ve if ve >= 0 else None,
-                          dihedral=g, center_distance=dn)
-                  for pair, zn, axis, r, *frame, s, e, f, (vs, ve), g, dn in zip(
-                      zip(i, j), z, axes, rho.tolist(), e1, e2, starts, stops, full,
-                      ends, dihedral.tolist(), dist.tolist()))
-
-    loops = _facet_loops(len(work), i, j, full, ends)
-    corners = _corner_table(loops, full, ends)
+    positions, triples, ends = _collect_vertices(arcs, z[:, None] + rho[:, None, None] * u, radius)
+    end_list = ends.tolist()
+    loops = _facet_loops(len(work), i, j, full, end_list)
+    corners = _corner_table(loops, full, end_list)
     chi = np.array([2 - len(f) for f in loops], dtype=np.intp)
     sides = np.array(i + j, dtype=np.intp)  # each arc's left facet, then each arc's right
     normals = (positions[corners[5]] - work[corners[0]]) / radius
     tangents = cos * e2[:, None] - sin * e1[:, None]
-    areas, vectors = _facet_measures(radius * radius, cos_psi, sides,
+    areas, vectors = _facet_measures(radius * radius, 0.5 * lam * dist, sides,
                                      (phi[:, 1] - phi[:, 0], z, axes, rho, u, tangents),
                                      chi, corners, normals)
-    facets = tuple(Facet(ball_index=k, boundary_loops=f, area=area, vector_area=vec)
-                   for k, (f, area, vec) in enumerate(zip(loops, areas.tolist(), vectors)))
-    tables = _Tables(sides.reshape(2, -1).T, z, axes, rho, e1, e2, phi, np.array(full, dtype=bool),
-                     np.fromiter(chain.from_iterable(ends), np.intp, 2 * len(ends)).reshape(-1, 2),
-                     dist, positions, triples, corners, chi)
-    return retained, (source, len(circles[0])), {
-        "centers": work, "facets": facets, "edges": edges, "vertices": vertices, "_tables": tables}
+    tables = _Tables(sides.reshape(2, -1).T, z, axes, rho, e1, e2, phi, ends, dist, positions,
+                     triples, corners, chi, tuple(loops), areas, vectors)
+    return retained, (source, len(circles[0])), {"centers": work, "_tables": tables}
 
 
 def surface_area(polytope):
     """Total boundary area: the sum of the facet areas."""
-    return float(sum(f.area for f in polytope.facets))
+    return float(sum(polytope._tables.area.tolist()))
 
 
 def volume(polytope):
@@ -588,11 +600,21 @@ def volume(polytope):
     ``o_i`` dotted with the facet vector area, which Stokes reduces to
     closed-form circular-arc line integrals.
     """
-    r = polytope.radius
-    total = 0.0
-    for f in polytope.facets:
-        total += r * f.area + float(polytope.centers[f.ball_index] @ f.vector_area)
-    return total / 3.0
+    t = polytope._tables
+    flux = polytope.radius * t.area + (polytope.centers[:, None] @ t.vector_area[..., None]).ravel()
+    return sum(flux.tolist()) / 3.0
+
+
+def _edge_tan_terms(polytope):
+    """``lam * length * tan(dihedral / 2)`` of each edge, as an array: the
+    edge's ``length * tan(dihedral / 2)`` on the body scaled by lam, with
+    dihedral = 2 asin(lam d / 2), d the edge's center distance.
+    ``InvalidParameterError`` when d >= 2R, a dihedral angle of pi or more."""
+    t, lam = polytope._tables, polytope.lam
+    if (t.dist >= 2.0 / lam).any():
+        raise InvalidParameterError(f"dihedral angles must be below pi: center distance "
+                                    f"{t.dist.max()!r} reaches 2R = {2.0 / lam!r}")
+    return lam * (t.rho * (t.phi[:, 1] - t.phi[:, 0])) * np.tan(np.arcsin(0.5 * lam * t.dist))
 
 
 def membership(polytope, x):
@@ -620,10 +642,8 @@ def validate_lambda_convexity(polytope, samples=2048, seed=0):
     r = polytope.radius
     pts = []
     support = []
-    n_facets = len(polytope.facets)
-    per_facet = max(1, samples // max(1, n_facets))
-    for f in polytope.facets:
-        o = polytope.centers[f.ball_index]
+    per_facet = max(1, samples // len(polytope.centers))
+    for k, o in enumerate(polytope.centers):
         got = 0
         for _ in range(50 * per_facet):
             if got >= per_facet:
@@ -633,10 +653,9 @@ def validate_lambda_convexity(polytope, samples=2048, seed=0):
             p = o + r * u
             if membership(polytope, p):
                 pts.append(p)
-                support.append(f.ball_index)
+                support.append(k)
                 got += 1
-    cloud = [v.position for v in polytope.vertices] + pts
-    cloud = np.asarray(cloud) if cloud else np.zeros((0, 3))
+    cloud = np.vstack([polytope._tables.positions, *pts])
     worst = 0.0
     for i in set(support):
         d = np.linalg.norm(cloud - polytope.centers[i], axis=1)

@@ -15,10 +15,10 @@ in that frame.  The area is the build's Gauss-Bonnet sum
 (``ball_polytope3._facet_measures``) over all facets at radius R_t,
 ``R_t^2 (2 pi sum(chi) - sum of arc angle * lam d / 2 - sum of corner
 turns)``.  ``_Piece`` compiles it into arrays once per piece, from the
-arrays the build kept on the body (``ball_polytope3._Tables``): vertex
-circumcenters, normals and rho^2 from the vertices' ball triples and
-positions; the open arcs' frames, circle centers, reference angles, end
-vertices and d; the build's corner table and Euler characteristics.  It
+body's build arrays (``ball_polytope3._Tables``): vertex circumcenters,
+normals and rho^2 from the vertices' ball triples and positions; the
+open arcs' frames, circle centers, reference angles, end vertices and d;
+the build's corner table and Euler characteristics.  It
 evaluates the area at a whole array of t in one pass: each arc end's
 coordinates in its circle's frame (linear in h), edge angles by
 ``arctan2`` on the reference branch, corner turns as ``arctan2`` of two
@@ -101,12 +101,13 @@ def inner_parallel(polytope, t):
 
 def _full_signature(body):
     """The retained centers, each vertex's spheres, each edge's pair and end
-    vertices' spheres, and each facet's loop count, free of build order."""
-    inc = [tuple(sorted(v.incident)) for v in body.vertices]
-    return (body.centers.tolist(), sorted(inc),
-            sorted((e.pair, () if e.full_circle else (inc[e.start_vertex], inc[e.end_vertex]))
-                   for e in body.edges),
-            sorted((f.ball_index, len(f.boundary_loops)) for f in body.facets))
+    vertices' spheres, and each facet's Euler characteristic, free of build
+    order."""
+    t = body._tables
+    inc = [tuple(x) for x in t.triples.tolist()]
+    edges = [(tuple(pair), () if vs < 0 else (inc[vs], inc[ve]))
+             for pair, (vs, ve) in zip(t.pair.tolist(), t.ends.tolist())]
+    return body.centers.tolist(), sorted(inc), sorted(edges), t.chi.tolist()
 
 
 def _row_sums(a):
@@ -143,8 +144,8 @@ class _Piece:
         self.own = np.zeros(self.offsets.shape[:2], dtype=bool)
         self.own[np.arange(len(tri))[:, None], tri] = True
 
-        full = tables.full
-        opened = np.logical_not(full)
+        opened = tables.ends[:, 0] >= 0  # a full circle has no end vertex
+        full = ~opened
         e1, e2, z = tables.e1[opened], tables.e2[opened], tables.z[opened]
         self.ref, self.ends = tables.phi[opened], tables.ends[opened]
         # An arc end, vertex c + h n, sits at (x, y) = xy0 + h xy1 in its
@@ -440,8 +441,7 @@ def initial_derivative(polytope):
     """
     lam = polytope.lam
     f0_unit = lam * lam * bp3.surface_area(polytope)
-    edge_term = sum(lam * e.length * math.tan(0.5 * e.dihedral) for e in polytope.edges)
-    return (-2.0 * f0_unit - 2.0 * edge_term) / lam
+    return -2.0 * (f0_unit + sum(bp3._edge_tan_terms(polytope).tolist())) / lam
 
 
 @dataclass(frozen=True)
@@ -499,7 +499,7 @@ def expansion_check(polytope, t=1e-2):
     if er.events and er.events[0] <= t:
         raise InvalidParameterError(f"a combinatorial event occurs before t = {t}")
     beta_sum = bp3.surface_area(unit)
-    edge_term = sum(e.length * math.tan(0.5 * e.dihedral) for e in unit.edges)
+    edge_term = sum(bp3._edge_tan_terms(unit).tolist())
     ts = (t, 0.5 * t, 0.25 * t)
     tk = np.asarray(ts)
     remainders = tuple((er.area(tk) - ((1.0 - tk) ** 2 * beta_sum

@@ -16,7 +16,11 @@ areas must add up to the full sphere:
   (b x c)|, 1 + a.b + b.c + c.a)`` (Van Oosterom & Strackee, IEEE Trans.
   Biomed. Eng. 30, 1983).
 
-``gb_total`` computes the edge and vertex parts as arrays.
+``gb_total`` reads the build's arrays (``ball_polytope3._Tables``):
+the facet areas, each edge's ``lam * length * tan(dihedral / 2)`` from
+``ball_polytope3._edge_tan_terms``, and the vertices' positions and ball
+triples.  ``edge_spherical_image`` and ``vertex_spherical_image`` measure
+one ``EdgeArc`` or ``Vertex`` object.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ball_polytope3 as bp3
 from ._circular import cross_rows, dot_rows
 from .errors import DegenerateBodyError, InvalidParameterError
 
@@ -47,32 +52,17 @@ class GBReport:
         return self.grand_total - FOUR_PI
 
 
-def _edge_images(edges, lam):
-    """Normal-strip areas of ``edges``, as an array."""
-    dihedral = np.array([e.dihedral for e in edges])
-    length = np.array([e.length for e in edges])
-    wide = np.flatnonzero(dihedral >= math.pi)
-    if wide.size:
-        raise InvalidParameterError(f"dihedral angle {dihedral[wide[0]]} must be below pi")
-    return 2.0 * (lam * length) * np.tan(0.5 * dihedral)
+def _vertex_images(polytope, positions, triples):
+    """Normal-cone solid angles of the vertices at ``positions`` (n, 3),
+    each on the balls of its row of ``triples`` (n, 3), as an array.
 
-
-def _vertex_images(polytope, vertices):
-    """Normal-cone solid angles of ``vertices``, as an array.
-
-    ``InvalidParameterError`` for a vertex without exactly three facets of
-    the body, ``DegenerateBodyError`` for coincident or coplanar normals.
+    ``InvalidParameterError`` for a ball without a facet of the body,
+    ``DegenerateBodyError`` for coincident or coplanar normals.
     """
-    incident = [sorted(v.incident) for v in vertices]
-    for inc in incident:
-        if len(inc) != 3:
-            raise InvalidParameterError(f"vertex needs 3 incident facets, got {len(inc)}")
-    missing = {i for inc in incident for i in inc} - {f.ball_index for f in polytope.facets}
-    if missing:
-        raise InvalidParameterError(f"vertex references missing facet {min(missing)}")
-    balls = np.array(incident, dtype=np.intp).reshape(-1, 3)
-    positions = np.array([v.position for v in vertices]).reshape(-1, 1, 3)
-    normals = positions - polytope.centers[balls]          # (vertex, facet, 3)
+    missing = triples[(triples < 0) | (triples >= len(polytope.centers))]
+    if missing.size:
+        raise InvalidParameterError(f"vertex references missing facet {missing.min()}")
+    normals = positions[:, None] - polytope.centers[triples]          # (vertex, facet, 3)
     normals /= np.sqrt(dot_rows(normals, normals))[..., None]
     a, b, c = normals.transpose(1, 0, 2)
     excess = 2.0 * np.arctan2(np.abs(dot_rows(a, cross_rows(b, c))),
@@ -82,26 +72,29 @@ def _vertex_images(polytope, vertices):
     flat = np.flatnonzero(~((excess > 0.0) & (excess < 2.0 * math.pi)))
     if flat.size:
         raise DegenerateBodyError(
-            f"the facet normals at vertex {vertices[flat[0]].position.tolist()} "
+            f"the facet normals at vertex {positions[flat[0]].tolist()} "
             "are coincident or coplanar")
     return excess
 
 
 def edge_spherical_image(edge, lam):
     """Normal-strip area of one edge on the unit sphere of directions."""
-    return float(_edge_images([edge], lam)[0])
+    if edge.dihedral >= math.pi:
+        raise InvalidParameterError(f"dihedral angle {edge.dihedral} must be below pi")
+    return 2.0 * (lam * edge.length) * math.tan(0.5 * edge.dihedral)
 
 
 def vertex_spherical_image(polytope, vertex):
     """Area of the normal-cone triangle at a vertex (its solid angle)."""
-    return float(_vertex_images(polytope, [vertex])[0])
+    if len(vertex.incident) != 3:
+        raise InvalidParameterError(f"vertex needs 3 incident facets, got {len(vertex.incident)}")
+    return float(_vertex_images(polytope, np.reshape(vertex.position, (1, 3)),
+                                np.array([sorted(vertex.incident)], dtype=np.intp))[0])
 
 
 def gb_total(polytope):
     """The three spherical-image components; their sum must be 4*pi."""
-    lam = polytope.lam
-    facet_total = lam * lam * sum(f.area for f in polytope.facets)
-    edge_total = _edge_images(polytope.edges, lam).sum()
-    vertex_total = _vertex_images(polytope, polytope.vertices).sum()
-    return GBReport(facet_total=float(facet_total), edge_total=float(edge_total),
-                    vertex_total=float(vertex_total))
+    lam, t = polytope.lam, polytope._tables
+    return GBReport(facet_total=lam * lam * bp3.surface_area(polytope),
+                    edge_total=float((2.0 * bp3._edge_tan_terms(polytope)).sum()),
+                    vertex_total=float(_vertex_images(polytope, t.positions, t.triples).sum()))

@@ -314,7 +314,7 @@ def verify_reverse_inradius(polytope, tol=1e-9):
     lens = ref.lens3_from_surface_area(polytope.lam, area)
     r_body = inscribed_ball(polytope).radius
     margin = r_body - lens.inradius
-    is_lens = len(polytope.facets) <= 2
+    is_lens = len(polytope.centers) <= 2
     return ReverseInradiusReport(r_body=r_body, r_lens=lens.inradius,
                                  margin=margin, is_lens=is_lens,
                                  passed=margin >= -tol)

@@ -223,7 +223,7 @@ def key_claim_check(polytope, tol=1e-5):
     ball = _require_all_touching(polytope)
     bound = ratio_F(polytope.lam, ball.radius)
     projected, natural = _facet_projections(polytope, ball.center, ball.radius, slice(None))
-    ratios = np.array([f.area for f in polytope.facets]) / projected
+    ratios = polytope._tables.area / projected
     max_ratio = float(ratios.max())
     projected_sum = float(projected.sum())
     area = bp3.surface_area(polytope)

@@ -59,6 +59,47 @@ def _assert_turning_area_matches_monte_carlo(space, lam, r0):
     assert abs(ap.area2(poly) - est) <= 3.0 * se
 
 
+NAN, INF = math.nan, math.inf
+
+
+class TestDiskChecks:
+    """Every kind of lambda-disk rejects a bad lam and a non-finite field."""
+
+    # make(0.5) is a disk; the same field at NaN or infinity is not.
+    @pytest.mark.parametrize("make,field", [
+        (lambda x: ap.euclidean_disk(FLAT, 1.0, (x, 0.0)), "center"),
+        (lambda x: ap.LambdaDisk2(space=FLAT, lam=1.0, kind="euclidean", center=(0.0, 0.0),
+                                  radius=x), "radius"),
+        (lambda x: ap.geodesic_disk(HYP, 2.0, (x, 0.0)), "center"),
+        (lambda x: ap.geodesic_disk(SPH, 1.0, (0.0, x)), "center"),
+        (lambda x: ap.LambdaDisk2(space=SPH, lam=1.0, kind="geodesic", center=(0.0, 0.0),
+                                  radius=x), "radius"),
+        (lambda x: ap.horodisk(HYP, 1.0, (x, math.sqrt(0.75))), "ideal"),
+        (lambda x: ap.horodisk(HYP, 1.0, (1.0, 0.0), level=x), "level"),
+        (lambda x: ap.equidistant_domain(HYP, 0.5, (x, 0.0), (0.0, 1.0)), "geodesic"),
+        (lambda x: ap.equidistant_domain(HYP, 0.5, (0.0, 0.0), (0.0, x)), "geodesic"),
+        (lambda x: ap.LambdaDisk2(space=HYP, lam=0.5, kind="equidistant",
+                                  geodesic=((0.0, 0.0), (0.0, 1.0)), offset=x), "offset"),
+    ])
+    @pytest.mark.parametrize("bad", [NAN, INF, -INF])
+    def test_non_finite_field(self, make, field, bad):
+        make(0.5)
+        with pytest.raises(InvalidParameterError, match=field):
+            make(bad)
+
+    @pytest.mark.parametrize("make", [
+        lambda lam: ap.euclidean_disk(FLAT, lam, (0.0, 0.0)),
+        lambda lam: ap.geodesic_disk(SPH, lam, (0.0, 0.0)),
+        lambda lam: ap.LambdaDisk2(space=HYP, lam=lam, kind="horo", ideal=(1.0, 0.0)),
+        lambda lam: ap.LambdaDisk2(space=HYP, lam=lam, kind="equidistant",
+                                   geodesic=((0.0, 0.0), (0.0, 1.0)), offset=1.0),
+    ])
+    @pytest.mark.parametrize("lam", [0.0, -1.0, NAN, INF])
+    def test_bad_lam(self, make, lam):
+        with pytest.raises(InvalidParameterError, match="lam must be positive"):
+            make(lam)
+
+
 class TestBuildFlat:
     def test_lens_vertices(self):
         poly = flat_lens()

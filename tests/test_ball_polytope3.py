@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import make_body, mc_facet_area, slice_facet_area
 from lch import ball_polytope3 as bp3
-from lch import erosion, harness, inradius, projection_ratio
+from lch import erosion, gauss_bonnet, harness, inradius, projection_ratio
 from lch.errors import DegenerateBodyError, EmptyBodyError, InvalidParameterError
 
 FOUR_PI = 4.0 * math.pi
@@ -436,9 +436,10 @@ class TestCandidatePairs:
 
 
 class TestBuildTables:
-    """A body's ``_tables`` are the build's arrays: the objects read their
-    rows, and the erosion pieces and the projected facets read the
-    build's one corner table."""
+    """A body's ``_tables`` are the build's arrays: the objects are views of
+    their rows, made on first access; every measure reads the tables, and
+    the erosion pieces and the projected facets read the build's one
+    corner table."""
 
     @pytest.mark.parametrize("m", range(2, 25))
     def test_objects_are_rows_of_the_tables(self, m):
@@ -452,7 +453,7 @@ class TestBuildTables:
                              (e.frame[0], t.e1), (e.frame[1], t.e2)]:
                 assert np.array_equal(got, row[n]) and np.shares_memory(got, row)
             assert (e.circle_radius, e.center_distance) == (t.rho[n], t.dist[n])
-            assert (e.phi_start, e.phi_end, e.full_circle) == (*t.phi[n].tolist(), t.full[n])
+            assert (e.phi_start, e.phi_end, e.full_circle) == (*t.phi[n].tolist(), t.ends[n, 0] < 0)
             ends = [None if v < 0 else v for v in t.ends[n].tolist()]
             assert [e.start_vertex, e.end_vertex] == ends
         for k, v in enumerate(body.vertices):
@@ -460,6 +461,13 @@ class TestBuildTables:
             assert np.shares_memory(v.position, t.positions)
             assert t.triples[k].tolist() == sorted(v.incident)
         assert t.chi.tolist() == [2 - len(f.boundary_loops) for f in body.facets]
+        for k, f in enumerate(body.facets):
+            assert (f.ball_index, f.boundary_loops, f.area) == (k, t.loops[k], t.area[k])
+            assert np.array_equal(f.vector_area, t.vector_area[k])
+            assert np.shares_memory(f.vector_area, t.vector_area)
+        dihedral = 2.0 * np.arcsin(0.5 * body.lam * t.dist)
+        assert [e.dihedral for e in body.edges] == dihedral.tolist()
+        assert body.edges is body.edges and body.vertices is body.vertices
         corners = bp3._corner_table([f.boundary_loops for f in body.facets],
                                     [e.full_circle for e in body.edges],
                                     [(e.start_vertex, e.end_vertex) for e in body.edges])
@@ -475,6 +483,26 @@ class TestBuildTables:
         body = bp3.build(1.0, [[0.0, 0.0, 0.5], [0.0, 0.0, -0.5], [0.3, 0.0, 0.0]])
         erosion.profile(body, 64)
         erosion.volume_via_profile(body)
+
+    @staticmethod
+    def sweep():
+        harness.sweep(3, m_max=24)
+
+    @staticmethod
+    def measures():
+        body = harness.random_polytope(harness.GenSpec(seed=416, m=16, inradius=0.35))
+        for measure in (bp3.surface_area, bp3.volume, gauss_bonnet.gb_total,
+                        erosion.initial_derivative, erosion.expansion_check,
+                        functools.partial(bp3.validate_lambda_convexity, samples=64)):
+            measure(body)
+
+    @pytest.mark.parametrize("run", ["sweep", "keyclaim", "erode", "measures"])
+    def test_measures_make_no_objects(self, monkeypatch, run):
+        def made(*args, **kwargs):
+            raise AssertionError("a measure made an EdgeArc, Vertex or Facet")
+        for name in ("EdgeArc", "Vertex", "Facet"):
+            monkeypatch.setattr(bp3, name, made)
+        getattr(self, run)()
 
     @pytest.mark.parametrize("run", ["keyclaim", "erode"])
     def test_one_corner_table_per_build(self, monkeypatch, run):

@@ -21,6 +21,11 @@ FOUR_PI = 4.0 * math.pi
 LENS = [[0.0, 0.0, -0.5], [0.0, 0.0, 0.5]]
 
 
+def with_tables(body, **rows):
+    """The body with some of its build arrays replaced."""
+    return dataclasses.replace(body, _tables=body._tables._replace(**rows))
+
+
 def symmetric_triple(r0=0.4):
     u = np.array([[1, 0, 0],
                   [-0.5, math.sqrt(3) / 2, 0],
@@ -82,8 +87,12 @@ class TestVertexImage:
                           incident=frozenset({0, 1}))
         with pytest.raises(InvalidParameterError):
             gb.vertex_spherical_image(body, fake)
-        with pytest.raises(InvalidParameterError, match="3 incident facets"):
-            gb.gb_total(dataclasses.replace(body, vertices=(body.vertices[0], fake)))
+        # A body's vertex triples name its balls; one naming ball 5 of three
+        # has no facet to take a normal from.
+        t = body._tables
+        with pytest.raises(InvalidParameterError, match="missing facet 5"):
+            gb.gb_total(with_tables(body, triples=np.vstack([t.triples[:1], [[0, 1, 5]]]),
+                                    positions=t.positions[[0, 0]]))
 
     def test_against_scalar_reference(self):
         body = make_body(seed=2, m=9, r0=0.35)
@@ -100,8 +109,10 @@ class TestVertexImage:
         fake = bp3.Vertex(position=np.array(position), incident=frozenset({0, 1, 2}))
         with pytest.raises(DegenerateBodyError, match="coplanar"):
             gb.vertex_spherical_image(body, fake)
-        with pytest.raises(DegenerateBodyError):
-            gb.gb_total(dataclasses.replace(body, vertices=(fake,) + body.vertices))
+        t = body._tables
+        with pytest.raises(DegenerateBodyError, match="coplanar"):
+            gb.gb_total(with_tables(body, positions=np.vstack([position, t.positions]),
+                                    triples=np.vstack([[0, 1, 2], t.triples])))
 
 
 class TestEdgeErrors:
@@ -110,8 +121,10 @@ class TestEdgeErrors:
         flat = dataclasses.replace(body.edges[0], dihedral=math.pi)
         with pytest.raises(InvalidParameterError, match="below pi"):
             gb.edge_spherical_image(flat, 1.0)
+        # dihedral = 2 asin(lam d / 2) reaches pi at center distance d = 2R.
+        t = body._tables
         with pytest.raises(InvalidParameterError, match="below pi"):
-            gb.gb_total(dataclasses.replace(body, edges=(flat,)))
+            gb.gb_total(with_tables(body, dist=np.full_like(t.dist, 2.0 * body.radius)))
 
 
 class TestTotal:
