@@ -274,8 +274,10 @@ class Arc2:
         return t if self.circle.side == +1 else -t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArcPolygon2:
+    """Compares and hashes by identity."""
+
     space: ms.ModelSpace
     lam: float
     disks: tuple
@@ -283,7 +285,7 @@ class ArcPolygon2:
     vertices: tuple        # chart points; vertex k starts boundary[k]
     turning_angles: tuple  # angle at vertex k (between boundary[k-1] and boundary[k])
     # The polygon's ``InscribedDisk2``, kept by the first ``inradius2``.
-    _inscribed_disk: object = field(default=None, init=False, compare=False, repr=False)
+    _inscribed_disk: object = field(default=None, init=False, repr=False)
 
     @property
     def centers(self):
@@ -451,6 +453,7 @@ def _require_flat(poly):
 
 def lens_vertex_angle(lam, perimeter):
     """Vertex angle of the flat lens with the given perimeter."""
+    check_lam(lam)
     if not 0.0 < perimeter * lam <= TWO_PI + 1e-12:
         raise InvalidParameterError(f"perimeter {perimeter} out of range for lam={lam}")
     return math.pi - 0.5 * perimeter * lam

@@ -27,22 +27,19 @@ both sums)``.  The kernel has two callers: this build, and
 with great-circle sides (no geodesic curvature), measured over the
 build's own ``_corner_table``.
 
-The build's arrays are the body: ``_Tables`` holds per edge its pair,
-circle, frame, end angles, end vertices and center distance; per vertex
-its position and ball triple; the corner table; and per facet its Euler
-characteristic, loops, area and vector area.  Every measure reads them
-(``surface_area``, ``volume``, ``_edge_tan_terms``, ``gauss_bonnet``,
-``erosion``, ``projection_ratio``).  The ``EdgeArc``, ``Vertex`` and
-``Facet`` objects of ``BallPolytope3.edges``, ``.vertices`` and
-``.facets`` are views made from the rows on first access, their arrays
-rows of the tables.
+The build's arrays are the body: ``BallPolytope3.tables``, a ``Tables``,
+holds per edge its pair, circle, frame, end angles, end vertices and
+center distance; per vertex its position and ball triple; the corner
+table; and per facet its Euler characteristic, loops, area and vector
+area.  Every measure reads them (``surface_area``, ``volume``,
+``_edge_tan_terms``, ``gauss_bonnet``, ``erosion``, ``projection_ratio``);
+there is no other description of a body.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations, repeat
 from typing import NamedTuple
 
@@ -69,77 +66,63 @@ _EDGE_SLOTS = np.array([[1, 2], [2, 0], [0, 1]])  # the edge opposite each slot 
 _EYE = np.eye(3)
 
 
-@dataclass(frozen=True)
-class Vertex:
-    position: np.ndarray
-    incident: frozenset
+class Tables(NamedTuple):
+    """A built body, one row per edge, vertex, corner or facet.  Lengths
+    are in the units of the centers, angles in radians; E, V, C and F
+    count the edges, vertices, corners and facets.  Facet k is the part of
+    the sphere of ball k (``centers[k]``) on the boundary.
 
+    Edge n is an arc of the circle where the spheres of its two balls
+    meet, the points ``z + rho (cos(phi) e1 + sin(phi) e2)`` for phi from
+    ``phi[n, 0]`` up to ``phi[n, 1]``; its tangent there, in the sense of
+    increasing phi, is ``cos(phi) e2 - sin(phi) e1``.  Its dihedral angle
+    is ``2 asin(lam dist / 2)``.  A full circle has no end vertex, ``ends[n]
+    = (-1, -1)``, and ``phi[n] = (0, 2 pi)``.
 
-@dataclass(frozen=True)
-class EdgeArc:
-    pair: tuple
-    circle_center: np.ndarray
-    circle_axis: np.ndarray  # unit vector from o_i toward o_j (i < j)
-    circle_radius: float
-    frame: tuple  # (E1, E2) with E1 x E2 = axis
-    phi_start: float
-    phi_end: float
-    full_circle: bool
-    start_vertex: int | None
-    end_vertex: int | None
-    dihedral: float
-    center_distance: float  # |o_i - o_j|
+    * ``pair``: (E, 2) int, the edge's balls i < j; the edge run in
+      increasing phi keeps facet i on its left and facet j on its right,
+      seen from outside.
+    * ``z``: (E, 3), the circle's center, the midpoint of o_i and o_j.
+    * ``axes``: (E, 3), the circle's unit axis, from o_i toward o_j.
+    * ``rho``: (E,), the circle's radius.
+    * ``e1``, ``e2``: (E, 3) each, the circle's unit frame, e1 x e2 = axis.
+    * ``phi``: (E, 2), the start and end angles, start < end.
+    * ``ends``: (E, 2) int, the vertex rows at the start and the end, -1 on
+      a full circle.
+    * ``dist``: (E,), the center distance |o_i - o_j|.
+    * ``positions``: (V, 3), the vertices.
+    * ``triples``: (V, 3) int, each vertex's three balls, sorted.
+    * ``corners``: (6, C) int, one column per corner of a facet loop, the
+      corner row ``(facet, in_arc, in_end, out_arc, out_end, vertex)``: the
+      edge coming in and the end it meets the corner with (1, phi_end,
+      when it runs forward), the edge going out and its end (0 when
+      forward), and the vertex row.  Full circles make no corner.
+    * ``chi``: (F,) int, the facets' Euler characteristics, 2 - #loops.
+    * ``loops``: F tuples, facet k's boundary loops; a loop is a tuple of
+      ``(edge, forward)`` in order, forward meaning the edge is run in
+      increasing phi, which keeps facet k on the left.  A full circle is a
+      loop of its own; a facet without loops is a whole sphere.
+    * ``area``: (F,), the facet areas.
+    * ``vector_area``: (F, 3), the integrals of the outward unit normal
+      over the facets.
+    """
 
-    @property
-    def arc_angle(self):
-        return self.phi_end - self.phi_start
-
-    @property
-    def length(self):
-        return self.circle_radius * self.arc_angle
-
-    def point_at(self, phi):
-        e1, e2 = self.frame
-        return self.circle_center + self.circle_radius * (math.cos(phi) * e1 + math.sin(phi) * e2)
-
-    def tangent_at(self, phi, forward):
-        """Unit tangent at phi, ``cos(phi) e2 - sin(phi) e1``, negated when not forward."""
-        e1, e2 = self.frame
-        t = math.cos(phi) * e2 - math.sin(phi) * e1
-        return t if forward else -t
-
-
-@dataclass(frozen=True)
-class Facet:
-    ball_index: int
-    # Each loop is a tuple of (edge_index, forward) pairs; forward means
-    # increasing phi, which keeps this facet on the left.
-    boundary_loops: tuple
-    area: float
+    pair: np.ndarray
+    z: np.ndarray
+    axes: np.ndarray
+    rho: np.ndarray
+    e1: np.ndarray
+    e2: np.ndarray
+    phi: np.ndarray
+    ends: np.ndarray
+    dist: np.ndarray
+    positions: np.ndarray
+    triples: np.ndarray
+    corners: np.ndarray
+    chi: np.ndarray
+    loops: tuple
+    area: np.ndarray
     vector_area: np.ndarray
-
-
-class _Tables(NamedTuple):
-    """A built body: one row per edge, vertex, corner or facet, in the
-    order of ``edges``, ``vertices`` and ``facets``, whose objects are
-    views of these rows."""
-
-    pair: np.ndarray         # (edges, 2) balls i < j
-    z: np.ndarray            # (edges, 3) circle centers
-    axes: np.ndarray         # (edges, 3) unit circle axes
-    rho: np.ndarray          # (edges,) circle radii
-    e1: np.ndarray           # (edges, 3) the circle frames, e1 x e2 = axis
-    e2: np.ndarray           # (edges, 3)
-    phi: np.ndarray          # (edges, 2) phi_start, phi_end
-    ends: np.ndarray         # (edges, 2) start and end vertices, -1 on a full circle (no end)
-    dist: np.ndarray         # (edges,) center distances |o_i - o_j|
-    positions: np.ndarray    # (vertices, 3)
-    triples: np.ndarray      # (vertices, 3) each vertex's balls, sorted
-    corners: np.ndarray      # (6, corners) the _corner_table of the facets' loops
-    chi: np.ndarray          # (facets,) Euler characteristics, 2 - #loops
-    loops: tuple             # per facet, its ``Facet.boundary_loops``
-    area: np.ndarray         # (facets,)
-    vector_area: np.ndarray  # (facets, 3)
 
 
 @dataclass(frozen=True)
@@ -154,25 +137,25 @@ class BuildReport:
     candidate_pairs: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BallPolytope3:
-    """Immutable after build; the build's ``_Tables`` are the body."""
+    """Immutable after build; the build's ``tables`` are the body.  Bodies
+    compare and hash by identity."""
 
     lam: float
     centers: np.ndarray           # retained centers, shape (m, 3)
     redundant_centers: np.ndarray  # shape (k, 3); their balls contain the body
     build_report: BuildReport = field(repr=False)
+    tables: Tables = field(repr=False)  # the build's, which every measure reads
     # The minimal enclosing ball of ``centers`` (an ``inradius.MEBResult``):
     # the build's, its support remapped past dropped redundant balls; None
     # when a support ball dropped, until ``inradius`` or ``erosion`` solves
     # it once and keeps it.
-    _meb: object = field(default=None, compare=False, repr=False)
-    # The build's ``_Tables``, which every measure reads.
-    _tables: object = field(default=None, compare=False, repr=False)
+    _meb: object = field(default=None, repr=False)
     # The body's ``inradius.InscribedBall``, kept by its first computation.
-    _inscribed: object = field(default=None, init=False, compare=False, repr=False)
+    _inscribed: object = field(default=None, init=False, repr=False)
     # The body's ``erosion._Erosion`` (its event schedule), kept by its first use.
-    _erosion: object = field(default=None, init=False, compare=False, repr=False)
+    _erosion: object = field(default=None, init=False, repr=False)
 
     @property
     def radius(self):
@@ -184,34 +167,11 @@ class BallPolytope3:
             return self.centers
         return np.vstack([self.centers, self.redundant_centers])
 
-    @cached_property
-    def edges(self):
-        """The ``EdgeArc`` of each edge row of ``_tables``, made on first access."""
-        t = self._tables
-        starts, ends = ([None if v < 0 else v for v in col] for col in t.ends.T.tolist())
-        dihedral = 2.0 * np.arcsin(0.5 * self.lam * t.dist)  # cos(dihedral) = 1 - 2 (lam d / 2)^2
-        # The fields in EdgeArc's order; a full circle is an edge without end vertices.
-        return tuple(map(EdgeArc, map(tuple, t.pair.tolist()), t.z, t.axes, t.rho.tolist(),
-                         zip(t.e1, t.e2), *t.phi.T.tolist(), [s is None for s in starts],
-                         starts, ends, dihedral.tolist(), t.dist.tolist()))
-
-    @cached_property
-    def vertices(self):
-        """The ``Vertex`` of each vertex row of ``_tables``, made on first access."""
-        t = self._tables
-        return tuple(map(Vertex, t.positions, map(frozenset, t.triples.tolist())))
-
-    @cached_property
-    def facets(self):
-        """The ``Facet`` of each facet row of ``_tables``, made on first access."""
-        t = self._tables
-        return tuple(map(Facet, range(len(t.loops)), t.loops, t.area.tolist(), t.vector_area))
-
     def combinatorial_signature(self):
         """Hashable summary of the boundary structure: the counts, the
         facets' balls and the edges' ball pairs, so an edge flip (edge
         (i, j) dies as edge (k, l) is born) changes it too."""
-        m, t = len(self.centers), self._tables
+        m, t = len(self.centers), self.tables
         return (m, len(t.pair), len(t.positions), tuple(range(m)),
                 tuple(sorted(map(tuple, t.pair.tolist()))))
 
@@ -542,7 +502,7 @@ def _rebuild(lam, pts, meb_radius, keep=None, duplicates=(), meb=None):
 def _build_retained(lam, work, radius):
     """Assemble combinatorics: ``(retained, (pair_source, candidate_pairs),
     fields)``, the retained balls, the ``BuildReport`` entries of the
-    candidate pairs, and the body's ``centers`` and ``_tables``.  When
+    candidate pairs, and the body's ``centers`` and ``tables``.  When
     balls carry no arc they are redundant: the arcs are cut again on the
     first pass's rows of the pairs of retained balls, and on its columns
     of the retained balls; explicit columns keep their width, a dropped
@@ -583,14 +543,14 @@ def _build_retained(lam, work, radius):
     areas, vectors = _facet_measures(radius * radius, 0.5 * lam * dist, sides,
                                      (phi[:, 1] - phi[:, 0], z, axes, rho, u, tangents),
                                      chi, corners, normals)
-    tables = _Tables(sides.reshape(2, -1).T, z, axes, rho, e1, e2, phi, ends, dist, positions,
-                     triples, corners, chi, tuple(loops), areas, vectors)
-    return retained, (source, len(circles[0])), {"centers": work, "_tables": tables}
+    tables = Tables(sides.reshape(2, -1).T, z, axes, rho, e1, e2, phi, ends, dist, positions,
+                    triples, corners, chi, tuple(loops), areas, vectors)
+    return retained, (source, len(circles[0])), {"centers": work, "tables": tables}
 
 
 def surface_area(polytope):
     """Total boundary area: the sum of the facet areas."""
-    return float(sum(polytope._tables.area.tolist()))
+    return float(sum(polytope.tables.area.tolist()))
 
 
 def volume(polytope):
@@ -600,7 +560,7 @@ def volume(polytope):
     ``o_i`` dotted with the facet vector area, which Stokes reduces to
     closed-form circular-arc line integrals.
     """
-    t = polytope._tables
+    t = polytope.tables
     flux = polytope.radius * t.area + (polytope.centers[:, None] @ t.vector_area[..., None]).ravel()
     return sum(flux.tolist()) / 3.0
 
@@ -610,7 +570,7 @@ def _edge_tan_terms(polytope):
     edge's ``length * tan(dihedral / 2)`` on the body scaled by lam, with
     dihedral = 2 asin(lam d / 2), d the edge's center distance.
     ``InvalidParameterError`` when d >= 2R, a dihedral angle of pi or more."""
-    t, lam = polytope._tables, polytope.lam
+    t, lam = polytope.tables, polytope.lam
     if (t.dist >= 2.0 / lam).any():
         raise InvalidParameterError(f"dihedral angles must be below pi: center distance "
                                     f"{t.dist.max()!r} reaches 2R = {2.0 / lam!r}")
@@ -655,7 +615,7 @@ def validate_lambda_convexity(polytope, samples=2048, seed=0):
                 pts.append(p)
                 support.append(k)
                 got += 1
-    cloud = np.vstack([polytope._tables.positions, *pts])
+    cloud = np.vstack([polytope.tables.positions, *pts])
     worst = 0.0
     for i in set(support):
         d = np.linalg.norm(cloud - polytope.centers[i], axis=1)

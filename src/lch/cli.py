@@ -34,11 +34,12 @@ def _cmd_gen(args):
 def _measure_3d(body):
     ball = inscribed_ball(body)
     report = gb.gb_total(body)
+    tables = body.tables
     return {
         "dim": 3,
-        "facets": len(body.facets),
-        "edges": len(body.edges),
-        "vertices": len(body.vertices),
+        "facets": len(tables.chi),
+        "edges": len(tables.pair),
+        "vertices": len(tables.positions),
         "surface_area": bp3.surface_area(body),
         "volume": bp3.volume(body),
         "inradius": ball.radius,

@@ -15,7 +15,7 @@ in that frame.  The area is the build's Gauss-Bonnet sum
 (``ball_polytope3._facet_measures``) over all facets at radius R_t,
 ``R_t^2 (2 pi sum(chi) - sum of arc angle * lam d / 2 - sum of corner
 turns)``.  ``_Piece`` compiles it into arrays once per piece, from the
-body's build arrays (``ball_polytope3._Tables``): vertex circumcenters,
+body's build arrays (``BallPolytope3.tables``): vertex circumcenters,
 normals and rho^2 from the vertices' ball triples and positions; the
 open arcs' frames, circle centers, reference angles, end vertices and d;
 the build's corner table and Euler characteristics.  It
@@ -103,7 +103,7 @@ def _full_signature(body):
     """The retained centers, each vertex's spheres, each edge's pair and end
     vertices' spheres, and each facet's Euler characteristic, free of build
     order."""
-    t = body._tables
+    t = body.tables
     inc = [tuple(x) for x in t.triples.tolist()]
     edges = [(tuple(pair), () if vs < 0 else (inc[vs], inc[ve]))
              for pair, (vs, ve) in zip(t.pair.tolist(), t.ends.tolist())]
@@ -121,13 +121,13 @@ class _Piece:
     """K_t in closed form for t between two events, from one body inside.
 
     ``R`` is the radius of the uneroded balls.  The body's build arrays
-    (its ``_tables``) are compiled into the piece's; full-circle edges keep
+    (its ``tables``) are compiled into the piece's; full-circle edges keep
     their angles and only add a constant to the geodesic-curvature sum.
     """
 
     def __init__(self, body, R):
         self.R = R
-        tables = body._tables
+        tables = body.tables
         # Vertex ijk at c + h n: c the circumcenter of o_i o_j o_k (i < j < k),
         # n the unit normal toward the vertex, rho^2 the squared circumradius.
         tri = tables.triples

@@ -16,11 +16,10 @@ areas must add up to the full sphere:
   (b x c)|, 1 + a.b + b.c + c.a)`` (Van Oosterom & Strackee, IEEE Trans.
   Biomed. Eng. 30, 1983).
 
-``gb_total`` reads the build's arrays (``ball_polytope3._Tables``):
-the facet areas, each edge's ``lam * length * tan(dihedral / 2)`` from
+``gb_total`` reads the build's arrays (``BallPolytope3.tables``): the
+facet areas, each edge's ``lam * length * tan(dihedral / 2)`` from
 ``ball_polytope3._edge_tan_terms``, and the vertices' positions and ball
-triples.  ``edge_spherical_image`` and ``vertex_spherical_image`` measure
-one ``EdgeArc`` or ``Vertex`` object.
+triples, whose triangles ``_vertex_images`` measures.
 """
 
 from __future__ import annotations
@@ -77,24 +76,9 @@ def _vertex_images(polytope, positions, triples):
     return excess
 
 
-def edge_spherical_image(edge, lam):
-    """Normal-strip area of one edge on the unit sphere of directions."""
-    if edge.dihedral >= math.pi:
-        raise InvalidParameterError(f"dihedral angle {edge.dihedral} must be below pi")
-    return 2.0 * (lam * edge.length) * math.tan(0.5 * edge.dihedral)
-
-
-def vertex_spherical_image(polytope, vertex):
-    """Area of the normal-cone triangle at a vertex (its solid angle)."""
-    if len(vertex.incident) != 3:
-        raise InvalidParameterError(f"vertex needs 3 incident facets, got {len(vertex.incident)}")
-    return float(_vertex_images(polytope, np.reshape(vertex.position, (1, 3)),
-                                np.array([sorted(vertex.incident)], dtype=np.intp))[0])
-
-
 def gb_total(polytope):
     """The three spherical-image components; their sum must be 4*pi."""
-    lam, t = polytope.lam, polytope._tables
+    lam, t = polytope.lam, polytope.tables
     return GBReport(facet_total=lam * lam * bp3.surface_area(polytope),
                     edge_total=float((2.0 * bp3._edge_tan_terms(polytope)).sum()),
                     vertex_total=float(_vertex_images(polytope, t.positions, t.triples).sum()))

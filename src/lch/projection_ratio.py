@@ -10,8 +10,8 @@ and the radial projection of facet i onto the inscribed sphere is the
 spherical polygon ``{u : u . (o_j - o_i) >= 0 for all j}``: the spherical
 Voronoi cell of the touch direction ``(o - o_i) / e`` among all the touch
 directions.  ``projected_facet_area`` measures it by Gauss-Bonnet, over
-the facet's rows of the corner table the build kept on the body (its
-``_tables``), and requires that precondition of every edge of the facet.
+the facet's rows of the corner table in the body's ``tables``, and
+requires that precondition of every edge of the facet.
 
 The area-element pullback of the projection restricted to the supporting
 sphere is ``g(t) = rho(t)^2 / (r^2 cos beta)`` with ``rho`` the ray length
@@ -96,8 +96,9 @@ def radial_project(chart, q):
     return chart.center + chart.inradius * d / norm
 
 
-def projected_facet_area(polytope, chart, facet=None):
-    """Area of the facet's radial projection on the inscribed sphere.
+def projected_facet_area(polytope, chart):
+    """Area of the radial projection of the chart's facet on the inscribed
+    sphere.
 
     The projection is a spherical polygon with great-circle sides (see the
     module docstring), measured by ``_facet_projections``.
@@ -105,8 +106,7 @@ def projected_facet_area(polytope, chart, facet=None):
     more than ``1e-9 R``, that is, when the neighbouring ball does not
     touch the inscribed ball too.
     """
-    ball = chart.facet_index if facet is None else facet.ball_index
-    areas, _ = _facet_projections(polytope, chart.center, chart.inradius, [ball])
+    areas, _ = _facet_projections(polytope, chart.center, chart.inradius, [chart.facet_index])
     return float(areas[0])
 
 
@@ -114,7 +114,7 @@ def _facet_projections(polytope, center, inradius, balls):
     """Projected areas and natural-extension flags of the facets of
     ``balls`` (an index array, or ``slice(None)`` for all), for the
     inscribed ball of center ``o`` and radius r, in one array pass over the
-    build's ``_tables``.
+    body's ``tables``.
 
     The projected side of edge (i, j) lies on the great circle in the plane
     through o with normal ``circle_axis``; at a corner vertex v, with u =
@@ -134,7 +134,7 @@ def _facet_projections(polytope, center, inradius, balls):
     ``1e-8 R``, ``rho |a_i x circle_axis|``.  Each edge is tested against
     the axes of both its facets.
     """
-    tables = polytope._tables
+    tables = polytope.tables
     pair, axes, rho = tables.pair, tables.axes, tables.rho
     z = tables.z - center
     mine = np.zeros(len(polytope.centers), dtype=bool)
@@ -223,7 +223,7 @@ def key_claim_check(polytope, tol=1e-5):
     ball = _require_all_touching(polytope)
     bound = ratio_F(polytope.lam, ball.radius)
     projected, natural = _facet_projections(polytope, ball.center, ball.radius, slice(None))
-    ratios = polytope._tables.area / projected
+    ratios = polytope.tables.area / projected
     max_ratio = float(ratios.max())
     projected_sum = float(projected.sum())
     area = bp3.surface_area(polytope)

@@ -70,6 +70,7 @@ def lens3_measures(lam, alpha):
 
 def lens3_volume_from_area(lam, area):
     """Lens volume as a function of its surface area (explicit 3-D form)."""
+    check_lam(lam)
     if not 0.0 < area * lam * lam <= FOUR_PI * (1.0 + 1e-12):
         raise InvalidParameterError(f"lens area {area} out of range for lam={lam}")
     return area * area * lam * (12.0 * math.pi - area * lam * lam) / (96.0 * math.pi ** 2)
@@ -80,7 +81,8 @@ def lens2_measures(lam, perimeter):
 
     ``area = P/(2 lam) - sin(P lam / 2) / lam^2`` for ``0 < P lam <= 2 pi``.
     """
-    if lam <= 0.0 or not 0.0 < perimeter * lam <= 2.0 * math.pi * (1.0 + 1e-12):
+    check_lam(lam)
+    if not 0.0 < perimeter * lam <= 2.0 * math.pi * (1.0 + 1e-12):
         raise InvalidParameterError(
             f"need 0 < P*lam <= 2*pi, got P={perimeter}, lam={lam}"
         )
@@ -89,6 +91,7 @@ def lens2_measures(lam, perimeter):
 
 def lens3_from_surface_area(lam, area):
     """Invert A = 4 pi (1 - cos alpha) / lam^2."""
+    check_lam(lam)
     t = area * lam * lam / FOUR_PI
     if not 0.0 < t <= 1.0 + 1e-12:
         raise InvalidParameterError(f"surface area {area} out of lens range for lam={lam}")
@@ -97,6 +100,7 @@ def lens3_from_surface_area(lam, area):
 
 def lens3_from_inradius(lam, r):
     """Invert r = (1 - cos alpha) / lam."""
+    check_lam(lam)
     t = r * lam
     if not 0.0 < t <= 1.0 + 1e-12:
         raise InvalidParameterError(f"inradius {r} out of lens range for lam={lam}")
@@ -106,20 +110,6 @@ def lens3_from_inradius(lam, r):
 # ---------------------------------------------------------------------------
 # n-dimensional quadrature
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpindleParam:
-    n: int
-    lam: float
-    h1: float  # chord offset in [0, 1); 0 gives the ball
-
-
-@dataclass(frozen=True)
-class LensNDParam:
-    n: int
-    lam: float
-    h2: float  # rim radius in (0, 1); 1 is the ball limit
-
 
 def log_sphere_area(k):
     """log of the surface area of the unit k-sphere in R^(k+1)."""
@@ -307,6 +297,7 @@ def match_and_compare(n, lam, h1):
     difference (relative 1e-10), then reports both volumes and
     ``(1 - h1) - h2``.
     """
+    check_lam(lam)
     if n < 3:
         raise InvalidParameterError(f"matched comparison needs n >= 3, got {n}")
     if not 0.0 < h1 < 1.0:

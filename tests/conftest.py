@@ -64,24 +64,23 @@ def support_assignment_counts(body, n=200_000, seed=0):
         val = np.where(in_body(x), u @ c + radius, -np.inf)
         values.append(val)
         kinds.append(("facet", None))
-    for e in body.edges:
-        a = e.circle_axis
+    t = body.tables
+    for z, a, rho in zip(t.z, t.axes, t.rho.tolist()):
         p = u - (u @ a)[:, None] * a
         norms = np.linalg.norm(p, axis=1)
         good = norms > 1e-14
-        x = e.circle_center + e.circle_radius * p / np.where(good, norms, 1.0)[:, None]
-        val = np.where(good & in_body(x),
-                       u @ e.circle_center + e.circle_radius * norms, -np.inf)
+        x = z + rho * p / np.where(good, norms, 1.0)[:, None]
+        val = np.where(good & in_body(x), u @ z + rho * norms, -np.inf)
         values.append(val)
         kinds.append(("edge", None))
-    for k, v in enumerate(body.vertices):
-        values.append(u @ v.position)
+    for k, v in enumerate(t.positions):
+        values.append(u @ v)
         kinds.append(("vertex", k))
     values = np.vstack(values)
     best = np.argmax(values, axis=0)
     facet_count = 0
     edge_count = 0
-    vertex_counts = {k: 0 for k in range(len(body.vertices))}
+    vertex_counts = {k: 0 for k in range(len(t.positions))}
     for row, (kind, idx) in enumerate(kinds):
         hits = int(np.sum(best == row))
         if kind == "facet":
@@ -94,22 +93,26 @@ def support_assignment_counts(body, n=200_000, seed=0):
     return facet_count / n, edge_count / n, vertex_fracs
 
 
-def edge_strip_area_quadrature(body, edge, n_phi=200, n_tau=48):
-    """Normal-strip area of an edge by direct surface quadrature.
+def edge_strip_area_quadrature(body, n, n_phi=200, n_tau=48):
+    """Normal-strip area of edge row n of the body's tables by direct
+    surface quadrature.
 
     The strip is the spherical rectangle swept by interpolating the two
     facet normals along the edge; the parametrization and its partials are
     analytic, so Gauss-Legendre in both directions converges fast.
     """
-    i, j = edge.pair
+    t = body.tables
+    i, j = t.pair[n].tolist()
     o_i, o_j = body.centers[i], body.centers[j]
     radius = body.radius
-    gamma = edge.dihedral
+    gamma = 2.0 * math.asin(0.5 * body.lam * float(t.dist[n]))  # the dihedral angle
     sg = math.sin(gamma)
-    e1, e2 = edge.frame
+    e1, e2, z, rho = t.e1[n], t.e2[n], t.z[n], float(t.rho[n])
+    phi_start, phi_end = t.phi[n].tolist()
+    arc_angle = phi_end - phi_start
     xs_p, ws_p = np.polynomial.legendre.leggauss(n_phi)
     xs_t, ws_t = np.polynomial.legendre.leggauss(n_tau)
-    phi = 0.5 * edge.arc_angle * xs_p + 0.5 * (edge.phi_start + edge.phi_end)
+    phi = 0.5 * arc_angle * xs_p + 0.5 * (phi_start + phi_end)
     s = 0.5 * xs_t + 0.5
     total = 0.0
     for ps, wt in zip(s, ws_t):
@@ -119,15 +122,15 @@ def edge_strip_area_quadrature(body, edge, n_phi=200, n_tau=48):
         da_j = gamma * math.cos(ps * gamma) / sg
         w = np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2
         dw = (-np.sin(phi))[:, None] * e1 + np.cos(phi)[:, None] * e2
-        x = edge.circle_center + edge.circle_radius * w
+        x = z + rho * w
         n_i = (x - o_i) / radius
         n_j = (x - o_j) / radius
-        dn = edge.circle_radius * dw / radius  # same for both normals
+        dn = rho * dw / radius  # same for both normals
         u_s = da_i * n_i + da_j * n_j
         u_phi = (a_i + a_j) * dn
         cross = np.cross(u_phi, u_s)
         total += wt * float(ws_p @ np.linalg.norm(cross, axis=1))
-    return 0.25 * edge.arc_angle * total
+    return 0.25 * arc_angle * total
 
 
 def single_constraint_interval(a, b, d, eps=1e-14):
@@ -275,13 +278,15 @@ def slice_facet_area(body, ball, nodes=20, tol=1e-14):
     raise RuntimeError(f"slice quadrature of facet {ball} did not converge")
 
 
-def vertex_image_reference(polytope, vertex):
-    """Scalar reference for ``gauss_bonnet.vertex_spherical_image``: the
-    spherical excess of the polygon of the vertex's unit facet normals,
-    sorted by angle around their centroid, from its corner angles."""
+def vertex_image_reference(polytope, row):
+    """Scalar reference for the solid angle of ``gauss_bonnet._vertex_images``
+    at vertex ``row`` of the body's tables: the spherical excess of the
+    polygon of the vertex's unit facet normals, sorted by angle around
+    their centroid, from its corner angles."""
+    t = polytope.tables
     normals = []
-    for i in sorted(vertex.incident):
-        n = vertex.position - polytope.centers[i]
+    for i in t.triples[row].tolist():
+        n = t.positions[row] - polytope.centers[i]
         normals.append(n / np.linalg.norm(n))
     centroid = np.sum(normals, axis=0)
     centroid /= np.linalg.norm(centroid)
@@ -302,10 +307,21 @@ def vertex_image_reference(polytope, vertex):
 
 def gb_total_reference(polytope):
     """Scalar reference for ``gauss_bonnet.gb_total``: (facet, edge,
-    vertex) spherical-image totals, summed one facet, edge and vertex at a
-    time."""
-    lam = polytope.lam
-    facet = lam * lam * sum(f.area for f in polytope.facets)
-    edge = sum(2.0 * lam * e.length * math.tan(0.5 * e.dihedral) for e in polytope.edges)
-    vertex = sum(vertex_image_reference(polytope, v) for v in polytope.vertices)
+    vertex) spherical-image totals, summed one row of the body's tables at
+    a time.  An edge's arc angle is measured between its end vertices in
+    its circle's frame (2 pi on a full circle), so the edge total checks
+    the end angles against the vertices too."""
+    lam, t = polytope.lam, polytope.tables
+    facet = lam * lam * sum(t.area.tolist())
+    edge = 0.0
+    for n, (start, end) in enumerate(t.ends.tolist()):
+        if start < 0:
+            arc_angle = 2.0 * math.pi
+        else:
+            x0, x1 = t.positions[start] - t.z[n], t.positions[end] - t.z[n]
+            turn = math.atan2(x1 @ t.e2[n], x1 @ t.e1[n]) - math.atan2(x0 @ t.e2[n], x0 @ t.e1[n])
+            arc_angle = turn % (2.0 * math.pi)
+        dihedral = 2.0 * math.asin(0.5 * lam * float(t.dist[n]))
+        edge += 2.0 * lam * float(t.rho[n]) * arc_angle * math.tan(0.5 * dihedral)
+    vertex = sum(vertex_image_reference(polytope, k) for k in range(len(t.positions)))
     return facet, edge, vertex

@@ -88,7 +88,7 @@ def test_criterion_03_reverse_isoperimetric_sweep():
         if margin < -1e-9:
             violations += 1
         min_margin = min(min_margin, margin)
-        if body.vertices:
+        if len(body.tables.positions):
             min_vertexed = min(min_vertexed, margin)
     ok = violations == 0 and min_vertexed > 1e-8
     _report(3, ok, f"1000 bodies: {violations} violations, min margin {min_margin:.3e}, "

@@ -108,6 +108,13 @@ class TestBuildFlat:
         assert math.isclose(vs[0], -math.sqrt(3.0) / 2.0, abs_tol=1e-12)
         assert math.isclose(vs[1], math.sqrt(3.0) / 2.0, abs_tol=1e-12)
 
+    def test_polygons_compare_by_identity(self):
+        poly, again = flat_lens(), flat_lens()
+        assert poly == poly and poly != again
+        assert hash(poly) == hash(poly)
+        assert poly in {poly} and again not in {poly}
+        assert poly in [again, poly] and again not in [poly]
+
     def test_single_disk(self):
         poly = ap.build2(FLAT, 2.0, [ap.euclidean_disk(FLAT, 2.0, (0.1, 0.3))])
         assert len(poly.boundary) == 1 and poly.boundary[0].full_circle

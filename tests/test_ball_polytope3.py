@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import make_body, mc_facet_area, slice_facet_area
 from lch import ball_polytope3 as bp3
-from lch import erosion, gauss_bonnet, harness, inradius, projection_ratio
+from lch import erosion, harness, inradius, projection_ratio
 from lch.errors import DegenerateBodyError, EmptyBodyError, InvalidParameterError
 
 FOUR_PI = 4.0 * math.pi
@@ -25,24 +25,23 @@ def lens(lam=1.0):
 class TestBuild:
     def test_lens_combinatorics(self):
         body = lens()
-        assert len(body.facets) == 2
-        assert len(body.vertices) == 0
-        assert len(body.edges) == 1
-        edge = body.edges[0]
-        assert edge.full_circle
-        assert math.isclose(edge.circle_radius, math.sqrt(3.0) / 2.0, rel_tol=1e-14)
-        assert math.isclose(edge.dihedral, math.pi / 3.0, rel_tol=1e-12)
+        t = body.tables
+        assert (len(t.chi), len(t.positions), len(t.pair)) == (2, 0, 1)
+        assert t.ends[0].tolist() == [-1, -1]  # a full circle
+        assert math.isclose(t.rho[0], math.sqrt(3.0) / 2.0, rel_tol=1e-14)
+        dihedral = 2.0 * math.asin(0.5 * body.lam * t.dist[0])
+        assert math.isclose(dihedral, math.pi / 3.0, rel_tol=1e-12)
 
     def test_single_ball(self):
-        body = bp3.build(1.0, [[0.1, -0.2, 0.3]])
-        assert len(body.facets) == 1
-        assert len(body.edges) == 0
-        assert math.isclose(body.facets[0].area, FOUR_PI, rel_tol=1e-14)
+        t = bp3.build(1.0, [[0.1, -0.2, 0.3]]).tables
+        assert len(t.chi) == 1
+        assert len(t.pair) == 0
+        assert math.isclose(t.area[0], FOUR_PI, rel_tol=1e-14)
 
     def test_redundant_ball_reported_and_dropped(self):
         body = bp3.build(1.0, LENS_CENTERS + [[0.0, 0.0, 0.4]])
         assert body.build_report.redundant_indices == (2,)
-        assert len(body.facets) == 2
+        assert len(body.tables.chi) == 2
         assert math.isclose(bp3.surface_area(body), 2.0 * math.pi, rel_tol=1e-12)
 
     def test_redundancy_by_membership_sampling(self):
@@ -74,6 +73,13 @@ class TestBuild:
         u = np.array([[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]], dtype=float)
         with pytest.raises(DegenerateBodyError):
             bp3.build(1.0, -0.6 * u)
+
+    def test_bodies_compare_by_identity(self):
+        body, again = lens(), lens()
+        assert body == body and body != again
+        assert hash(body) == hash(body)
+        assert body in {body} and again not in {body}
+        assert body in [again, body] and again not in [body]
 
     def test_bad_parameters(self):
         with pytest.raises(InvalidParameterError):
@@ -107,9 +113,9 @@ class TestMeasures:
 
     def test_facet_area_against_monte_carlo(self):
         body = make_body(seed=5, m=4, r0=0.45)
-        for k in range(len(body.facets)):
+        for k, area in enumerate(body.tables.area.tolist()):
             est, se = mc_facet_area(body, k, n=300_000, seed=k)
-            assert abs(body.facets[k].area - est) <= 3.0 * se
+            assert abs(area - est) <= 3.0 * se
 
     def test_volume_against_monte_carlo(self):
         body = make_body(seed=8, m=6, r0=0.5)
@@ -143,35 +149,34 @@ class TestMeasures:
 class TestInvariants:
     def test_edge_dihedral_identity(self):
         body = make_body(seed=17, m=7, r0=0.35)
-        for e in body.edges:
-            i, j = e.pair
+        t = body.tables
+        for n, (i, j) in enumerate(t.pair.tolist()):
             d = np.linalg.norm(body.centers[i] - body.centers[j])
-            lhs = math.cos(e.dihedral)
+            lhs = math.cos(2.0 * math.asin(0.5 * body.lam * t.dist[n]))  # the dihedral angle's
             rhs = 1.0 - 0.5 * d * d * body.lam ** 2
             assert abs(lhs - rhs) < 1e-10
             # cross-check via outward normals at an edge point
-            x = e.point_at(e.phi_start + 0.3 * e.arc_angle)
+            phi_start, phi_end = t.phi[n].tolist()
+            phi = phi_start + 0.3 * (phi_end - phi_start)
+            x = t.z[n] + t.rho[n] * (math.cos(phi) * t.e1[n] + math.sin(phi) * t.e2[n])
             n_i = (x - body.centers[i]) / body.radius
             n_j = (x - body.centers[j]) / body.radius
             assert abs(float(n_i @ n_j) - lhs) < 1e-10
 
     def test_euler_formula_trivalent(self):
         for seed in range(8):
-            body = make_body(seed=seed, m=6, r0=0.4)
-            if body.vertices:
-                v = len(body.vertices)
-                e = len(body.edges)
-                f = len(body.facets)
-                assert v - e + f == 2
+            t = make_body(seed=seed, m=6, r0=0.4).tables
+            if len(t.positions):
+                assert len(t.positions) - len(t.pair) + len(t.chi) == 2
 
     def test_vertices_on_spheres_and_inside_balls(self):
         body = make_body(seed=30, m=8, r0=0.3)
-        for v in body.vertices:
-            for i in v.incident:
-                d = np.linalg.norm(v.position - body.centers[i])
+        for position, balls in zip(body.tables.positions, body.tables.triples.tolist()):
+            for i in balls:
+                d = np.linalg.norm(position - body.centers[i])
                 assert abs(d - body.radius) < 1e-10
             for k in range(len(body.centers)):
-                d = np.linalg.norm(v.position - body.centers[k])
+                d = np.linalg.norm(position - body.centers[k])
                 assert d <= body.radius + 1e-10
 
     def test_membership_examples(self):
@@ -232,16 +237,16 @@ class TestBuildMetamorphic:
         lam, centers = metamorphic_bodies()[k]
         perm = np.random.default_rng(k).permutation(len(centers))
         body, shuffled = bp3.build(lam, centers), bp3.build(lam, centers[perm])
-        count = lambda b: (len(b.facets), len(b.edges), len(b.vertices),
+        count = lambda b: (len(b.tables.chi), len(b.tables.pair), len(b.tables.positions),
                            len(b.build_report.redundant_indices))
         assert count(shuffled) == count(body)
         # relabelled by center: the facet areas and the retained balls agree
-        areas = lambda b: {tuple(b.centers[f.ball_index]): f.area for f in b.facets}
+        areas = lambda b: dict(zip(map(tuple, b.centers), b.tables.area.tolist()))
         got, want = areas(shuffled), areas(body)
         assert got.keys() == want.keys()
         total = bp3.surface_area(body)
         assert all(abs(got[c] - want[c]) <= 1e-12 * total for c in want)
-        edges = lambda b: sorted(frozenset(map(tuple, b.centers[list(e.pair)])) for e in b.edges)
+        edges = lambda b: sorted(frozenset(map(tuple, b.centers[pair])) for pair in b.tables.pair)
         assert sorted(map(sorted, edges(shuffled))) == sorted(map(sorted, edges(body)))
         for got, want in zip(_measures(shuffled), _measures(body)):
             assert abs(got - want) <= 1e-12 * want
@@ -272,13 +277,13 @@ class TestFacetAreaOracle:
         body = bp3.build(lam, centers)
         if k >= 23:  # random centers: not cospherical, so every pair is tried
             assert body.build_report.pair_source == "all"
-        for f in body.facets:
-            assert abs(f.area - slice_facet_area(body, f.ball_index)) <= 1e-12 * f.area
+        for k, area in enumerate(body.tables.area.tolist()):
+            assert abs(area - slice_facet_area(body, k)) <= 1e-12 * area
 
     def test_lens_caps(self):
         body = lens()
-        for f in body.facets:
-            assert math.isclose(slice_facet_area(body, f.ball_index), math.pi, rel_tol=1e-14)
+        for k in range(len(body.centers)):
+            assert math.isclose(slice_facet_area(body, k), math.pi, rel_tol=1e-14)
 
 
 def noisy_touching_centers(seed, m, noise):
@@ -314,10 +319,11 @@ def supporting_ball_centers(seed):
     from the vertex, against a convex combination of the facet normals
     there, so its sphere passes through the vertex and it holds the body."""
     body = make_body(seed=seed, m=4 + seed % 5, r0=0.35)
-    vertex = body.vertices[seed % len(body.vertices)]
-    normals = vertex.position - body.centers[sorted(vertex.incident)]
+    t = body.tables
+    k = seed % len(t.positions)
+    normals = t.positions[k] - body.centers[t.triples[k]]
     mean = np.random.default_rng(seed).dirichlet(np.ones(3)) @ normals
-    return np.vstack([body.centers, vertex.position - body.radius * mean / np.linalg.norm(mean)])
+    return np.vstack([body.centers, t.positions[k] - body.radius * mean / np.linalg.norm(mean)])
 
 
 def build_outcome(lam, centers):
@@ -327,12 +333,14 @@ def build_outcome(lam, centers):
         body = bp3.build(lam, centers)
     except Exception as exc:
         return type(exc)
+    t = body.tables
     return (body.combinatorial_signature(),
-            [f.boundary_loops for f in body.facets],
-            [f.area.hex() for f in body.facets],
-            [[float(x).hex() for x in v.position] + sorted(v.incident) for v in body.vertices],
-            [(e.pair, e.phi_start.hex(), e.phi_end.hex(), e.start_vertex, e.end_vertex)
-             for e in body.edges],
+            t.loops,
+            [a.hex() for a in t.area.tolist()],
+            [[x.hex() for x in position] + balls
+             for position, balls in zip(t.positions.tolist(), t.triples.tolist())],
+            [(pair, *(x.hex() for x in phi), *ends)
+             for pair, phi, ends in zip(t.pair.tolist(), t.phi.tolist(), t.ends.tolist())],
             body.build_report.redundant_indices)
 
 
@@ -436,42 +444,49 @@ class TestCandidatePairs:
 
 
 class TestBuildTables:
-    """A body's ``_tables`` are the build's arrays: the objects are views of
-    their rows, made on first access; every measure reads the tables, and
-    the erosion pieces and the projected facets read the build's one
-    corner table."""
+    """A body's ``tables`` are the build's arrays, and their rows describe
+    one body; the erosion pieces and the projected facets read the build's
+    one corner table."""
 
     @pytest.mark.parametrize("m", range(2, 25))
     def test_objects_are_rows_of_the_tables(self, m):
+        # The edge, vertex, corner and facet rows agree with one another.
         body = harness.random_polytope(harness.GenSpec(seed=400 + m, m=m, inradius=0.35))
-        t = body._tables
-        assert (len(t.pair), len(t.positions), len(t.chi)) == (
-            len(body.edges), len(body.vertices), len(body.facets))
-        for n, e in enumerate(body.edges):
-            assert e.pair == tuple(t.pair[n].tolist())
-            for got, row in [(e.circle_center, t.z), (e.circle_axis, t.axes),
-                             (e.frame[0], t.e1), (e.frame[1], t.e2)]:
-                assert np.array_equal(got, row[n]) and np.shares_memory(got, row)
-            assert (e.circle_radius, e.center_distance) == (t.rho[n], t.dist[n])
-            assert (e.phi_start, e.phi_end, e.full_circle) == (*t.phi[n].tolist(), t.ends[n, 0] < 0)
-            ends = [None if v < 0 else v for v in t.ends[n].tolist()]
-            assert [e.start_vertex, e.end_vertex] == ends
-        for k, v in enumerate(body.vertices):
-            assert np.array_equal(v.position, t.positions[k])
-            assert np.shares_memory(v.position, t.positions)
-            assert t.triples[k].tolist() == sorted(v.incident)
-        assert t.chi.tolist() == [2 - len(f.boundary_loops) for f in body.facets]
-        for k, f in enumerate(body.facets):
-            assert (f.ball_index, f.boundary_loops, f.area) == (k, t.loops[k], t.area[k])
-            assert np.array_equal(f.vector_area, t.vector_area[k])
-            assert np.shares_memory(f.vector_area, t.vector_area)
-        dihedral = 2.0 * np.arcsin(0.5 * body.lam * t.dist)
-        assert [e.dihedral for e in body.edges] == dihedral.tolist()
-        assert body.edges is body.edges and body.vertices is body.vertices
-        corners = bp3._corner_table([f.boundary_loops for f in body.facets],
-                                    [e.full_circle for e in body.edges],
-                                    [(e.start_vertex, e.end_vertex) for e in body.edges])
-        assert np.array_equal(t.corners, corners)
+        t = body.tables
+        assert len(t.chi) == len(t.loops) == len(t.area) == len(t.vector_area) == m
+        assert len(t.triples) == len(t.positions)
+        for n, (pair, phi, ends) in enumerate(zip(t.pair.tolist(), t.phi.tolist(),
+                                                  t.ends.tolist())):
+            assert pair[0] < pair[1]
+            if ends[0] < 0:
+                assert (ends, phi) == ([-1, -1], [0.0, 2.0 * math.pi])
+                continue
+            assert phi[0] < phi[1]
+            for v, angle in zip(ends, phi):
+                point = t.z[n] + t.rho[n] * (math.cos(angle) * t.e1[n] + math.sin(angle) * t.e2[n])
+                assert np.linalg.norm(t.positions[v] - point) <= bp3.VERTEX_TOL * body.radius
+                assert set(pair) < set(t.triples[v].tolist())
+        opened = t.ends[:, 0] >= 0
+        sides = 0
+        for f, loops in enumerate(t.loops):
+            assert t.chi[f] == 2 - len(loops)
+            for loop in loops:
+                for n, forward in loop:
+                    assert t.pair[n, 0 if forward else 1] == f  # the facet on its left
+                if not opened[loop[0][0]]:
+                    assert len(loop) == 1
+                    continue
+                # Each side's end vertex is the next side's start vertex.
+                heads = [t.ends[n, 1 if forward else 0] for n, forward in loop]
+                tails = [t.ends[n, 0 if forward else 1] for n, forward in loop]
+                assert heads == tails[1:] + tails[:1]
+                sides += len(loop)
+        facet, in_arc, in_end, out_arc, out_end, vertex = t.corners
+        assert len(facet) == sides
+        for arc, end in ((in_arc, in_end), (out_arc, out_end)):
+            assert opened[arc].all()
+            assert (t.pair[arc] == facet[:, None]).any(1).all()
+            assert np.array_equal(t.ends[arc, end], vertex)
 
     @staticmethod
     def keyclaim():
@@ -483,26 +498,6 @@ class TestBuildTables:
         body = bp3.build(1.0, [[0.0, 0.0, 0.5], [0.0, 0.0, -0.5], [0.3, 0.0, 0.0]])
         erosion.profile(body, 64)
         erosion.volume_via_profile(body)
-
-    @staticmethod
-    def sweep():
-        harness.sweep(3, m_max=24)
-
-    @staticmethod
-    def measures():
-        body = harness.random_polytope(harness.GenSpec(seed=416, m=16, inradius=0.35))
-        for measure in (bp3.surface_area, bp3.volume, gauss_bonnet.gb_total,
-                        erosion.initial_derivative, erosion.expansion_check,
-                        functools.partial(bp3.validate_lambda_convexity, samples=64)):
-            measure(body)
-
-    @pytest.mark.parametrize("run", ["sweep", "keyclaim", "erode", "measures"])
-    def test_measures_make_no_objects(self, monkeypatch, run):
-        def made(*args, **kwargs):
-            raise AssertionError("a measure made an EdgeArc, Vertex or Facet")
-        for name in ("EdgeArc", "Vertex", "Facet"):
-            monkeypatch.setattr(bp3, name, made)
-        getattr(self, run)()
 
     @pytest.mark.parametrize("run", ["keyclaim", "erode"])
     def test_one_corner_table_per_build(self, monkeypatch, run):

@@ -137,6 +137,29 @@ class TestNonFiniteLambda:
         assert "finite" in capsys.readouterr().err
 
 
+# Each lens entry point with arguments that pass its own range check at lam = -1.
+LENS_ENTRY_POINTS = {
+    "lens3_volume_from_area": lambda lam: ref.lens3_volume_from_area(lam, 1.0),
+    "lens3_from_surface_area": lambda lam: ref.lens3_from_surface_area(lam, 1.0),
+    "lens3_from_inradius": lambda lam: ref.lens3_from_inradius(lam, -0.5),
+    "lens2_measures": lambda lam: ref.lens2_measures(lam, -1.0),
+    "match_and_compare": lambda lam: ref.match_and_compare(5, lam, 0.3),
+    "lens_vertex_angle": lambda lam: ap.lens_vertex_angle(lam, -1.0),
+}
+
+
+class TestLensLambda:
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("entry", sorted(LENS_ENTRY_POINTS))
+    def test_entry_point_checks_lambda(self, entry, lam):
+        with pytest.raises(InvalidParameterError, match="lam must be positive and finite"):
+            LENS_ENTRY_POINTS[entry](lam)
+
+    def test_negative_lambda_exits_2(self, capsys):
+        assert run(["lens", "--lambda", "-1", "--surface-area", "1"]) == 2
+        assert "positive and finite" in capsys.readouterr().err
+
+
 class TestVerify2D:
     def test_rip2d_and_goal2d(self, tmp_path):
         path = str(tmp_path / "b2.json")

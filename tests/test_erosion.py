@@ -137,8 +137,8 @@ class TestProfile:
         after = bp3.surface_area(erosion.inner_parallel(body, events[0] + 1e-8))
         assert abs(before - after) < 1e-6
         # facet counts change across the event
-        n_before = len(erosion.inner_parallel(body, events[0] - 1e-8).facets)
-        n_after = len(erosion.inner_parallel(body, events[0] + 1e-8).facets)
+        n_before = len(erosion.inner_parallel(body, events[0] - 1e-8).tables.chi)
+        n_after = len(erosion.inner_parallel(body, events[0] + 1e-8).tables.chi)
         assert n_before == 3 and n_after == 2
 
     def test_edge_flip_is_an_event(self):
@@ -346,11 +346,10 @@ class TestSharedEnclosingBall:
     @staticmethod
     def _same_body(a, b):
         assert a.combinatorial_signature() == b.combinatorial_signature()
-        assert [f.area for f in a.facets] == [f.area for f in b.facets]
+        assert a.tables.area.tolist() == b.tables.area.tolist()
         assert bp3.volume(a) == bp3.volume(b)
-        assert len(a.vertices) == len(b.vertices)
-        for v, w in zip(a.vertices, b.vertices):
-            assert np.array_equal(v.position, w.position) and v.incident == w.incident
+        assert np.array_equal(a.tables.positions, b.tables.positions)
+        assert np.array_equal(a.tables.triples, b.tables.triples)
         assert a.build_report.redundant_indices == b.build_report.redundant_indices
         assert np.array_equal(a.centers, b.centers)
 

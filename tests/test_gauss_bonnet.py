@@ -21,9 +21,9 @@ FOUR_PI = 4.0 * math.pi
 LENS = [[0.0, 0.0, -0.5], [0.0, 0.0, 0.5]]
 
 
-def with_tables(body, **rows):
+def with_rows(body, **rows):
     """The body with some of its build arrays replaced."""
-    return dataclasses.replace(body, _tables=body._tables._replace(**rows))
+    return dataclasses.replace(body, tables=body.tables._replace(**rows))
 
 
 def symmetric_triple(r0=0.4):
@@ -33,72 +33,76 @@ def symmetric_triple(r0=0.4):
     return bp3.build(1.0, (r0 - 1.0) * u)
 
 
+def edge_images(body):
+    """Each edge's normal-strip area, ``2 lam length tan(dihedral / 2)``."""
+    return 2.0 * bp3._edge_tan_terms(body)
+
+
 class TestEdgeImage:
     def test_lens_strip(self):
         body = bp3.build(1.0, LENS)
-        img = gb.edge_spherical_image(body.edges[0], 1.0)
+        img = edge_images(body)[0]
         # l = pi*sqrt(3), gamma = pi/3: 2 l tan(pi/6) = 2 pi
         assert math.isclose(img, 2.0 * math.pi, rel_tol=1e-12)
 
     def test_flat_edge_limit(self):
         # nearly coincident centers make a nearly flat edge: tiny image
         body = bp3.build(1.0, [[0, 0, -1e-4], [0, 0, 1e-4]])
-        img = gb.edge_spherical_image(body.edges[0], 1.0)
+        img = edge_images(body)[0]
         # l ~ 2 pi, gamma ~ 2e-4: the image scales like 2 pi gamma
         assert img < 2e-3
 
     def test_against_strip_quadrature(self):
         body = make_body(seed=41, m=5, r0=0.45)
-        assert body.edges
-        for edge in body.edges[:3]:
-            formula = gb.edge_spherical_image(edge, body.lam)
-            quadrature = edge_strip_area_quadrature(body, edge)
+        images = edge_images(body)
+        assert len(images)
+        for n, formula in enumerate(images[:3].tolist()):
+            quadrature = edge_strip_area_quadrature(body, n)
             assert abs(formula - quadrature) <= 1e-6 * formula
+
+
+def vertex_images(body):
+    """Each vertex's normal-cone solid angle."""
+    t = body.tables
+    return gb._vertex_images(body, t.positions, t.triples)
 
 
 class TestVertexImage:
     def test_lens_has_no_vertices(self):
         body = bp3.build(1.0, LENS)
-        assert not body.vertices
+        assert len(body.tables.positions) == 0
         assert gb.gb_total(body).vertex_total == 0.0
 
     def test_mirror_symmetry(self):
         body = symmetric_triple()
-        assert len(body.vertices) == 2
-        a0 = gb.vertex_spherical_image(body, body.vertices[0])
-        a1 = gb.vertex_spherical_image(body, body.vertices[1])
+        assert len(body.tables.positions) == 2
+        a0, a1 = vertex_images(body).tolist()
         assert a0 > 0.0
         assert abs(a0 - a1) < 1e-12
 
     def test_against_direction_assignment(self):
         body = make_body(seed=2, m=5, r0=0.4)
-        assert body.vertices
+        assert len(body.tables.positions)
         n = 400_000
         _, _, vertex_fracs = support_assignment_counts(body, n=n, seed=3)
-        for k, v in enumerate(body.vertices):
-            area = gb.vertex_spherical_image(body, v)
+        for k, area in enumerate(vertex_images(body).tolist()):
             p = vertex_fracs.get(k, 0.0)
             se = FOUR_PI * math.sqrt(max(p, 1e-9) * (1.0 - p) / n)
             assert abs(area - FOUR_PI * p) <= 4.0 * se
 
     def test_requires_three_facets(self):
-        body = symmetric_triple()
-        fake = bp3.Vertex(position=body.vertices[0].position,
-                          incident=frozenset({0, 1}))
-        with pytest.raises(InvalidParameterError):
-            gb.vertex_spherical_image(body, fake)
         # A body's vertex triples name its balls; one naming ball 5 of three
         # has no facet to take a normal from.
-        t = body._tables
+        body = symmetric_triple()
+        t = body.tables
         with pytest.raises(InvalidParameterError, match="missing facet 5"):
-            gb.gb_total(with_tables(body, triples=np.vstack([t.triples[:1], [[0, 1, 5]]]),
+            gb.gb_total(with_rows(body, triples=np.vstack([t.triples[:1], [[0, 1, 5]]]),
                                     positions=t.positions[[0, 0]]))
 
     def test_against_scalar_reference(self):
         body = make_body(seed=2, m=9, r0=0.35)
-        for v in body.vertices:
-            assert math.isclose(gb.vertex_spherical_image(body, v),
-                                vertex_image_reference(body, v), rel_tol=1e-12)
+        for k, area in enumerate(vertex_images(body).tolist()):
+            assert math.isclose(area, vertex_image_reference(body, k), rel_tol=1e-12)
 
     @pytest.mark.parametrize("position", [(0.0, 0.0, 0.0), (5.0, 0.0, 0.0)])
     def test_coplanar_normals_raise(self, position):
@@ -106,25 +110,21 @@ class TestVertexImage:
         # normals: spread over more than a half-plane at the origin
         # (solid angle 2 pi), within one far out (solid angle 0).
         body = symmetric_triple()
-        fake = bp3.Vertex(position=np.array(position), incident=frozenset({0, 1, 2}))
         with pytest.raises(DegenerateBodyError, match="coplanar"):
-            gb.vertex_spherical_image(body, fake)
-        t = body._tables
+            gb._vertex_images(body, np.array([position]), np.array([[0, 1, 2]]))
+        t = body.tables
         with pytest.raises(DegenerateBodyError, match="coplanar"):
-            gb.gb_total(with_tables(body, positions=np.vstack([position, t.positions]),
+            gb.gb_total(with_rows(body, positions=np.vstack([position, t.positions]),
                                     triples=np.vstack([[0, 1, 2], t.triples])))
 
 
 class TestEdgeErrors:
     def test_straight_dihedral_raises(self):
-        body = bp3.build(1.0, LENS)
-        flat = dataclasses.replace(body.edges[0], dihedral=math.pi)
-        with pytest.raises(InvalidParameterError, match="below pi"):
-            gb.edge_spherical_image(flat, 1.0)
         # dihedral = 2 asin(lam d / 2) reaches pi at center distance d = 2R.
-        t = body._tables
+        body = bp3.build(1.0, LENS)
+        t = body.tables
         with pytest.raises(InvalidParameterError, match="below pi"):
-            gb.gb_total(with_tables(body, dist=np.full_like(t.dist, 2.0 * body.radius)))
+            gb.gb_total(with_rows(body, dist=np.full_like(t.dist, 2.0 * body.radius)))
 
 
 class TestTotal:
@@ -186,5 +186,5 @@ class TestTotal:
         for seed in (4, 9):
             body = make_body(seed=seed, m=5, r0=0.4)
             rep = gb.gb_total(body)
-            assert body.vertices
+            assert len(body.tables.positions)
             assert rep.edge_total < FOUR_PI - rep.facet_total - 1e-9

@@ -15,7 +15,7 @@ class TestGenerator:
     def test_two_facets_forced_antipodal_lens(self):
         spec = harness.GenSpec(seed=1, m=2, inradius=0.4)
         body = harness.random_polytope(spec)
-        assert len(body.facets) == 2
+        assert len(body.tables.chi) == 2
         assert np.allclose(body.centers[0], -body.centers[1], atol=1e-14)
         assert abs(inscribed_ball(body).radius - 0.4) < 1e-12
 
@@ -27,7 +27,7 @@ class TestGenerator:
 
     def test_coplanar_triples(self):
         body = harness.random_polytope(harness.GenSpec(seed=3, m=3, inradius=0.5))
-        assert len(body.facets) == 3
+        assert len(body.tables.chi) == 3
         assert abs(inscribed_ball(body).radius - 0.5) < 1e-10
 
     def test_inradius_recovered_across_sweep(self):

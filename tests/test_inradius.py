@@ -539,16 +539,16 @@ class TestReductions:
 
     def test_reduce_drops_nontouching_ball(self):
         body = bp3.build(1.0, LENS + [[0.3, 0.0, 0.0]])
-        assert len(body.facets) == 3  # the extra ball genuinely cuts
+        assert len(body.tables.chi) == 3  # the extra ball genuinely cuts
         reduced = reduce_to_touching(body)
-        assert len(reduced.facets) == 2
+        assert len(reduced.tables.chi) == 2
         assert inscribed_ball(reduced).radius == inscribed_ball(body).radius
         assert bp3.surface_area(reduced) > bp3.surface_area(body) + 1e-9
 
     @staticmethod
     def _hex(body):
-        return ([f.area.hex() for f in body.facets],
-                [[x.hex() for x in v.position] for v in body.vertices])
+        return ([a.hex() for a in body.tables.area.tolist()],
+                [[x.hex() for x in v] for v in body.tables.positions.tolist()])
 
     def test_reduce_returns_a_touching_body(self):
         for m in (2, 5, 9, 12):
@@ -619,5 +619,5 @@ class TestReverseInradius:
             body = make_body(seed=seed, m=m, r0=float(rng.uniform(0.2, 0.7)))
             rep = verify_reverse_inradius(body)
             assert rep.passed
-            if body.vertices:
+            if len(body.tables.positions):
                 assert rep.margin > 1e-8

@@ -67,10 +67,10 @@ class TestProjectedAreas:
                             (11, 10, 0.45), (13, 12, 0.3)]:
             body = make_body(seed=seed, m=m, r0=r0)
             ball = inscribed_ball(body)
-            for f in body.facets:
-                chart = pr.chart_for_facet(body, f.ball_index, ball)
-                area = pr.projected_facet_area(body, chart, f)
-                excess_area = _geodesic_polygon_area(body, chart, f)
+            for k in range(len(body.centers)):
+                chart = pr.chart_for_facet(body, k, ball)
+                area = pr.projected_facet_area(body, chart)
+                excess_area = _geodesic_polygon_area(body, chart)
                 assert abs(area - excess_area) <= 1e-12 * excess_area
 
     @pytest.mark.parametrize("m", range(4, 13))
@@ -82,10 +82,9 @@ class TestProjectedAreas:
         directions = ball.center - body.centers
         directions /= np.linalg.norm(directions, axis=1)[:, None]
         cells = SphericalVoronoi(directions).calculate_areas() * ball.radius ** 2
-        for f in body.facets:
-            chart = pr.chart_for_facet(body, f.ball_index, ball)
-            area = pr.projected_facet_area(body, chart, f)
-            assert abs(area - cells[f.ball_index]) <= 1e-12 * cells[f.ball_index]
+        for k, cell in enumerate(cells):
+            area = pr.projected_facet_area(body, pr.chart_for_facet(body, k, ball))
+            assert abs(area - cell) <= 1e-12 * cell
 
     def test_non_touching_neighbour_rejected(self):
         # facet 0 touches the inscribed ball, but the plane of its edge with
@@ -107,13 +106,12 @@ class TestProjectedAreas:
         # their projected areas, and those it borders raise
         body = reduce_to_touching(make_body(seed=seed, m=m, r0=r0))
         ball = inscribed_ball(body)
-        before = [pr.projected_facet_area(body, pr.chart_for_facet(body, f.ball_index, ball), f)
-                  for f in body.facets]
+        before = [pr.projected_facet_area(body, pr.chart_for_facet(body, k, ball))
+                  for k in range(len(body.centers))]
         total = pr.key_claim_check(body).projected_total
         assert abs(sum(before) - total) <= 1e-13 * total
 
-        far = max((v.position for v in body.vertices),
-                  key=lambda x: float(np.linalg.norm(x - ball.center)))
+        far = max(body.tables.positions, key=lambda x: float(np.linalg.norm(x - ball.center)))
         u = (far - ball.center) / np.linalg.norm(far - ball.center)
         new = len(body.centers)
         cut = bp3.build(body.lam, np.vstack([body.centers,
@@ -122,16 +120,16 @@ class TestProjectedAreas:
         cut_ball = inscribed_ball(cut)
         assert cut_ball.touching == ball.touching
         assert cut_ball.radius == pytest.approx(ball.radius, rel=1e-12)
-        adjacent = {k for e in cut.edges if new in e.pair for k in e.pair} - {new}
+        adjacent = {k for pair in cut.tables.pair.tolist() if new in pair for k in pair} - {new}
         assert adjacent and len(adjacent) < new
-        for f in cut.facets[:new]:
-            chart = pr.chart_for_facet(cut, f.ball_index, cut_ball)
-            if f.ball_index in adjacent:
+        for k in range(new):
+            chart = pr.chart_for_facet(cut, k, cut_ball)
+            if k in adjacent:
                 with pytest.raises(InvalidParameterError, match="does not touch"):
-                    pr.projected_facet_area(cut, chart, f)
+                    pr.projected_facet_area(cut, chart)
             else:
-                area = pr.projected_facet_area(cut, chart, f)
-                assert abs(area - before[f.ball_index]) <= 1e-12 * before[f.ball_index]
+                area = pr.projected_facet_area(cut, chart)
+                assert abs(area - before[k]) <= 1e-12 * before[k]
 
 
 class TestRadialExtent:
@@ -209,10 +207,12 @@ def _sphere_point(chart, e1, e2, t, theta):
     return chart.center + rho * omega
 
 
-def _geodesic_polygon_area(body, chart, facet):
-    """Independent projected-area oracle via spherical polygon excess."""
+def _geodesic_polygon_area(body, chart):
+    """Independent projected-area oracle via spherical polygon excess, one
+    side of the chart's facet's loops at a time."""
     r = chart.inradius
-    loops = facet.boundary_loops
+    t = body.tables
+    loops = t.loops[chart.facet_index]
     if not loops:
         return FOUR_PI * r * r
     total_turn = 0.0
@@ -220,29 +220,31 @@ def _geodesic_polygon_area(body, chart, facet):
     for loop in loops:
         k = len(loop)
         for idx, (eidx, forward) in enumerate(loop):
-            edge = body.edges[eidx]
-            if edge.full_circle:
+            if t.ends[eidx, 0] < 0:  # a full circle has no corner
                 continue
             nxt_eidx, nxt_forward = loop[(idx + 1) % k]
-            nxt = body.edges[nxt_eidx]
-            vid = edge.end_vertex if forward else edge.start_vertex
-            v = body.vertices[vid].position
+            v = t.positions[t.ends[eidx, 1 if forward else 0]]
             u_hat = (v - chart.center)
             u_hat /= np.linalg.norm(u_hat)
-            t_in = _projected_tangent(edge, forward, v, u_hat, chart, outgoing=False)
-            t_out = _projected_tangent(nxt, nxt_forward, v, u_hat, chart, outgoing=True)
+            t_in = _projected_tangent(t, eidx, forward, u_hat, outgoing=False)
+            t_out = _projected_tangent(t, nxt_eidx, nxt_forward, u_hat, outgoing=True)
             total_turn += math.atan2(float(np.cross(t_in, t_out) @ u_hat),
                                      float(t_in @ t_out))
     chi = 2 - n_loops
     return r * r * (2.0 * math.pi * chi - total_turn)
 
 
-def _projected_tangent(edge, forward, v, u_hat, chart, outgoing):
-    phi = (edge.phi_start if forward else edge.phi_end) if outgoing else \
-        (edge.phi_end if forward else edge.phi_start)
-    t3 = edge.tangent_at(phi, forward)
+def _projected_tangent(tables, n, forward, u_hat, outgoing):
+    """The projected tangent of edge row n at the corner ``u_hat``, the edge
+    run forward (increasing phi) or not, leaving the corner or entering it."""
+    phi_start, phi_end = tables.phi[n].tolist()
+    phi = (phi_start if forward else phi_end) if outgoing else \
+        (phi_end if forward else phi_start)
+    t3 = math.cos(phi) * tables.e2[n] - math.sin(phi) * tables.e1[n]
+    if not forward:
+        t3 = -t3
     # the projected edge runs on the great circle with pole = edge axis
-    cand = np.cross(edge.circle_axis, u_hat)
+    cand = np.cross(tables.axes[n], u_hat)
     cand /= np.linalg.norm(cand)
     return cand if float(cand @ t3) >= 0.0 else -cand
 
@@ -427,11 +429,12 @@ class TestDensity:
         for seed in (0, 5, 11):
             body = make_body(seed=seed, m=6, r0=0.4)
             ball = inscribed_ball(body)
-            for f in body.facets:
-                chart = pr.chart_for_facet(body, f.ball_index, ball)
-                for loop in f.boundary_loops:
+            t = body.tables
+            for k, loops in enumerate(t.loops):
+                chart = pr.chart_for_facet(body, k, ball)
+                for loop in loops:
                     for eidx, _ in loop:
-                        edge = body.edges[eidx]
-                        for phi in np.linspace(edge.phi_start, edge.phi_end, 9):
-                            x = edge.point_at(phi)
+                        for phi in np.linspace(*t.phi[eidx], 9):
+                            x = t.z[eidx] + t.rho[eidx] * (math.cos(phi) * t.e1[eidx]
+                                                           + math.sin(phi) * t.e2[eidx])
                             assert float((x - chart.center) @ chart.axis) >= -1e-9

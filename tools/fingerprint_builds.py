@@ -69,20 +69,21 @@ def fp3(lam, centers):
     b = recorded(bp3.build, lam, centers)
     if not isinstance(b, bp3.BallPolytope3):
         return b
-    r = b.build_report
+    r, t = b.build_report, b.tables
     return {
         "sig": repr(b.combinatorial_signature()),
-        "loops": [repr(f.boundary_loops) for f in b.facets],
-        "facet_areas": [h(f.area) for f in b.facets],
-        "vector_areas": [[h(x) for x in f.vector_area] for f in b.facets],
+        "loops": [repr(loops) for loops in t.loops],
+        "facet_areas": [h(a) for a in t.area],
+        "vector_areas": [[h(x) for x in v] for v in t.vector_area],
         "area": h(bp3.surface_area(b)),
         "volume": h(bp3.volume(b)),
         "report": [list(r.redundant_indices), list(r.duplicate_indices),
                    [h(v) for v in np.ravel(r.source_centers)],
                    r.pair_source, r.candidate_pairs],
-        "vertices": [[h(v) for v in x.position] + sorted(x.incident) for x in b.vertices],
-        "edges": [[e.pair, h(e.phi_start), h(e.phi_end), e.start_vertex, e.end_vertex]
-                  for e in b.edges],
+        "vertices": [[h(v) for v in x] + balls
+                     for x, balls in zip(t.positions, t.triples.tolist())],
+        "edges": [[pair, *map(h, phi), *(None if v < 0 else v for v in ends)]
+                  for pair, phi, ends in zip(t.pair.tolist(), t.phi, t.ends.tolist())],
         "gb_total": recorded(gb_components, b),
     }
 
@@ -144,8 +145,8 @@ def fp_keyclaim(lam, centers):
         ball = inradius.inscribed_ball(body)
         rep = pr.key_claim_check(body)
         return {
-            "projected": [h(pr.projected_facet_area(body, pr.chart_for_facet(
-                body, f.ball_index, ball), f)) for f in body.facets],
+            "projected": [h(pr.projected_facet_area(body, pr.chart_for_facet(body, k, ball)))
+                          for k in range(len(body.centers))],
             "ratios": [h(r) for r in rep.ratios],
             "at_equality": list(rep.at_equality),
         }
