@@ -34,6 +34,9 @@ table; and per facet its Euler characteristic, loops, area and vector
 area.  Every measure reads them (``surface_area``, ``volume``,
 ``_edge_tan_terms``, ``gauss_bonnet``, ``erosion``, ``projection_ratio``);
 there is no other description of a body.
+
+``_cospherical_hull`` imports qhull (``scipy.spatial``) when it first runs
+on five or more cospherical centers; no other build loads scipy.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from itertools import combinations, repeat
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from ._circular import TWO_PI, chain_loops, cluster_points, cross_rows, dot_rows, feasible_arcs
 from .errors import (
@@ -267,6 +269,8 @@ def _cospherical_hull(pts, radius):
     if (sv[-1] > COSPHERICAL_TOL * sv[0]
             or float(a @ a) >= 4.0 * w * w * ((radius / scale) ** 2 - mean_sq)):
         return None
+    from scipy.spatial import ConvexHull, QhullError  # deferred: only cospherical sets load qhull
+
     try:
         hull = ConvexHull(pts)
     except QhullError:

@@ -166,7 +166,9 @@ def _cmd_sweep(args):
           f"inradius={report.min_margins['inradius']:.3e} "
           f"max |gb defect|={report.min_margins['gb_abs_defect']:.3e}")
     for trial, seed, name in report.violations:
-        print(f"violation: {name} at trial {trial} (seed {seed})")
+        rec = report.records[trial]
+        print(f"violation: {name} at trial {trial} (seed {seed}); rebuild: lch gen "
+              f"--m {rec.m} --inradius {rec.inradius!r} --seed {seed} -o trial{trial}.json")
     return 0 if report.passed else 1
 
 
@@ -199,6 +201,8 @@ def _cmd_spindle(args):
 
 
 def _cmd_compare(args):
+    if args.n_min > args.n_max:
+        raise InvalidParameterError(f"empty range: --n-min {args.n_min} > --n-max {args.n_max}")
     rows = []
     violations = 0
     for n in range(args.n_min, args.n_max + 1):

@@ -54,7 +54,8 @@ apart are one event (a triangle's three vertices reach the fourth sphere
 at once): the next piece starts past all of them.  ``_Erosion.area``
 sends each t of an array to its piece, so every consumer evaluates f in
 batches: ``profile`` one batch per refinement level, ``volume_via_profile``
-one per tanh-sinh level.
+one per tanh-sinh level.  ``volume_via_profile`` imports
+``scipy.integrate`` when it runs; profiles load no scipy of their own.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import tanhsinh
 
 from . import ball_polytope3 as bp3
 from ._circular import TWO_PI, cross_rows, dot_rows
@@ -420,6 +420,8 @@ def volume_via_profile(polytope):
         inside = r - t > tail
         out[inside] = er.area(t[inside])
         return out
+
+    from scipy.integrate import tanhsinh  # deferred: only coarea volumes load scipy.integrate
 
     res = tanhsinh(integrand, ends[:-1], ends[1:], rtol=1e-10)
     failed = np.flatnonzero(~res.success)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,14 +84,18 @@ def random_polytope(spec, budget=10_000):
     """Deterministic random body with inscribed ball of the requested radius.
 
     Directions are rejected until their hull contains the origin; builds
-    that trip the degeneracy guards count against the budget as well.
+    that trip the degeneracy guards count against the budget as well.  The
+    ``GenerationError`` of a spent budget counts the rejected draws by
+    reason: the half-space test, or the type of the build's ``LchError``.
     """
     spec.validate()
     rng = rng_stream(spec.seed, 0)
     origin = np.zeros(spec.dim)
+    rejected = Counter()
     for _ in range(budget):
         dirs = _unit_directions(rng, spec.m, spec.dim)
         if not halfspace_condition(dirs, origin):
+            rejected["half-space test"] += 1
             continue
         try:
             if spec.dim == 3:
@@ -98,9 +103,11 @@ def random_polytope(spec, budget=10_000):
                 return bp3.build(spec.lam, centers)
             space = ms.ModelSpace(2, spec.curvature)
             return ap.touching_polygon2(space, spec.lam, spec.inradius, dirs)
-        except LchError:
-            continue
-    raise GenerationError(f"no valid body within {budget} tries for {spec}")
+        except LchError as exc:
+            rejected[type(exc).__name__] += 1
+    counts = ", ".join(f"{reason} {n}" for reason, n in rejected.items())
+    raise GenerationError(f"no valid body within {budget} tries for {spec}; "
+                          f"rejected draws: {counts}")
 
 
 def _bp3_membership_batch(body, pts):
@@ -234,6 +241,10 @@ def sweep(trials, m_max=12, seed=0, lam=1.0, tol=1e-9):
     Trials run in order, each from its own Philox stream derived from
     (seed, trial), so records are reproducible.
     """
+    if trials < 1:
+        raise InvalidParameterError(f"need at least one trial, got trials={trials}")
+    if m_max < 2:
+        raise InvalidParameterError(f"need m_max >= 2, got m_max={m_max}")
     t0 = time.perf_counter()
     records = [_sweep_trial(seed, k, m_max, lam) for k in range(trials)]
     violations = []

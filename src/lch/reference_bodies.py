@@ -9,16 +9,15 @@ substitution ``x = sin(u)`` the profiles are smooth and the quadrature is
 singularity-free for every dimension; large powers are evaluated in
 log-space (the integrand is rescaled by its maximum) so nothing underflows
 before the final exponential.
+
+The 3-D and 2-D closed forms use ``math`` alone; ``gammaln``, ``quad`` and
+``brentq`` are imported by the functions that call them, when they run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.integrate import quad
-from scipy.optimize import brentq
-from scipy.special import gammaln
 
 from .errors import InvalidParameterError, NumericError, check_lam
 
@@ -113,11 +112,14 @@ def lens3_from_inradius(lam, r):
 
 def log_sphere_area(k):
     """log of the surface area of the unit k-sphere in R^(k+1)."""
+    from scipy.special import gammaln  # deferred: the closed forms need no scipy
+
     return math.log(2.0) + 0.5 * (k + 1) * math.log(math.pi) - gammaln(0.5 * (k + 1))
 
 
 def _quad_scaled(log_integrand, lo, hi, log_peak):
     """Integrate exp(log_integrand(u)) in log-space, scaling out the peak."""
+    from scipy.integrate import quad  # deferred: the closed forms need no scipy
 
     def scaled(u):
         v = log_integrand(u)
@@ -310,6 +312,8 @@ def match_and_compare(n, lam, h1):
     lo, hi = 1e-9, 1.0 - 1e-12
     if gap(lo) > 0.0 or gap(hi) < 0.0:
         raise NumericError(f"no lens matches the spindle area (n={n}, h1={h1})")
+    from scipy.optimize import brentq  # deferred: the closed forms need no scipy
+
     h2 = brentq(gap, lo, hi, xtol=1e-15, rtol=8.9e-16)
     log_a_lens, log_v_lens = lens_nd_log_measures(n, h2)
     if abs(log_a_lens - log_a_sp) > 1e-10:

@@ -182,6 +182,35 @@ class TestSweepAndCsv:
         assert run(["sweep", "--trials", "5", "--seed", "1", "--report", p2]) == 0
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
+    @pytest.mark.parametrize("argv", [["--trials", "2", "--m-max", "1"],
+                                      ["--trials", "-1"], ["--trials", "0"]])
+    def test_sweep_bad_arguments_exit_2(self, tmp_path, capsys, argv):
+        assert run(["sweep", *argv, "--report", str(tmp_path / "r.csv")]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_compare_asymptotic_empty_range_exits_2(self, capsys):
+        assert run(["compare-asymptotic", "--n-min", "5", "--n-max", "3",
+                    "--h1", "0.3"]) == 2
+        assert "empty range" in capsys.readouterr().err
+
+    def test_violation_line_rebuilds_the_trial(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(harness.TrialRecord, "violations", lambda self, tol: ["rip"])
+        monkeypatch.chdir(tmp_path)
+        assert run(["sweep", "--trials", "3", "--seed", "5", "--report", "r.csv"]) == 1
+        lines = [ln for ln in capsys.readouterr().out.splitlines()
+                 if ln.startswith("violation:")]
+        assert len(lines) == 3
+        report = harness.sweep(3, seed=5)
+        for line, rec in zip(lines, report.records):
+            command = line.split("rebuild: ")[1].split()
+            assert command[:2] == ["lch", "gen"]
+            assert run(command[1:]) == 0
+            body = io_formats.load_body(f"trial{rec.trial}.json")
+            trial_body = harness.random_polytope(
+                harness.GenSpec(seed=rec.seed, m=rec.m, inradius=rec.inradius))
+            assert np.array_equal(body.centers, trial_body.centers)
+            assert bp3.surface_area(body) == rec.surface_area
+
     def test_erode_csv(self, tmp_path):
         body_path = str(tmp_path / "body.json")
         csv_path = str(tmp_path / "prof.csv")

@@ -456,8 +456,12 @@ class TestCoareaVolume:
         assert abs(v1 - v2) <= 1e-6 * v2
 
     def test_unconverged_piece_fails_loudly(self, monkeypatch):
-        tanhsinh = erosion.tanhsinh
-        monkeypatch.setattr(erosion, "tanhsinh",
+        # volume_via_profile imports tanhsinh when it runs, so patching the
+        # scipy attribute reaches it.
+        import scipy.integrate
+
+        tanhsinh = scipy.integrate.tanhsinh
+        monkeypatch.setattr(scipy.integrate, "tanhsinh",
                             lambda *args, **kwargs: tanhsinh(*args, **kwargs, maxlevel=1))
         with pytest.raises(NumericError, match="erosion piece 0"):
             erosion.volume_via_profile(bp3.build(1.0, EVENT_CENTERS))

@@ -1,13 +1,20 @@
 """Generators, Monte Carlo oracles, and sweep determinism."""
 
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from lch import ball_polytope3 as bp3
 from lch import harness
-from lch.errors import InvalidParameterError
+from lch.errors import (
+    DegenerateBodyError,
+    GenerationError,
+    InvalidParameterError,
+    NumericError,
+)
 from lch.inradius import inscribed_ball
 
 
@@ -68,6 +75,23 @@ class TestGenerator:
                 spec.validate()
         # Horodisks support an inscribed disk of any radius.
         harness.GenSpec(seed=1, m=5, inradius=5.0, lam=1.0, dim=2, curvature=-1.0).validate()
+
+    def test_spent_budget_counts_rejections(self, monkeypatch):
+        # Three coplanar directions surround the origin a quarter of the
+        # time; every build that follows fails with the next error type.
+        errors = itertools.cycle([DegenerateBodyError, NumericError])
+
+        def failing_build(lam, centers):
+            raise next(errors)("injected")
+
+        monkeypatch.setattr(bp3, "build", failing_build)
+        with pytest.raises(GenerationError) as info:
+            harness.random_polytope(harness.GenSpec(seed=3, m=3, inradius=0.5), budget=12)
+        counts = dict((reason, int(n)) for reason, n in re.findall(
+            r"(half-space test|\w+Error) (\d+)", str(info.value).split("rejected draws:")[1]))
+        assert sum(counts.values()) == 12
+        assert counts["half-space test"] > 0
+        assert counts["DegenerateBodyError"] >= counts["NumericError"] > 0
 
 
 class TestMonteCarlo:
@@ -149,6 +173,11 @@ class TestSweep:
         a = harness.sweep(trials=6, m_max=6, seed=11)
         b = harness.sweep(trials=6, m_max=6, seed=11)
         assert a.records == b.records
+
+    @pytest.mark.parametrize("trials, m_max", [(0, 12), (-1, 12), (2, 1)])
+    def test_bad_arguments_raise(self, trials, m_max):
+        with pytest.raises(InvalidParameterError):
+            harness.sweep(trials, m_max=m_max)
 
     def test_rng_streams_are_independent(self):
         a = harness.rng_stream(1, 0).normal(size=4)
