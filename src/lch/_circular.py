@@ -13,8 +13,10 @@ steps, each implemented once here:
   union of each circle's forbidden arcs runs per circle;
 * ``cluster_points``: arc endpoints closer than a tolerance merge into
   one vertex;
-* ``chain_loops``: directed arcs chain into closed boundary loops by
-  matching their end vertex to the next arc's start vertex.
+* ``successors``: each directed arc's successor in its region's boundary
+  cycles is the arc of that region leaving the vertex where it ends; one
+  sort and one ``searchsorted`` match them all, and the successors are a
+  permutation of the arcs whose cycles are the boundary loops.
 """
 
 import math
@@ -174,28 +176,27 @@ def cluster_points(points, tol):
     return reps, index
 
 
-def chain_loops(ends):
-    """Chain directed arcs, given as ``(start_vertex, end_vertex)``, into loops.
+def successors(region, tail, head):
+    """The successor of every directed side in its region's boundary cycles.
 
-    Each loop starts at the lowest unused arc and follows, at every vertex,
-    the lowest unused arc leaving it.  Returns a list of loops, each a list
-    of arc indices; raises ``TopologyError`` when a chain does not close.
+    Side s runs from vertex ``tail[s]`` to vertex ``head[s]`` on the
+    boundary of region ``region[s]``; its successor is the side of the same
+    region leaving ``head[s]``.  The sides are sorted by (region, tail) and
+    each head is found with ``searchsorted``.  Returns an int array, a
+    permutation of the sides; raises ``TopologyError`` when no side
+    continues from a head, or two sides of one region leave one vertex.
     """
-    unused = set(range(len(ends)))
-    by_start = {}
-    for idx, (start, _) in enumerate(ends):
-        by_start.setdefault(start, []).append(idx)
-    loops = []
-    while unused:
-        first = min(unused)
-        loop = []
-        cur = first
-        while cur is not None:
-            unused.discard(cur)
-            loop.append(cur)
-            end_v = ends[cur][1]
-            cur = next((k for k in by_start.get(end_v, ()) if k in unused), None)
-        if end_v != ends[first][0]:
-            raise TopologyError(f"open boundary loop: no arc continues from vertex {end_v}")
-        loops.append(loop)
-    return loops
+    region, tail, head = (np.asarray(x, dtype=np.intp) for x in (region, tail, head))
+    span = int(np.maximum(tail, head).max(initial=-1)) + 1
+    key = region * span + tail
+    order = key.argsort()
+    key = key[order]
+    twice = (key[1:] == key[:-1]).nonzero()[0]
+    if twice.size:
+        raise TopologyError(f"branched boundary loop: two arcs leave vertex {key[twice[0]] % span}")
+    want = region * span + head
+    at = np.minimum(key.searchsorted(want), len(key) - 1)
+    missing = (key[at] != want).nonzero()[0]
+    if missing.size:
+        raise TopologyError(f"open boundary loop: no arc continues from vertex {head[missing[0]]}")
+    return order[at]

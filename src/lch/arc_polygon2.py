@@ -57,11 +57,11 @@ import numpy as np
 from . import model_space as ms
 from ._circular import (
     TWO_PI,
-    chain_loops,
     cluster_points,
     complement_of_forbidden,
     cross_rows,
     feasible_arcs,
+    successors,
 )
 from .errors import (
     EmptyBodyError,
@@ -390,22 +390,21 @@ def build2(space, lam, disks):
     if any(a.full_circle for a in arcs):
         raise TopologyError("mixed full-circle and open arcs on the boundary")
 
-    loops = chain_loops([(a.start_vertex, a.end_vertex) if a.circle.side == +1
-                         else (a.end_vertex, a.start_vertex) for a in arcs])
-    if len(loops) != 1:
+    # Each arc's (first, last) vertex, run with the body on its left.
+    tails, heads = zip(*[(a.start_vertex, a.end_vertex)[::a.circle.side] for a in arcs])
+    succ = successors([0] * len(arcs), tails, heads).tolist()
+    order = [0]
+    while succ[order[-1]]:  # the successors are a permutation: the walk returns to arc 0
+        order.append(succ[order[-1]])
+    if len(order) != len(arcs):
         raise TopologyError("boundary arcs do not close into a single loop")
 
-    loop = [arcs[k] for k in loops[0]]
-    vertices = []
+    loop = [arcs[k] for k in order]
+    vertices = [np.asarray(positions[tails[k]]) for k in order]
     turning = []
-    for k, a in enumerate(loop):
-        prev = loop[k - 1]
-        _, exit_phi = prev.travel_endpoints()
-        entry_phi, _ = a.travel_endpoints()
-        sv = a.start_vertex if a.circle.side == +1 else a.end_vertex
-        vertices.append(np.asarray(positions[sv]))
-        t_in = prev.tangent_at(exit_phi)
-        t_out = a.tangent_at(entry_phi)
+    for prev, a in zip(loop[-1:] + loop[:-1], loop):
+        t_in = prev.tangent_at(prev.travel_endpoints()[1])
+        t_out = a.tangent_at(a.travel_endpoints()[0])
         turning.append(math.atan2(float(t_in[0] * t_out[1] - t_in[1] * t_out[0]),
                                   float(t_in @ t_out)))
     return ArcPolygon2(space=space, lam=lam, disks=disks, boundary=tuple(loop),
@@ -723,8 +722,11 @@ class TheoremB2DReport:
 
 def matched_lens_inradius(space, lam, perimeter):
     """Inradius of the lens with the given perimeter: the exact inverse of
-    ``lens_perimeter_direct``; ``NumericError`` outside the lens range."""
+    ``lens_perimeter_direct``; ``InvalidParameterError`` for a perimeter
+    that is not finite, ``NumericError`` outside the lens range."""
     space.require_metric_layer()
+    if not math.isfinite(perimeter):
+        raise InvalidParameterError(f"perimeter {perimeter} is not finite")
     if not perimeter > 0.0:
         raise NumericError(f"perimeter {perimeter} is below every lens perimeter")
     cls = ms.classify_umbilical(space, lam)

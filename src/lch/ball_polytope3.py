@@ -9,8 +9,10 @@ ball has radius ``1/lam``.  The build derives the boundary combinatorics:
   the balls that may cut them, see ``_candidate_pairs``, ``_pair_circles``
   and ``_pair_arcs``);
 * arc endpoints, deduplicated spatially, are the vertices;
-* the arcs bounding each sphere's facet chain into closed oriented loops
-  (facet on the left, seen from outside).
+* each arc bounds two facets, run forward on one and backward on the
+  other (facet on the left, seen from outside); ``_circular.successors``
+  matches every such side with the next side of its facet, one corner
+  each, and the corners' cycles are the facets' boundary loops.
 
 On the unit sphere of directions around a center, the facet is the
 intersection of caps ``u . e_ij >= d_ij * lam / 2``, so its area follows
@@ -25,13 +27,13 @@ t_out) . n, t_in . t_out)`` onto its facet, ``area = R^2 (2 pi chi -
 both sums)``.  The kernel has two callers: this build, and
 ``projection_ratio``, whose projected facets are spherical polygons
 with great-circle sides (no geodesic curvature), measured over the
-build's own ``_corner_table``.
+build's own corner table.
 
 The build's arrays are the body: ``BallPolytope3.tables``, a ``Tables``,
 holds per edge its pair, circle, frame, end angles, end vertices and
 center distance; per vertex its position and ball triple; the corner
-table; and per facet its Euler characteristic, loops, area and vector
-area.  Every measure reads them (``surface_area``, ``volume``,
+table; and per facet its Euler characteristic, area and vector area.
+Every measure reads them (``surface_area``, ``volume``,
 ``_edge_tan_terms``, ``gauss_bonnet``, ``erosion``, ``projection_ratio``);
 there is no other description of a body.
 
@@ -48,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._circular import TWO_PI, chain_loops, cluster_points, cross_rows, dot_rows, feasible_arcs
+from ._circular import TWO_PI, cluster_points, cross_rows, dot_rows, feasible_arcs, successors
 from .errors import (
     DegenerateBodyError,
     EmptyBodyError,
@@ -94,16 +96,17 @@ class Tables(NamedTuple):
     * ``dist``: (E,), the center distance |o_i - o_j|.
     * ``positions``: (V, 3), the vertices.
     * ``triples``: (V, 3) int, each vertex's three balls, sorted.
-    * ``corners``: (6, C) int, one column per corner of a facet loop, the
-      corner row ``(facet, in_arc, in_end, out_arc, out_end, vertex)``: the
-      edge coming in and the end it meets the corner with (1, phi_end,
-      when it runs forward), the edge going out and its end (0 when
-      forward), and the vertex row.  Full circles make no corner.
-    * ``chi``: (F,) int, the facets' Euler characteristics, 2 - #loops.
-    * ``loops``: F tuples, facet k's boundary loops; a loop is a tuple of
-      ``(edge, forward)`` in order, forward meaning the edge is run in
-      increasing phi, which keeps facet k on the left.  A full circle is a
-      loop of its own; a facet without loops is a whole sphere.
+    * ``corners``: (6, C) int, one column per corner of a facet, in no
+      particular order, the corner row ``(facet, in_arc, in_end, out_arc,
+      out_end, vertex)``: the edge coming in and the end it meets the
+      corner with (1, phi_end, when it runs forward, in increasing phi,
+      which keeps the facet on its left), the edge going out and its end
+      (0 when forward), and the vertex row.  A facet's boundary cycles are
+      the cycles of its corners: corner c's out-arc is the in-arc of the
+      next corner.  Full circles make no corner; each is a boundary loop
+      of its own, and a facet without loops is a whole sphere.
+    * ``chi``: (F,) int, the facets' Euler characteristics, 2 - #corner
+      cycles - #full circles.
     * ``area``: (F,), the facet areas.
     * ``vector_area``: (F, 3), the integrals of the outward unit normal
       over the facets.
@@ -122,7 +125,6 @@ class Tables(NamedTuple):
     triples: np.ndarray
     corners: np.ndarray
     chi: np.ndarray
-    loops: tuple
     area: np.ndarray
     vector_area: np.ndarray
 
@@ -358,34 +360,29 @@ def _collect_vertices(arcs, points, radius):
     return np.array(reps).reshape(-1, 3), triples, ends
 
 
-def _facet_loops(m, i, j, full, ends):
-    """The boundary loops of facets 0..m-1: arc n, from vertex ``ends[n][0]``
-    to ``ends[n][1]``, is ``(n, True)`` on facet ``i[n]`` (on its left) and
-    ``(n, False)`` on facet ``j[n]``.  Each full circle is a loop of its
-    own; the other arcs, in arc order, are chained end to start."""
-    mine = [[] for _ in range(m)]
-    for n, (left, right) in enumerate(zip(i, j)):
-        mine[left].append((n, True))
-        mine[right].append((n, False))
-    loops = []
-    for sides in mine:
-        closed = tuple((side,) for side in sides if full[side[0]])
-        open_sides = [side for side in sides if not full[side[0]]]
-        chained = chain_loops([ends[n] if fwd else ends[n][::-1] for n, fwd in open_sides])
-        loops.append(closed + tuple(tuple(open_sides[k] for k in loop) for loop in chained))
-    return loops
+def _facet_corners(m, sides, ends):
+    """The corner table and the Euler characteristics of facets 0..m-1:
+    ``(corners, chi)``.
 
-
-def _corner_table(loops, full, ends):
-    """One row per corner of facet f's ``loops[f]``, as int arrays
-    ``(facet, in_arc, in_end, out_arc, out_end, vertex)``: the arc coming
-    in and the end it meets the corner with (1, phi_end, when forward), the
-    arc going out and its end (0 when forward), and the vertex, from arc
-    n's ``ends[n]``.  Full circles, flagged by ``full``, make no corner."""
-    rows = [(f, arc, fwd, nxt, not nxt_fwd, ends[arc][fwd])
-            for f, facet_loops in enumerate(loops) for loop in facet_loops
-            for (arc, fwd), (nxt, nxt_fwd) in zip(loop, loop[1:] + loop[:1]) if not full[arc]]
-    return np.array(rows, dtype=np.intp).reshape(-1, 6).T
+    Arc n, from vertex ``ends[n, 0]`` to ``ends[n, 1]`` (-1 on a full
+    circle), runs forward on its left facet ``sides[n]`` and backward on
+    its right facet ``sides[n + len(ends)]``.  ``successors`` matches each
+    open side with the next side of its facet, which gives the corner rows
+    ``(facet, arc, fwd, arc[succ], 1 - fwd[succ], head)``.  A facet's
+    boundary loops are its successor cycles, counted by min-label pointer
+    jumping, and its full circles: chi = 2 - #cycles - #full circles."""
+    tail, head = ends.T.ravel(), ends[:, ::-1].T.ravel()  # forward sides, then backward
+    side = (tail >= 0).nonzero()[0]
+    arc, fwd = side % len(ends), side < len(ends)  # a forward side meets its corner at phi_end
+    region, head = sides[side], head[side]
+    succ = successors(region, tail[side], head)
+    label, jump = np.arange(len(side)), succ
+    for _ in range(max(len(side) - 1, 0).bit_length()):
+        label = np.minimum(label, label[jump])
+        jump = jump[jump]
+    loops = np.concatenate([region[label == np.arange(len(side))], sides[tail < 0]])
+    corners = np.array([region, arc, fwd, arc[succ], ~fwd[succ], head], dtype=np.intp)
+    return corners, 2 - np.bincount(loops, minlength=m)
 
 
 def _gauss_bonnet_areas(r2, chi, corners, t_in, t_out, normals, kg=0.0):
@@ -396,7 +393,7 @@ def _gauss_bonnet_areas(r2, chi, corners, t_in, t_out, normals, kg=0.0):
                   - sum over corners of atan2((t_in x t_out) . n, t_in . t_out)),
 
     ``kg`` the boundary arcs' total geodesic curvature per region (0 on
-    great circles).  Row c of the ``_corner_table`` ``corners`` is a
+    great circles).  Row c of the corner table ``corners`` is a
     corner of region ``corners[0][c]``; ``t_in[c]`` and ``t_out[c]`` are
     its two arcs' tangents in their sense of increasing phi and
     ``normals[c]`` the outward unit normal there.
@@ -530,25 +527,22 @@ def _build_retained(lam, work, radius):
             a, b, d = a[keep], b[keep], np.where(cols < 0, math.inf, d[keep])
         retained = [retained[k] for k in present]
     work = work[retained]
-    i, j, p, starts, stops, full, _, _ = arcs
+    i, j, p, starts, stops, _, _, _ = arcs
     z, axes, rho, e1, e2, dist = (x[rows[list(p)]] for x in circles)
     phi = np.array((starts, stops)).reshape(2, -1).T
     cos, sin = np.cos(phi)[..., None], np.sin(phi)[..., None]
     # Each arc's unit directions from its circle's center at its two ends.
     u = cos * e1[:, None] + sin * e2[:, None]
     positions, triples, ends = _collect_vertices(arcs, z[:, None] + rho[:, None, None] * u, radius)
-    end_list = ends.tolist()
-    loops = _facet_loops(len(work), i, j, full, end_list)
-    corners = _corner_table(loops, full, end_list)
-    chi = np.array([2 - len(f) for f in loops], dtype=np.intp)
     sides = np.array(i + j, dtype=np.intp)  # each arc's left facet, then each arc's right
+    corners, chi = _facet_corners(len(work), sides, ends)
     normals = (positions[corners[5]] - work[corners[0]]) / radius
     tangents = cos * e2[:, None] - sin * e1[:, None]
     areas, vectors = _facet_measures(radius * radius, 0.5 * lam * dist, sides,
                                      (phi[:, 1] - phi[:, 0], z, axes, rho, u, tangents),
                                      chi, corners, normals)
     tables = Tables(sides.reshape(2, -1).T, z, axes, rho, e1, e2, phi, ends, dist, positions,
-                    triples, corners, chi, tuple(loops), areas, vectors)
+                    triples, corners, chi, areas, vectors)
     return retained, (source, len(circles[0])), {"centers": work, "tables": tables}
 
 

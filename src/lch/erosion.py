@@ -243,8 +243,9 @@ class _Erosion:
         self.inradius = polytope.radius - self.meb.radius
 
     def check_distance(self, t):
-        """``InvalidParameterError`` for t < 0 and ``EmptyBodyError`` for t >= r(K)."""
-        if t < 0.0:
+        """``InvalidParameterError`` unless t >= 0 (so for NaN too) and
+        ``EmptyBodyError`` for t >= r(K)."""
+        if not t >= 0.0:
             raise InvalidParameterError(f"erosion distance must be nonnegative, got {t}")
         if t >= self.inradius:
             raise EmptyBodyError(f"erosion distance {t} reaches the inradius {self.inradius}")
@@ -492,8 +493,11 @@ def expansion_check(polytope, t=1e-2):
     Compares ``f(t)`` with ``(1-t)^2 * sum(areas) - 2 t * sum(l tan(g/2))``
     on the curvature-normalized body at ``t``, ``t/2`` and ``t/4``; the
     remainder over ``t^2`` must be stable across the halvings.  Requires
-    that no combinatorial event occurs in ``[0, t]``.
+    t > 0 (``InvalidParameterError`` otherwise) and that no combinatorial
+    event occurs in ``[0, t]``.
     """
+    if not t > 0.0:
+        raise InvalidParameterError(f"expansion step must be positive, got {t}")
     lam = polytope.lam
     unit = bp3.build(1.0, np.asarray(polytope.centers) * lam)
     er = _erosion(unit)

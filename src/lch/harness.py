@@ -165,10 +165,11 @@ def mc_volume(body, n_samples=1_000_000, seed=0):
 
 
 def surface_oracle(body, t=1e-4):
-    """Finite-difference surface area from eroded volumes: (V(0) - V(t)) / t."""
+    """Finite-difference surface area from eroded volumes: (V(0) - V(t)) / t,
+    for 0 < t < r / 10 (``InvalidParameterError`` otherwise), r the inradius."""
     r = inscribed_ball(body).radius
-    if t >= r / 10.0:
-        raise InvalidParameterError(f"step {t} too coarse for inradius {r}")
+    if not (0.0 < t < r / 10.0):
+        raise InvalidParameterError(f"step {t} must lie in (0, inradius / 10 = {r / 10.0})")
     v0 = bp3.volume(body)
     vt = bp3.volume(erosion.inner_parallel(body, t))
     return (v0 - vt) / t

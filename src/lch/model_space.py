@@ -172,6 +172,8 @@ def conformal_factor(c, z):
 
 def _check_domain(c, p):
     p = np.asarray(p, dtype=float)
+    if not all(map(math.isfinite, p.tolist())):
+        raise InvalidParameterError(f"point {p.tolist()} is not finite")
     if c == -1.0 and float(p @ p) >= 1.0:
         raise InvalidParameterError(f"point {p.tolist()} is outside the unit-disk chart")
     return p
@@ -271,14 +273,18 @@ def mobius_translate(a, w):
 def exp_map(space, base, direction, s):
     """Chart point at metric distance ``s`` from ``base`` along ``direction``.
 
-    ``direction`` is a Euclidean unit vector at ``base``; conformality makes
+    ``direction`` is a Euclidean vector at ``base``, normalized here
+    (``InvalidParameterError`` when zero or not finite); conformality makes
     it meaningful in the metric as well.
     """
     space.require_metric_layer()
     c = space.curvature
     base = _check_domain(c, base)
     direction = np.asarray(direction, dtype=float)
-    direction = direction / np.linalg.norm(direction)
+    norm = float(np.linalg.norm(direction))
+    if not 0.0 < norm < math.inf:
+        raise InvalidParameterError(f"direction {direction.tolist()} must be finite and nonzero")
+    direction = direction / norm
     if c == 0.0:
         return base + s * direction
     if c == -1.0:

@@ -14,6 +14,31 @@ def make_body(seed, m, r0, lam=1.0):
     return harness.random_polytope(spec)
 
 
+def facet_loops(tables, facet):
+    """Facet ``facet``'s boundary loops, walked through the corner table
+    one corner at a time: ``(cycles, full)``, the corner cycles (lists of
+    corner columns in order, each corner followed by the one whose in-arc,
+    run the same way, is its out-arc) and the full circles on the facet.
+    Fails when a corner has no next corner or two corners share an in-arc
+    or an out-arc."""
+    _, in_arc, in_end, out_arc, out_end, _ = tables.corners.tolist()
+    mine = np.flatnonzero(tables.corners[0] == facet).tolist()
+    by_in = {(in_arc[c], in_end[c]): c for c in mine}
+    assert len(by_in) == len({(out_arc[c], out_end[c]) for c in mine}) == len(mine)
+    cycles, unused = [], set(mine)
+    while unused:
+        cycle = [min(unused)]
+        while True:
+            nxt = by_in[(out_arc[cycle[-1]], 1 - out_end[cycle[-1]])]
+            if nxt == cycle[0]:
+                break
+            cycle.append(nxt)
+        unused.difference_update(cycle)
+        cycles.append(cycle)
+    full = np.flatnonzero((tables.pair == facet).any(1) & (tables.ends[:, 0] < 0)).tolist()
+    return cycles, full
+
+
 def mc_facet_area(body, facet_index, n=200_000, seed=0):
     """Monte Carlo facet area: sample the supporting sphere, keep points in
     every *other* ball (testing against the own sphere would be pure

@@ -594,6 +594,14 @@ class TestLens:
         with pytest.raises(NumericError):
             ap.matched_lens_inradius(HYP, 0.5, 0.0)
 
+    @pytest.mark.parametrize("space,lam", [(FLAT, 1.0), (SPH, 1.0), (HYP, 2.0), (HYP, 1.0),
+                                           (HYP, 0.5)])
+    @pytest.mark.parametrize("perimeter", [math.inf, -math.inf, math.nan])
+    def test_non_finite_perimeter_rejected(self, space, lam, perimeter):
+        # Unchecked, an infinite perimeter gives an infinite inradius in curvature -1.
+        with pytest.raises(InvalidParameterError, match="not finite"):
+            ap.matched_lens_inradius(space, lam, perimeter)
+
 
 class TestTheoremB2D:
     def test_narrow_equidistant_body(self):

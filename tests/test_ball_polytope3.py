@@ -3,13 +3,14 @@
 import functools
 import math
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_body, mc_facet_area, slice_facet_area
+from conftest import facet_loops, make_body, mc_facet_area, slice_facet_area
 from lch import ball_polytope3 as bp3
 from lch import erosion, harness, inradius, projection_ratio
 from lch.errors import DegenerateBodyError, EmptyBodyError, InvalidParameterError
@@ -335,7 +336,9 @@ def build_outcome(lam, centers):
         return type(exc)
     t = body.tables
     return (body.combinatorial_signature(),
-            t.loops,
+            [sorted(map(tuple, t.corners[1:, t.corners[0] == f].T.tolist()))
+             for f in range(len(t.chi))],
+            t.chi.tolist(),
             [a.hex() for a in t.area.tolist()],
             [[x.hex() for x in position] + balls
              for position, balls in zip(t.positions.tolist(), t.triples.tolist())],
@@ -453,7 +456,7 @@ class TestBuildTables:
         # The edge, vertex, corner and facet rows agree with one another.
         body = harness.random_polytope(harness.GenSpec(seed=400 + m, m=m, inradius=0.35))
         t = body.tables
-        assert len(t.chi) == len(t.loops) == len(t.area) == len(t.vector_area) == m
+        assert len(t.chi) == len(t.area) == len(t.vector_area) == m
         assert len(t.triples) == len(t.positions)
         for n, (pair, phi, ends) in enumerate(zip(t.pair.tolist(), t.phi.tolist(),
                                                   t.ends.tolist())):
@@ -467,26 +470,41 @@ class TestBuildTables:
                 assert np.linalg.norm(t.positions[v] - point) <= bp3.VERTEX_TOL * body.radius
                 assert set(pair) < set(t.triples[v].tolist())
         opened = t.ends[:, 0] >= 0
-        sides = 0
-        for f, loops in enumerate(t.loops):
-            assert t.chi[f] == 2 - len(loops)
-            for loop in loops:
-                for n, forward in loop:
-                    assert t.pair[n, 0 if forward else 1] == f  # the facet on its left
-                if not opened[loop[0][0]]:
-                    assert len(loop) == 1
-                    continue
-                # Each side's end vertex is the next side's start vertex.
-                heads = [t.ends[n, 1 if forward else 0] for n, forward in loop]
-                tails = [t.ends[n, 0 if forward else 1] for n, forward in loop]
-                assert heads == tails[1:] + tails[:1]
-                sides += len(loop)
         facet, in_arc, in_end, out_arc, out_end, vertex = t.corners
-        assert len(facet) == sides
+        for f in range(m):
+            cycles, full = facet_loops(t, f)
+            assert t.chi[f] == 2 - len(cycles) - len(full)
+            for cycle in cycles:
+                for c, d in zip(cycle, cycle[1:] + cycle[:1]):
+                    # Corner c's out-arc is corner d's in-arc, run the same
+                    # way, with the facet on its left.
+                    assert (out_arc[c], 1 - out_end[c]) == (in_arc[d], in_end[d])
+                    assert t.pair[in_arc[d], 1 - in_end[d]] == f
+        # Each open arc is one side of each of its two facets.
+        assert len(facet) == 2 * opened.sum()
+        assert sorted(zip(in_arc.tolist(), in_end.tolist())) == sorted(
+            (n, end) for n in np.flatnonzero(opened).tolist() for end in (0, 1))
         for arc, end in ((in_arc, in_end), (out_arc, out_end)):
             assert opened[arc].all()
             assert (t.pair[arc] == facet[:, None]).any(1).all()
             assert np.array_equal(t.ends[arc, end], vertex)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("rings", [1, 2])
+    def test_chi_counts_each_corner_cycle_once(self, n, rings):
+        # Facets 0 and 1 share ``rings`` cycles of n arcs, facets 1 and 2 a
+        # full circle, and facet 3 has no boundary.  One ring is as long as
+        # a cycle can be for its number of sides, so the pointer jumping
+        # must run to the end.
+        ring = np.arange(n)
+        ends = np.concatenate([np.stack([ring, np.roll(ring, -1)], 1) + k * n
+                               for k in range(rings)] + [[[-1, -1]]])
+        left, right = [0] * (rings * n) + [1], [1] * (rings * n) + [2]
+        corners, chi = bp3._facet_corners(4, np.array(left + right), ends)
+        assert chi.tolist() == [2 - rings, 1 - rings, 1, 2]
+        t = SimpleNamespace(corners=corners, pair=np.array([left, right]).T, ends=ends)
+        for f, cycles in enumerate([rings, rings, 0, 0]):
+            assert [len(c) for c in facet_loops(t, f)[0]] == [n] * cycles
 
     @staticmethod
     def keyclaim():
@@ -501,7 +519,7 @@ class TestBuildTables:
 
     @pytest.mark.parametrize("run", ["keyclaim", "erode"])
     def test_one_corner_table_per_build(self, monkeypatch, run):
-        calls = dict.fromkeys(["_corner_table", "_build_retained"], 0)
+        calls = dict.fromkeys(["successors", "_build_retained"], 0)
         for name in calls:
             def counted(*args, _name=name, _original=getattr(bp3, name)):
                 calls[_name] += 1
@@ -509,4 +527,4 @@ class TestBuildTables:
             monkeypatch.setattr(bp3, name, counted)
         getattr(self, run)()
         assert calls["_build_retained"] >= 1
-        assert calls["_corner_table"] == calls["_build_retained"]
+        assert calls["successors"] == calls["_build_retained"]

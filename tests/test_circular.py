@@ -1,5 +1,5 @@
 """The arrangement kernel: circular intervals against a brute-force
-membership oracle, endpoint clustering and loop chaining."""
+membership oracle, endpoint clustering and boundary successors."""
 
 import math
 
@@ -9,11 +9,11 @@ import pytest
 from conftest import single_constraint_interval
 from lch._circular import (
     TWO_PI,
-    chain_loops,
     cluster_points,
     complement_of_forbidden,
     cross_rows,
     feasible_arcs,
+    successors,
 )
 from lch.errors import TopologyError
 
@@ -250,14 +250,49 @@ def test_cluster_points_matches_one_point_at_a_time():
     assert cluster_points([], 1.0) == ([], [])
 
 
-def test_chain_loops_returns_loops_in_first_index_order():
+def test_successors_match_each_head_to_the_next_tail_of_its_region():
     # arcs 1 -> 3 -> 4 form a triangle on vertices 10, 11, 12; arcs 0 -> 2 a digon
-    ends = [(20, 21), (10, 11), (21, 20), (11, 12), (12, 10)]
-    assert chain_loops(ends) == [[0, 2], [1, 3, 4]]
+    tail, head = zip(*[(20, 21), (10, 11), (21, 20), (11, 12), (12, 10)])
+    assert successors([0] * 5, tail, head).tolist() == [2, 3, 0, 4, 1]
+    # Two regions on the same two vertices: each side continues in its own.
+    assert successors([0, 1, 0, 1], [0, 0, 1, 1], [1, 1, 0, 0]).tolist() == [2, 3, 0, 1]
+    assert successors([], [], []).tolist() == []
 
 
-def test_chain_loops_open_chain_raises():
-    with pytest.raises(TopologyError):
-        chain_loops([(0, 1), (1, 2)])
-    with pytest.raises(TopologyError):
-        chain_loops([(0, 1), (1, 0), (2, 3)])
+def test_successors_are_a_permutation_of_shuffled_cycles():
+    rng = np.random.default_rng(3)
+    for trial in range(50):
+        # Regions with random cycles over a shared pool of vertices, each
+        # vertex used at most once per region, the sides shuffled.
+        region, tail, head = [], [], []
+        for r in range(rng.integers(1, 5)):
+            pool = rng.permutation(12)
+            cut = np.sort(rng.choice(np.arange(1, 12), rng.integers(0, 3), replace=False))
+            for cycle in np.split(pool[:rng.integers(2, 13)], cut):
+                if len(cycle) == 0:
+                    continue
+                region += [r] * len(cycle)
+                tail += cycle.tolist()
+                head += np.roll(cycle, -1).tolist()
+        perm = rng.permutation(len(region))
+        region, tail, head = (np.array(x)[perm] for x in (region, tail, head))
+        succ = successors(region, tail, head)
+        assert sorted(succ.tolist()) == list(range(len(region)))
+        assert np.array_equal(region[succ], region)
+        assert np.array_equal(tail[succ], head)
+
+
+def test_successors_reject_an_open_chain():
+    with pytest.raises(TopologyError, match="no arc continues from vertex 2"):
+        successors([0, 0], [0, 1], [1, 2])
+    with pytest.raises(TopologyError, match="no arc continues from vertex 3"):
+        successors([0, 0, 0], [0, 1, 2], [1, 0, 3])  # a closed digon and a dangling arc
+    # The sides of another region do not continue a chain.
+    with pytest.raises(TopologyError, match="no arc continues from vertex 1"):
+        successors([0, 1, 1], [0, 1, 0], [1, 0, 1])
+
+
+def test_successors_reject_two_sides_leaving_one_vertex():
+    # A figure eight through vertex 0: no permutation of the sides.
+    with pytest.raises(TopologyError, match="two arcs leave vertex 0"):
+        successors([0] * 4, [0, 1, 0, 2], [1, 0, 2, 0])

@@ -99,6 +99,12 @@ class TestInnerParallel:
         with pytest.raises(InvalidParameterError):
             erosion.inner_parallel(body, -0.1)
 
+    @pytest.mark.parametrize("t", [math.nan, -1.0])
+    def test_nan_or_negative_distance_rejected(self, t):
+        # NaN fails every comparison: checked as t < 0, it would build a body with lam = nan.
+        with pytest.raises(InvalidParameterError):
+            erosion.inner_parallel(bp3.build(1.0, LENS), t)
+
     def test_semigroup(self):
         body = make_body(seed=9, m=4, r0=0.5)
         two_step = erosion.inner_parallel(erosion.inner_parallel(body, 0.1), 0.2)
@@ -561,6 +567,12 @@ class TestExpansion:
         body = make_body(seed=23, m=6, r0=0.4)
         rep = erosion.expansion_check(body, t=1e-2)
         assert rep.passed
+
+    @pytest.mark.parametrize("t", [math.nan, 0.0, -1.0])
+    def test_step_must_be_positive(self, t):
+        # The remainders are divided by t^2; NaN must not slip through as a report.
+        with pytest.raises(InvalidParameterError, match="must be positive"):
+            erosion.expansion_check(bp3.build(1.0, LENS), t)
 
     def test_event_inside_window_rejected(self):
         body = bp3.build(1.0, EVENT_CENTERS)

@@ -157,6 +157,14 @@ class TestSurfaceOracle:
         with pytest.raises(InvalidParameterError):
             harness.surface_oracle(lens, t=0.2)
 
+    @pytest.mark.parametrize("oracle", [harness.surface_oracle, harness.surface_oracle_richardson])
+    @pytest.mark.parametrize("t", [0.0, -1e-4, math.nan, math.inf])
+    def test_step_must_be_positive_and_finite(self, oracle, t):
+        # The oracle divides by t; NaN must not slip through as a NaN area.
+        lens = bp3.build(1.0, [[0, 0, -0.5], [0, 0, 0.5]])
+        with pytest.raises(InvalidParameterError, match="must lie in"):
+            oracle(lens, t)
+
 
 class TestSweep:
     def test_no_violations_and_reconstructible(self):

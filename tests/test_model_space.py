@@ -110,6 +110,14 @@ class TestMetricDistance:
         with pytest.raises(InvalidParameterError):
             ms.metric_distance(HYP, (0, 0), (1.2, 0))
 
+    @pytest.mark.parametrize("space", [HYP, FLAT, SPH])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_rejected(self, space, bad):
+        # max(1.0, nan) is 1, so unchecked a NaN point would be 0 from the origin.
+        for p, q in (([bad, 0.0], [0.0, 0.0]), ([0.0, 0.0], [0.1, bad])):
+            with pytest.raises(InvalidParameterError, match="not finite"):
+                ms.metric_distance(space, p, q)
+
     def test_sphere_round_trip(self):
         p = np.array([0.2, -0.4])
         assert np.allclose(ms.from_sphere(ms.to_sphere(p)), p, atol=1e-15)
@@ -126,6 +134,16 @@ class TestExpMap:
             s = rng.uniform(0.05, 0.8)
             q = ms.exp_map(space, base, direction, s)
             assert abs(ms.metric_distance(space, base, q) - s) < 1e-12
+
+    @pytest.mark.parametrize("space", [HYP, FLAT, SPH])
+    @pytest.mark.parametrize("direction", [[0.0, 0.0], [math.nan, 1.0], [math.inf, 0.0]])
+    def test_zero_or_non_finite_direction_rejected(self, space, direction):
+        with pytest.raises(InvalidParameterError, match="finite and nonzero"):
+            ms.exp_map(space, [0.1, 0.2], direction, 0.3)
+
+    def test_non_finite_base_rejected(self):
+        with pytest.raises(InvalidParameterError, match="not finite"):
+            ms.exp_map(FLAT, [math.nan, 0.0], [1.0, 0.0], 0.3)
 
 
 class TestSignedDistanceToGeodesic:

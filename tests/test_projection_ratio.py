@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.spatial import SphericalVoronoi
 
-from conftest import make_body, single_constraint_interval
+from conftest import facet_loops, make_body, single_constraint_interval
 from lch import ball_polytope3 as bp3
 from lch import harness
 from lch import projection_ratio as pr
@@ -209,20 +209,19 @@ def _sphere_point(chart, e1, e2, t, theta):
 
 def _geodesic_polygon_area(body, chart):
     """Independent projected-area oracle via spherical polygon excess, one
-    side of the chart's facet's loops at a time."""
+    corner of the chart's facet's loops at a time, walked through the
+    corner table."""
     r = chart.inradius
     t = body.tables
-    loops = t.loops[chart.facet_index]
-    if not loops:
+    cycles, full = facet_loops(t, chart.facet_index)
+    if not cycles and not full:
         return FOUR_PI * r * r
-    total_turn = 0.0
-    n_loops = len(loops)
-    for loop in loops:
-        k = len(loop)
-        for idx, (eidx, forward) in enumerate(loop):
-            if t.ends[eidx, 0] < 0:  # a full circle has no corner
-                continue
-            nxt_eidx, nxt_forward = loop[(idx + 1) % k]
+    total_turn = 0.0  # a full circle has no corner
+    _, in_arc, in_end, out_arc, out_end, _ = t.corners.tolist()
+    for cycle in cycles:
+        for c in cycle:
+            eidx, forward = in_arc[c], in_end[c] == 1
+            nxt_eidx, nxt_forward = out_arc[c], out_end[c] == 0
             v = t.positions[t.ends[eidx, 1 if forward else 0]]
             u_hat = (v - chart.center)
             u_hat /= np.linalg.norm(u_hat)
@@ -230,7 +229,7 @@ def _geodesic_polygon_area(body, chart):
             t_out = _projected_tangent(t, nxt_eidx, nxt_forward, u_hat, outgoing=True)
             total_turn += math.atan2(float(np.cross(t_in, t_out) @ u_hat),
                                      float(t_in @ t_out))
-    chi = 2 - n_loops
+    chi = 2 - len(cycles) - len(full)
     return r * r * (2.0 * math.pi * chi - total_turn)
 
 
@@ -430,11 +429,11 @@ class TestDensity:
             body = make_body(seed=seed, m=6, r0=0.4)
             ball = inscribed_ball(body)
             t = body.tables
-            for k, loops in enumerate(t.loops):
+            for k in range(len(t.chi)):
                 chart = pr.chart_for_facet(body, k, ball)
-                for loop in loops:
-                    for eidx, _ in loop:
-                        for phi in np.linspace(*t.phi[eidx], 9):
-                            x = t.z[eidx] + t.rho[eidx] * (math.cos(phi) * t.e1[eidx]
-                                                           + math.sin(phi) * t.e2[eidx])
-                            assert float((x - chart.center) @ chart.axis) >= -1e-9
+                cycles, full = facet_loops(t, k)
+                for eidx in [t.corners[1, c] for cycle in cycles for c in cycle] + full:
+                    for phi in np.linspace(*t.phi[eidx], 9):
+                        x = t.z[eidx] + t.rho[eidx] * (math.cos(phi) * t.e1[eidx]
+                                                       + math.sin(phi) * t.e2[eidx])
+                        assert float((x - chart.center) @ chart.axis) >= -1e-9

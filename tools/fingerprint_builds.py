@@ -12,7 +12,9 @@ touching bodies with m = 5..24 whose centers are moved radially by a
 relative 0 to 1e-3, on both sides of the cosphericity tolerance of the
 hull candidate pairs; four centers near one circle of their common
 sphere; and centers within ~1e-13 of a plane), each with its facets'
-areas and vector areas, the three components of its
+corner rows (sorted per facet, so the order of the corner table's
+columns does not count), Euler characteristics, areas and vector
+areas, the three components of its
 ``gauss_bonnet.gb_total`` and its build report (redundant and duplicate
 indices, source centers, and the ``pair_source`` and ``candidate_pairs``
 of its candidate pairs, so a change in which pairs a build takes shows
@@ -72,7 +74,8 @@ def fp3(lam, centers):
     r, t = b.build_report, b.tables
     return {
         "sig": repr(b.combinatorial_signature()),
-        "loops": [repr(loops) for loops in t.loops],
+        "corners": facet_corners(t),
+        "chi": t.chi.tolist(),
         "facet_areas": [h(a) for a in t.area],
         "vector_areas": [[h(x) for x in v] for v in t.vector_area],
         "area": h(bp3.surface_area(b)),
@@ -86,6 +89,16 @@ def fp3(lam, centers):
                   for pair, phi, ends in zip(t.pair.tolist(), t.phi, t.ends.tolist())],
         "gb_total": recorded(gb_components, b),
     }
+
+
+def facet_corners(tables):
+    """Each facet's corner rows ``(in_arc, in_end, out_arc, out_end,
+    vertex)``, sorted, so the fingerprint does not depend on the order of
+    the corner table's columns."""
+    rows = [[] for _ in tables.chi]
+    for facet, *row in tables.corners.T.tolist():
+        rows[facet].append(row)
+    return [sorted(r) for r in rows]
 
 
 def gb_components(body):
