@@ -184,7 +184,8 @@ def successors(region, tail, head):
     region leaving ``head[s]``.  The sides are sorted by (region, tail) and
     each head is found with ``searchsorted``.  Returns an int array, a
     permutation of the sides; raises ``TopologyError`` when no side
-    continues from a head, or two sides of one region leave one vertex.
+    continues from a head, or two sides of one region leave or enter one
+    vertex.
     """
     region, tail, head = (np.asarray(x, dtype=np.intp) for x in (region, tail, head))
     span = int(np.maximum(tail, head).max(initial=-1)) + 1
@@ -199,4 +200,7 @@ def successors(region, tail, head):
     missing = (key[at] != want).nonzero()[0]
     if missing.size:
         raise TopologyError(f"open boundary loop: no arc continues from vertex {head[missing[0]]}")
+    entered = np.bincount(at, minlength=len(key))
+    if entered.size and entered.max() > 1:  # e.g. a chain running into a cycle
+        raise TopologyError(f"branched boundary loop: two arcs enter vertex {key[entered.argmax()] % span}")
     return order[at]

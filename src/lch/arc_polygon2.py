@@ -394,7 +394,7 @@ def build2(space, lam, disks):
     tails, heads = zip(*[(a.start_vertex, a.end_vertex)[::a.circle.side] for a in arcs])
     succ = successors([0] * len(arcs), tails, heads).tolist()
     order = [0]
-    while succ[order[-1]]:  # the successors are a permutation: the walk returns to arc 0
+    while succ[order[-1]] and len(order) <= len(arcs):  # a permutation returns to arc 0
         order.append(succ[order[-1]])
     if len(order) != len(arcs):
         raise TopologyError("boundary arcs do not close into a single loop")

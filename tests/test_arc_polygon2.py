@@ -12,6 +12,7 @@ from lch.errors import (
     InvalidParameterError,
     NonCompactError,
     NumericError,
+    TopologyError,
 )
 
 HYP = ms.ModelSpace(2, -1.0)
@@ -120,6 +121,25 @@ class TestBuildFlat:
         assert len(poly.boundary) == 1 and poly.boundary[0].full_circle
         assert math.isclose(ap.perimeter2(poly), math.pi, rel_tol=1e-12)
         assert math.isclose(ap.area2(poly), math.pi / 4.0, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("entry", range(8))
+    def test_misclustered_endpoint_raises(self, monkeypatch, entry):
+        # One arc endpoint of a four-disk polygon merged into the wrong
+        # vertex: the arcs no longer close into one loop, and build2 says so
+        # instead of walking a chain that never returns to its first arc.
+        cluster = ap.cluster_points
+
+        def misclustered(points, tol):
+            positions, index = cluster(points, tol)
+            assert len(index) == 8 and len(set(index)) == 4
+            other = next(index[(entry + k) % 8] for k in (2, 3) if index[(entry + k) % 8] != index[entry])
+            return positions, index[:entry] + [other] + index[entry + 1:]
+
+        disks = [ap.euclidean_disk(FLAT, 1.0, c) for c in [(0.3, 0.0), (0.0, 0.3), (-0.3, 0.0), (0.0, -0.3)]]
+        assert len(ap.build2(FLAT, 1.0, disks).boundary) == 4
+        monkeypatch.setattr(ap, "cluster_points", misclustered)
+        with pytest.raises(TopologyError):
+            ap.build2(FLAT, 1.0, disks)
 
     def test_empty(self):
         with pytest.raises(EmptyBodyError):

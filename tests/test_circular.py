@@ -296,3 +296,13 @@ def test_successors_reject_two_sides_leaving_one_vertex():
     # A figure eight through vertex 0: no permutation of the sides.
     with pytest.raises(TopologyError, match="two arcs leave vertex 0"):
         successors([0] * 4, [0, 1, 0, 2], [1, 0, 2, 0])
+
+
+def test_successors_reject_two_sides_entering_one_vertex():
+    # A chain 5 -> 1 running into the cycle 1 -> 2 -> 3 -> 2 (a lollipop):
+    # every head continues and no vertex is left twice, yet two sides share
+    # a successor, so the sides have no permutation of boundary cycles.
+    with pytest.raises(TopologyError, match="two arcs enter vertex 2"):
+        successors([0] * 4, [5, 1, 2, 3], [1, 2, 3, 2])
+    with pytest.raises(TopologyError, match="two arcs enter vertex 0"):
+        successors([1, 1, 1], [0, 1, 2], [1, 0, 0])
